@@ -1,0 +1,221 @@
+"""Command-line entry point.
+
+Subcommands: ``validate`` checks a scenario without running it, ``run``
+executes one simulation, ``compare`` runs a strategies-by-seeds matrix and
+writes the comparison report, ``report`` regenerates the report from
+stored run artifacts.  Flags override scenario-file values; the effective
+configuration is echoed into the output directory.  ``REPRTRACE_THREADS``
+caps parallel runs in ``compare``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
+from typing import Iterator, Optional
+
+from .errors import ParameterError, ScenarioError
+from .report import LoadedRun, load_run, save_run, write_report
+from .scenario import Scenario, default_scenario, load_scenario, parse_scenario, scenario_to_dict
+from .simulator import RunResult, run_scenario
+from .strategies import StrategyKind
+
+_ALL_STRATEGIES = [k.value for k in (StrategyKind.ADP, StrategyKind.INV, StrategyKind.UNI,
+                                     StrategyKind.FUM, StrategyKind.NOM)]
+
+
+def _parse_seeds(text: str) -> list[int]:
+    seeds: list[int] = []
+    for part in text.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        if "-" in part[1:]:
+            lo, _, hi = part.partition("-")
+            seeds.extend(range(int(lo), int(hi) + 1))
+        else:
+            seeds.append(int(part))
+    if not seeds:
+        raise ScenarioError(f"no seeds in {text!r}")
+    return seeds
+
+
+def _load(scenario_path: Optional[str]) -> Scenario:
+    if scenario_path is None:
+        return default_scenario()
+    return load_scenario(scenario_path)
+
+
+def _echo_config(out_dir: Path, scenario: Scenario, extra: dict) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    payload = {"scenario": scenario_to_dict(scenario), **extra}
+    (out_dir / "effective_config.json").write_text(json.dumps(payload, indent=2) + "\n")
+
+
+def _run_dir(out_dir: Path, strategy: str, seed: int) -> Path:
+    return out_dir / "runs" / f"{strategy}_s{seed}"
+
+
+def _execute(scenario: Scenario, strategy: str, seed: int, run_dir: Path) -> RunResult:
+    result = run_scenario(scenario.model, scenario.workload, strategy, seed, scenario.sampler)
+    save_run(result, run_dir)
+    return result
+
+
+def _worker(payload: tuple[dict, str, int, str]) -> str:
+    raw, strategy, seed, run_dir = payload
+    scenario = parse_scenario(raw, source="scenario")
+    _execute(scenario, strategy, seed, Path(run_dir))
+    return run_dir
+
+
+def _cmd_validate(args: argparse.Namespace) -> int:
+    scenario = _load(args.scenario)
+    n_types = len(scenario.model.types)
+    duration = scenario.workload.total_duration
+    print(f"OK: {n_types} request types, {duration:.0f} s schedule, "
+          f"{len(scenario.workload.segments)} segments")
+    return 0
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    scenario = _load(args.scenario)
+    strategy = args.strategy or (scenario.strategy.value if scenario.strategy else None)
+    if strategy is None:
+        raise ScenarioError("no strategy given (use --strategy or the scenario file)")
+    strategy = StrategyKind(strategy).value
+    seed = args.seed if args.seed is not None else (scenario.seed or 0)
+    out_dir = Path(args.out if args.out is not None else (scenario.out or "reprtrace-out"))
+    _echo_config(out_dir, scenario,
+                 {"command": "run", "strategy": strategy, "seed": seed})
+    run_dir = _run_dir(out_dir, strategy, seed)
+    result = _execute(scenario, strategy, seed, run_dir)
+    total = sum(row.throughput for row in result.seconds)
+    mean_tr = total / len(result.seconds) if result.seconds else 0.0
+    print(f"{strategy} seed {seed}: {total} requests ({mean_tr:.1f}/s), "
+          f"{len(result.traces)} traces, {len(result.releases)} cycles -> {run_dir}")
+    return 0
+
+
+def _cmd_compare(args: argparse.Namespace) -> int:
+    scenario = _load(args.scenario)
+    strategies = [StrategyKind(s.strip()).value for s in args.strategies.split(",") if s.strip()]
+    if not strategies:
+        raise ScenarioError("no strategies given")
+    if args.seeds is not None:
+        seeds = _parse_seeds(args.seeds)
+    elif scenario.seeds:
+        seeds = scenario.seeds
+    else:
+        seeds = list(range(1, 11))
+    strict = bool(args.strict or scenario.strict)
+    out_dir = Path(args.out if args.out is not None else (scenario.out or "reprtrace-out"))
+    _echo_config(out_dir, scenario,
+                 {"command": "compare", "strategies": strategies, "seeds": seeds,
+                  "strict": strict})
+    jobs = [(strategy, seed) for strategy in strategies for seed in seeds]
+    threads = int(os.environ.get("REPRTRACE_THREADS", "1") or "1")
+    threads = max(1, min(threads, len(jobs)))
+
+    if threads > 1:
+        raw = scenario_to_dict(scenario)
+        payloads = [
+            (raw, strategy, seed, str(_run_dir(out_dir, strategy, seed)))
+            for strategy, seed in jobs
+        ]
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            run_dirs = list(pool.map(_worker, payloads))
+        runs: Iterator[RunResult | LoadedRun] = (load_run(d) for d in run_dirs)
+    else:
+        def _generate() -> Iterator[RunResult]:
+            for strategy, seed in jobs:
+                yield _execute(scenario, strategy, seed, _run_dir(out_dir, strategy, seed))
+
+        runs = _generate()
+
+    report = write_report(runs, out_dir / "report", strict=strict)
+    for warning in report.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    print(f"{len(jobs)} runs -> {report.out_dir / 'summary.csv'}")
+    if strict and report.strict_failures:
+        print("strict mode: failing on report warnings", file=sys.stderr)
+        return 1
+    return 0
+
+
+def _cmd_report(args: argparse.Namespace) -> int:
+    in_dir = Path(args.in_dir)
+    run_dirs = sorted(p.parent for p in in_dir.glob("**/run.json"))
+    if not run_dirs:
+        raise ScenarioError(f"no run artifacts (run.json) found under {in_dir}")
+    runs = (load_run(d) for d in run_dirs)
+    report = write_report(runs, Path(args.out), strict=bool(args.strict))
+    for warning in report.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    print(f"{len(run_dirs)} runs -> {report.out_dir / 'summary.csv'}")
+    if args.strict and report.strict_failures:
+        print("strict mode: failing on report warnings", file=sys.stderr)
+        return 1
+    return 0
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="reprtrace",
+        description="Adaptive-rate request sampling: simulation and strategy comparison.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_validate = sub.add_parser("validate", help="check a scenario file")
+    p_validate.add_argument("--scenario", help="scenario JSON (default: built-in scenario)")
+    p_validate.set_defaults(func=_cmd_validate)
+
+    p_run = sub.add_parser("run", help="execute one simulation")
+    p_run.add_argument("--scenario", help="scenario JSON (default: built-in scenario)")
+    p_run.add_argument("--strategy", choices=_ALL_STRATEGIES)
+    p_run.add_argument("--seed", type=int)
+    p_run.add_argument("--out", help="output directory (default: reprtrace-out)")
+    p_run.set_defaults(func=_cmd_run)
+
+    p_compare = sub.add_parser("compare", help="run a strategies x seeds matrix")
+    p_compare.add_argument("--scenario", help="scenario JSON (default: built-in scenario)")
+    p_compare.add_argument("--strategies", default=",".join(_ALL_STRATEGIES))
+    p_compare.add_argument("--seeds",
+                           help="comma list and/or ranges, e.g. 1-10 or 1,2,5 "
+                                "(default: 1-10)")
+    p_compare.add_argument("--out", help="output directory (default: reprtrace-out)")
+    p_compare.add_argument("--strict", action="store_true",
+                           help="nonzero exit on missing types or missing ground truth")
+    p_compare.set_defaults(func=_cmd_compare)
+
+    p_report = sub.add_parser("report", help="regenerate the report from stored runs")
+    p_report.add_argument("--in", dest="in_dir", required=True)
+    p_report.add_argument("--out", required=True)
+    p_report.add_argument("--strict", action="store_true")
+    p_report.set_defaults(func=_cmd_report)
+
+    return parser
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except (ScenarioError, ParameterError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # noqa: BLE001 - CLI boundary
+        print(f"failure: {exc!r}", file=sys.stderr)
+        return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,265 @@
+"""Domain types shared by the sampler, strategies, simulator and reporting."""
+
+from __future__ import annotations
+
+import csv
+from collections import deque
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Iterable, Iterator
+
+__all__ = [
+    "RequestEvent",
+    "TraceRecord",
+    "FrequencyTable",
+    "PerformanceRecord",
+    "PerformanceReferenceTable",
+    "SamplerConfig",
+    "ReleasedSample",
+    "TRACE_FIELDS",
+    "write_trace_file",
+    "read_trace_file",
+]
+
+
+@dataclass(slots=True)
+class RequestEvent:
+    """One observed application request.
+
+    ``start`` is in milliseconds from simulation start; ``response_time``
+    in milliseconds; ``memory_delta`` in kilobytes and may be negative
+    when the measurement was invalidated by garbage-collection artifacts.
+    """
+
+    type_id: str
+    start: int
+    response_time: float
+    memory_delta: float
+
+    def __post_init__(self) -> None:
+        if not self.type_id:
+            raise ValueError("type_id must be non-empty")
+        if self.response_time < 0:
+            raise ValueError(f"response_time must be >= 0, got {self.response_time}")
+
+
+@dataclass(slots=True)
+class TraceRecord:
+    """A recorded execution trace of one request within a monitoring cycle."""
+
+    event: RequestEvent
+    cycle_index: int
+    recorded_at: int
+
+    def __post_init__(self) -> None:
+        if self.cycle_index < 0:
+            raise ValueError(f"cycle_index must be >= 0, got {self.cycle_index}")
+
+
+class FrequencyTable:
+    """Per-request-type counters with a running total.
+
+    ``total`` always equals the sum of the counts.  Instances are either
+    confined to a single context or externally guarded; ``add`` is a plain
+    two-counter increment observed together.
+    """
+
+    __slots__ = ("counts", "total")
+
+    def __init__(self) -> None:
+        self.counts: dict[str, int] = {}
+        self.total: int = 0
+
+    def add(self, type_id: str) -> None:
+        self.counts[type_id] = self.counts.get(type_id, 0) + 1
+        self.total += 1
+
+    def count(self, type_id: str) -> int:
+        return self.counts.get(type_id, 0)
+
+    def proportion(self, type_id: str) -> float:
+        """Share of ``type_id`` in the table; 0 by convention when empty."""
+        if self.total == 0:
+            return 0.0
+        return self.counts.get(type_id, 0) / self.total
+
+    def copy(self) -> "FrequencyTable":
+        dup = FrequencyTable()
+        dup.counts = dict(self.counts)
+        dup.total = self.total
+        return dup
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __repr__(self) -> str:
+        return f"FrequencyTable(total={self.total}, counts={self.counts!r})"
+
+
+@dataclass(slots=True)
+class PerformanceRecord:
+    """Throughput plus per-type mean response times for one measurement interval.
+
+    ``monitoring_enabled`` tells whether monitoring was active while the
+    interval was measured.
+    """
+
+    rps: float
+    mean_rt: dict[str, float]
+    monitoring_enabled: bool
+
+    def __post_init__(self) -> None:
+        if self.rps < 0:
+            raise ValueError(f"rps must be >= 0, got {self.rps}")
+        for type_id, rt in self.mean_rt.items():
+            if rt < 0:
+                raise ValueError(f"mean response time of {type_id!r} must be >= 0")
+
+
+class PerformanceReferenceTable:
+    """Bounded FIFO history of performance records.
+
+    Appending beyond capacity evicts the oldest record; insertion order of
+    survivors is preserved.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        self._records: deque[PerformanceRecord] = deque(maxlen=capacity)
+
+    @property
+    def capacity(self) -> int:
+        return self._records.maxlen or 0
+
+    def add(self, record: PerformanceRecord) -> None:
+        self._records.append(record)
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def __iter__(self) -> Iterator[PerformanceRecord]:
+        return iter(self._records)
+
+
+@dataclass(slots=True)
+class SamplerConfig:
+    """Tuning knobs of the adaptive sampler.
+
+    Defaults: adaptation every 1 s, 3 s performance baselines, rates in
+    [1%, 50%], 180 s cycle timeout, 60-record performance history,
+    conservative variability p = 0.5 and margin of error e = 0.05.
+    """
+
+    max_rate: float = 0.5
+    min_rate: float = 0.01
+    epsilon: float = 0.05
+    baseline_duration: float = 3.0
+    adaptation_frequency: float = 1.0
+    max_cycle_length: float = 180.0
+    history_capacity: int = 60
+    variability_p: float = 0.5
+    margin_e: float = 0.05
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.min_rate <= self.max_rate <= 1.0:
+            raise ValueError(
+                f"rates must satisfy 0 < min_rate <= max_rate <= 1, "
+                f"got min={self.min_rate} max={self.max_rate}"
+            )
+        if self.epsilon < 0:
+            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
+        if self.baseline_duration <= 0:
+            raise ValueError("baseline_duration must be positive")
+        if self.adaptation_frequency <= 0:
+            raise ValueError("adaptation_frequency must be positive")
+        if self.max_cycle_length <= 0:
+            raise ValueError("max_cycle_length must be positive")
+        if self.history_capacity < 1:
+            raise ValueError("history_capacity must be >= 1")
+        if not 0.0 < self.variability_p < 1.0:
+            raise ValueError("variability_p must be in (0, 1)")
+        if not 0.0 < self.margin_e < 1.0:
+            raise ValueError("margin_e must be in (0, 1)")
+
+
+RELEASE_CRITERIA = "criteria"
+RELEASE_TIMEOUT = "timeout"
+
+
+@dataclass(slots=True)
+class ReleasedSample:
+    """One monitoring cycle's outcome, released for analysis.
+
+    ``reason`` is ``"criteria"`` when all representativeness criteria
+    held, ``"timeout"`` when the cycle hit its maximum length.  The stored
+    statistics are the cycle's own tables (handed over wholesale on
+    release), so the criteria can be re-checked offline.
+    """
+
+    traces: list[TraceRecord]
+    population_stats: FrequencyTable
+    sample_stats: FrequencyTable
+    cycle_length: float
+    confidence_at_release: float
+    population_mean_rt: float
+    reason: str
+    cycle_index: int
+    released_at: float
+
+    def __post_init__(self) -> None:
+        if self.reason not in (RELEASE_CRITERIA, RELEASE_TIMEOUT):
+            raise ValueError(f"unknown release reason {self.reason!r}")
+        if self.sample_stats.total != len(self.traces):
+            raise ValueError(
+                f"sample total {self.sample_stats.total} != trace count {len(self.traces)}"
+            )
+        for type_id, count in self.sample_stats.counts.items():
+            if count > self.population_stats.count(type_id):
+                raise ValueError(
+                    f"sample count for {type_id!r} exceeds population count"
+                )
+
+
+# --- Trace file format ----------------------------------------------------
+
+TRACE_FIELDS = ("cycle_index", "type_id", "start", "response_time", "memory_delta")
+
+
+def write_trace_file(path: str | Path, records: Iterable[TraceRecord]) -> None:
+    """Write traces as line-delimited text, one record per line.
+
+    Field order: cycle_index, type_id, start, response_time, memory_delta.
+    """
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        for record in records:
+            event = record.event
+            writer.writerow(
+                [
+                    record.cycle_index,
+                    event.type_id,
+                    event.start,
+                    repr(event.response_time),
+                    repr(event.memory_delta),
+                ]
+            )
+
+
+def read_trace_file(path: str | Path) -> list[TraceRecord]:
+    records: list[TraceRecord] = []
+    with open(path, newline="") as handle:
+        for row in csv.reader(handle):
+            if not row:
+                continue
+            cycle_index, type_id, start, response_time, memory_delta = row
+            event = RequestEvent(
+                type_id=type_id,
+                start=int(start),
+                response_time=float(response_time),
+                memory_delta=float(memory_delta),
+            )
+            records.append(
+                TraceRecord(event=event, cycle_index=int(cycle_index), recorded_at=int(start))
+            )
+    return records

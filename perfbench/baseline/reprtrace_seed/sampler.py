@@ -1,0 +1,311 @@
+"""The adaptive monitoring engine.
+
+Three cooperating activities run per monitoring cycle:
+
+* a per-request sampling decision that keeps the sample's request-type
+  distribution aligned with the population's,
+* a periodic rate adaptation that compares current response times against
+  a reference history (with and without monitoring) and collects
+  performance baselines when degradation is detected,
+* a continuous sample evaluation that releases the cycle's sample once it
+  is large enough, performance-equivalent to the population and balanced,
+  under a confidence requirement that decays as the cycle ages.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Iterable, Optional
+
+from .errors import InsufficientDataError
+from .model import (
+    RELEASE_CRITERIA,
+    RELEASE_TIMEOUT,
+    FrequencyTable,
+    PerformanceRecord,
+    PerformanceReferenceTable,
+    ReleasedSample,
+    RequestEvent,
+    SamplerConfig,
+    TraceRecord,
+)
+from .stats import (
+    bernoulli,
+    cochran_sample_size,
+    decayed_confidence,
+    one_sample_t_p_value_from_stats,
+    paired_t_test,
+)
+
+__all__ = [
+    "SamplerEvent",
+    "AdaptiveMonitor",
+    "select_normal_behavior",
+    "perf_diff",
+    "ADAPT_ALPHA",
+]
+
+# Significance level of the adaptation equality test.
+ADAPT_ALPHA = 0.05
+
+# The normal quantile diverges at confidence 1, so the evaluation feeds a
+# capped value into the sample-size formula; at the cap the required size
+# exceeds any sample a fresh cycle can hold.
+_CONF_CAP = 1.0 - 1e-6
+
+
+@dataclass(slots=True)
+class SamplerEvent:
+    """Structured engine event: rate-changed, baseline-started/-ended, sample-released."""
+
+    kind: str
+    time: float
+    data: dict = field(default_factory=dict)
+
+
+def select_normal_behavior(
+    perf_ref: Iterable[PerformanceRecord], me_flag: bool
+) -> Optional[PerformanceRecord]:
+    """The reference record at the median throughput for one monitoring state.
+
+    Only records whose monitoring flag matches are considered.  With an
+    even number of candidates the record with the higher of the two middle
+    throughputs is chosen; ties keep insertion order.  Returns ``None``
+    when no record matches.
+    """
+    matching = [rec for rec in perf_ref if rec.monitoring_enabled == me_flag]
+    if not matching:
+        return None
+    matching.sort(key=lambda rec: rec.rps)
+    return matching[len(matching) // 2]
+
+
+def perf_diff(current: PerformanceRecord, normal: PerformanceRecord) -> float:
+    """Relative response-time difference of ``current`` against ``normal``.
+
+    Sums per-type mean response times over the request types both records
+    share: positive means slower than normal, negative faster.
+    """
+    common = sorted(set(current.mean_rt) & set(normal.mean_rt))
+    if not common:
+        raise InsufficientDataError("records share no request types")
+    current_sum = sum(current.mean_rt[t] for t in common)
+    normal_sum = sum(normal.mean_rt[t] for t in common)
+    if normal_sum == 0:
+        raise InsufficientDataError("reference record has zero total response time")
+    return current_sum / normal_sum - 1.0
+
+
+class AdaptiveMonitor:
+    """Shared state and operations of the adaptive sampling process.
+
+    ``decide`` may be called from request-processing contexts; ``on_tick``
+    from exactly one periodic context.  This implementation assumes the
+    CPython execution model of the simulator (single logical timeline);
+    rate reads and table mutations are single attribute operations.
+    """
+
+    def __init__(self, config: SamplerConfig, start_time: float = 0.0) -> None:
+        self.config = config
+        self.rate: float = config.max_rate
+        self.monitoring_enabled: bool = True
+        self.baseline_until: Optional[float] = None
+        self.population = FrequencyTable()
+        self.sample = FrequencyTable()
+        self.sample_traces: list[TraceRecord] = []
+        self.sample_rts: list[float] = []
+        self.population_rt_sum: float = 0.0
+        self.population_rt_count: int = 0
+        self.perf_ref = PerformanceReferenceTable(config.history_capacity)
+        self.cycle_start: float = start_time
+        self.cycle_index: int = 0
+        self.events: list[SamplerEvent] = []
+        # Running moments of the sampled response times (Welford), so the
+        # per-accept evaluation stays O(#types).
+        self._sample_rt_mean: float = 0.0
+        self._sample_rt_m2: float = 0.0
+
+    # --- activity 1: sampling decision ------------------------------------
+
+    def decide(self, request: RequestEvent, rng) -> bool:
+        """Decide whether ``request`` gets traced; population is always counted.
+
+        A request is traced when monitoring is enabled, the Bernoulli draw
+        at the current rate succeeds, and its type is not already
+        over-represented in the sample (proportions snapshot taken before
+        this request is counted; an empty sample accepts anything).
+        """
+        type_id = request.type_id
+        pop_prop = self.population.proportion(type_id)
+        sample_total = self.sample.total
+        samp_prop = self.sample.proportion(type_id)
+        self.population.add(type_id)
+        self.population_rt_sum += request.response_time
+        self.population_rt_count += 1
+        if not self.monitoring_enabled:
+            return False
+        if not bernoulli(self.rate, rng):
+            return False
+        if sample_total > 0 and pop_prop < samp_prop - self.config.epsilon:
+            return False
+        self.sample.add(type_id)
+        self.sample_traces.append(
+            TraceRecord(event=request, cycle_index=self.cycle_index, recorded_at=request.start)
+        )
+        self.sample_rts.append(request.response_time)
+        n = len(self.sample_rts)
+        delta = request.response_time - self._sample_rt_mean
+        self._sample_rt_mean += delta / n
+        self._sample_rt_m2 += delta * (request.response_time - self._sample_rt_mean)
+        return True
+
+    # --- activity 2: rate adaptation ---------------------------------------
+
+    def record_performance(self, current: PerformanceRecord) -> None:
+        self.perf_ref.add(current)
+
+    def adapt_rate(self, current: PerformanceRecord, now: float) -> float:
+        """One adaptation step; returns the (possibly updated) rate.
+
+        The current interval is recorded, compared against the reference
+        record for its monitoring state, and the rate moves proportionally
+        to the observed difference: up (capped at max_rate) while
+        performance is similar or better with monitoring on; a baseline
+        window starts when monitoring coincides with significant slowdown;
+        down (floored at min_rate) when the slowdown persists even without
+        monitoring, i.e. it is workload-induced.
+        """
+        self.record_performance(current)
+        normal = select_normal_behavior(self.perf_ref, current.monitoring_enabled)
+        if normal is None:
+            return self.rate
+        common = sorted(set(current.mean_rt) & set(normal.mean_rt))
+        if len(common) < 2:
+            return self.rate
+        normal_rts = [normal.mean_rt[t] for t in common]
+        current_rts = [current.mean_rt[t] for t in common]
+        if sum(normal_rts) == 0:
+            return self.rate
+        equal = paired_t_test(normal_rts, current_rts, ADAPT_ALPHA)
+        diff = perf_diff(current, normal)
+        old_rate = self.rate
+        if self.monitoring_enabled:
+            if equal or diff <= 0:
+                self.rate = min(self.rate + self.rate * abs(diff), self.config.max_rate)
+            else:
+                self._start_baseline(now)
+        else:
+            if not equal and diff > 0:
+                self.rate = max(self.rate - self.rate * abs(diff), self.config.min_rate)
+        if self.rate != old_rate:
+            self.events.append(
+                SamplerEvent("rate-changed", now, {"old": old_rate, "new": self.rate})
+            )
+        return self.rate
+
+    def _start_baseline(self, now: float) -> None:
+        self.monitoring_enabled = False
+        self.baseline_until = now + self.config.baseline_duration
+        self.events.append(
+            SamplerEvent("baseline-started", now, {"until": self.baseline_until})
+        )
+
+    # --- activity 3: sample evaluation --------------------------------------
+
+    def evaluate_sample(self, now: float) -> Optional[ReleasedSample]:
+        """Release the sample when representative (or the cycle timed out).
+
+        Three criteria, each loosened by the decaying confidence ``conf``:
+        the sample must exceed Cochran's minimum size for the population,
+        its response times must be statistically equal to the population
+        mean at significance 0.05 * conf, and every type's sample share
+        must be within (1 - conf) + epsilon of its population share.
+        """
+        age = now - self.cycle_start
+        cfg = self.config
+        if age >= cfg.max_cycle_length:
+            conf = decayed_confidence(max(age, 0.0), cfg.max_cycle_length)
+            return self._release(now, RELEASE_TIMEOUT, conf)
+        if self.population.total == 0 or self.sample.total == 0:
+            return None
+        conf = decayed_confidence(max(age, 0.0), cfg.max_cycle_length)
+        needed = cochran_sample_size(
+            min(conf, _CONF_CAP), cfg.variability_p, cfg.margin_e, self.population.total
+        )
+        if not self.sample.total > needed:
+            return None
+        n = len(self.sample_rts)
+        if n < 2:
+            return None
+        population_mean = self.population_rt_sum / self.population_rt_count
+        p_value = one_sample_t_p_value_from_stats(
+            n, self._sample_rt_mean, self._sample_rt_m2, population_mean
+        )
+        if not p_value > ADAPT_ALPHA * conf:
+            return None
+        margin = (1.0 - conf) + cfg.epsilon
+        for type_id in self.population.counts:
+            gap = abs(self.population.proportion(type_id) - self.sample.proportion(type_id))
+            if gap > margin:
+                return None
+        return self._release(now, RELEASE_CRITERIA, conf)
+
+    def _release(self, now: float, reason: str, conf: float) -> ReleasedSample:
+        population_mean = (
+            self.population_rt_sum / self.population_rt_count
+            if self.population_rt_count
+            else 0.0
+        )
+        released = ReleasedSample(
+            traces=self.sample_traces,
+            population_stats=self.population,
+            sample_stats=self.sample,
+            cycle_length=now - self.cycle_start,
+            confidence_at_release=conf,
+            population_mean_rt=population_mean,
+            reason=reason,
+            cycle_index=self.cycle_index,
+            released_at=now,
+        )
+        self.events.append(
+            SamplerEvent(
+                "sample-released",
+                now,
+                {
+                    "reason": reason,
+                    "cycle_index": self.cycle_index,
+                    "size": released.sample_stats.total,
+                },
+            )
+        )
+        # Wholesale swap: the released sample keeps the old tables, the new
+        # cycle starts with fresh ones.
+        self.population = FrequencyTable()
+        self.sample = FrequencyTable()
+        self.sample_traces = []
+        self.sample_rts = []
+        self.population_rt_sum = 0.0
+        self.population_rt_count = 0
+        self._sample_rt_mean = 0.0
+        self._sample_rt_m2 = 0.0
+        self.cycle_index += 1
+        self.cycle_start = now
+        return released
+
+    # --- periodic driver -----------------------------------------------------
+
+    def on_tick(self, now: float, current: PerformanceRecord) -> Optional[ReleasedSample]:
+        """Periodic step: expire baselines, adapt the rate, enforce the timeout."""
+        if self.baseline_until is not None and now >= self.baseline_until:
+            self.monitoring_enabled = True
+            self.baseline_until = None
+            self.events.append(SamplerEvent("baseline-ended", now, {}))
+        self.adapt_rate(current, now)
+        if now - self.cycle_start >= self.config.max_cycle_length:
+            return self.evaluate_sample(now)
+        return None
+
+    def drain_events(self) -> list[SamplerEvent]:
+        drained = self.events
+        self.events = []
+        return drained

@@ -1,0 +1,421 @@
+"""Deterministic discrete-time model of a request-serving application.
+
+Each simulated second the workload generator draws an "offered" stream of
+requests (types, base service times, memory measurements) sized by the
+untraced service budget of the scheduled users.  The active strategy then
+completes the prefix of that stream whose contention-scaled service times
+(plus a per-trace recording cost) fill the budget, so tracing overhead
+shows up as lost throughput and inflated response times while the offered
+stream itself stays identical across strategies for a fixed seed.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+from bisect import bisect_right
+from dataclasses import dataclass
+from typing import Optional
+
+from .errors import ParameterError
+from .model import (
+    PerformanceRecord,
+    RequestEvent,
+    ReleasedSample,
+    SamplerConfig,
+    TraceRecord,
+)
+from .sampler import SamplerEvent
+from .strategies import AdaptiveStrategy, Strategy, StrategyKind, make_strategy
+
+__all__ = [
+    "RequestTypeSpec",
+    "Stationary",
+    "Seasonal",
+    "Burst",
+    "WorkloadSpec",
+    "AppModel",
+    "SecondStats",
+    "RunResult",
+    "users_at",
+    "Simulation",
+    "run_scenario",
+]
+
+
+@dataclass(frozen=True)
+class RequestTypeSpec:
+    """Shape of one request type: popularity, timing and memory footprint."""
+
+    type_id: str
+    weight: float
+    base_rt: float
+    rt_dispersion: float
+    base_mem: float
+    mem_dispersion: float
+
+    def __post_init__(self) -> None:
+        if not self.type_id:
+            raise ValueError("type_id must be non-empty")
+        if self.weight <= 0:
+            raise ValueError(f"weight must be positive, got {self.weight}")
+        if self.base_rt <= 0:
+            raise ValueError(f"base_rt must be positive, got {self.base_rt}")
+        if self.base_mem <= 0:
+            raise ValueError(f"base_mem must be positive, got {self.base_mem}")
+        if self.rt_dispersion < 0 or self.mem_dispersion < 0:
+            raise ValueError("dispersions must be >= 0")
+
+
+@dataclass(frozen=True)
+class Stationary:
+    users: int
+    duration: float
+
+    def __post_init__(self) -> None:
+        if self.users < 1:
+            raise ValueError("users must be >= 1")
+        if self.duration <= 0:
+            raise ValueError("duration must be positive")
+
+
+@dataclass(frozen=True)
+class Seasonal:
+    base_users: int
+    amplitude: float
+    period: float
+    duration: float
+
+    def __post_init__(self) -> None:
+        if self.base_users < 1:
+            raise ValueError("base_users must be >= 1")
+        if self.amplitude < 0:
+            raise ValueError("amplitude must be >= 0")
+        if self.period <= 0:
+            raise ValueError("period must be positive")
+        if self.duration <= 0:
+            raise ValueError("duration must be positive")
+
+
+@dataclass(frozen=True)
+class Burst:
+    base_users: int
+    peak_users: int
+    at: float
+    width: float
+    duration: float
+
+    def __post_init__(self) -> None:
+        if self.base_users < 1 or self.peak_users < 1:
+            raise ValueError("users must be >= 1")
+        if self.duration <= 0:
+            raise ValueError("duration must be positive")
+        if self.width <= 0:
+            raise ValueError("width must be positive")
+        if not 0 <= self.at <= self.duration:
+            raise ValueError("burst center must lie within the segment")
+
+
+Segment = Stationary | Seasonal | Burst
+
+# Bounded measurement interference: an affected measurement under- or
+# over-counts by one of these factors; the mix is mean-preserving
+# (0.5 * 2/3 + 2.0 * 1/3 = 1).
+_JITTER_LOW = 0.5
+_JITTER_HIGH = 2.0
+_JITTER_HIGH_PROB = 1.0 / 3.0
+_JITTER_PROB_CAP = 0.85
+
+
+@dataclass(frozen=True)
+class WorkloadSpec:
+    """Ordered schedule of user-count segments."""
+
+    segments: tuple[Segment, ...]
+
+    def __post_init__(self) -> None:
+        if not self.segments:
+            raise ValueError("workload needs at least one segment")
+
+    @property
+    def total_duration(self) -> float:
+        return sum(seg.duration for seg in self.segments)
+
+
+def users_at(spec: WorkloadSpec, t: float) -> int:
+    """Scheduled number of simultaneous users at time ``t`` seconds."""
+    if t < 0:
+        raise ParameterError(f"time must be >= 0, got {t}")
+    offset = t
+    for seg in spec.segments:
+        if offset < seg.duration:
+            if isinstance(seg, Stationary):
+                return seg.users
+            if isinstance(seg, Seasonal):
+                wave = math.sin(2.0 * math.pi * offset / seg.period)
+                return round(seg.base_users + seg.amplitude * max(0.0, wave))
+            half = seg.width / 2.0
+            ramp = max(0.0, 1.0 - abs(offset - seg.at) / half)
+            return round(seg.base_users + (seg.peak_users - seg.base_users) * ramp)
+        offset -= seg.duration
+    raise ParameterError(f"time {t} is beyond the workload schedule")
+
+
+@dataclass(frozen=True)
+class AppModel:
+    """Application model: request mix, contention knee and monitoring cost.
+
+    Above ``capacity_users`` effective load slows every request linearly
+    (factor 1 + gamma * overload).  Tracing a request costs ``trace_cost``
+    ms of serving capacity, and last second's tracing work counts as extra
+    effective users.  The trace-recording I/O path absorbs up to
+    ``trace_io_capacity`` user-equivalents of tracing work for free;
+    beyond that headroom writes queue, adding ``trace_contention`` per
+    unit of excess (relative to capacity) to the slowdown, so heavy
+    tracing degrades a loaded application far more than a light sampler.
+
+    Memory behavior under load: per-request memory grows with the
+    scheduled user count (``mem_load_gain``, saturating at the capacity
+    knee) as allocation pressure builds.  Above the knee measurements are
+    frequently perturbed by concurrent allocation and garbage-collection
+    activity: with probability ``mem_noise_gain`` per unit of relative
+    overload (capped at 0.85) a measurement under- or over-counts by a
+    bounded factor with mean one, and measurements come back invalid
+    (negative) more often (``gc_negative_gain``).  The perturbations are
+    mean-preserving: stress widens measurements without shifting their
+    level beyond the load growth itself.
+    """
+
+    types: tuple[RequestTypeSpec, ...]
+    capacity_users: float
+    contention_gamma: float
+    trace_cost: float
+    gc_negative_prob: float
+    trace_io_capacity: float = math.inf
+    trace_contention: float = 0.0
+    mem_load_gain: float = 0.0
+    mem_noise_gain: float = 0.0
+    gc_negative_gain: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not self.types:
+            raise ValueError("model needs at least one request type")
+        if self.capacity_users < 1:
+            raise ValueError("capacity_users must be >= 1")
+        if self.contention_gamma < 0:
+            raise ValueError("contention_gamma must be >= 0")
+        if self.trace_cost < 0:
+            raise ValueError("trace_cost must be >= 0")
+        if not 0 <= self.gc_negative_prob < 1:
+            raise ValueError("gc_negative_prob must be in [0, 1)")
+        if self.trace_io_capacity <= 0:
+            raise ValueError("trace_io_capacity must be positive")
+        if self.trace_contention < 0:
+            raise ValueError("trace_contention must be >= 0")
+        if self.mem_load_gain < 0:
+            raise ValueError("mem_load_gain must be >= 0")
+        if self.mem_noise_gain < 0 or self.gc_negative_gain < 0:
+            raise ValueError("noise gains must be >= 0")
+        type_ids = [spec.type_id for spec in self.types]
+        if len(set(type_ids)) != len(type_ids):
+            raise ValueError("request type ids must be unique")
+
+
+@dataclass(slots=True)
+class SecondStats:
+    second: int
+    users: int
+    throughput: int
+    sampling_rate: float
+    monitoring_enabled: bool
+
+
+@dataclass
+class RunResult:
+    """Everything one simulation run produced."""
+
+    strategy: StrategyKind
+    seed: int
+    seconds: list[SecondStats]
+    events: list[RequestEvent]
+    traces: list[TraceRecord]
+    releases: list[ReleasedSample]
+    sampler_events: list[SamplerEvent]
+    config: SamplerConfig
+
+
+class Simulation:
+    """One strategy driven through one workload; fully seeded."""
+
+    def __init__(
+        self,
+        model: AppModel,
+        workload: WorkloadSpec,
+        strategy: Strategy,
+        config: SamplerConfig,
+        seed: int,
+    ) -> None:
+        self.model = model
+        self.workload = workload
+        self.strategy = strategy
+        self.config = config
+        self.seed = seed
+        # Separate sub-generators: the offered request stream depends only
+        # on the workload generator, decisions only on the per-strategy one.
+        self.workload_rng = random.Random(f"{seed}:workload")
+        self.decision_rng = random.Random(f"{seed}:decide:{strategy.kind.value}")
+        self._cum_weights: list[float] = []
+        acc = 0.0
+        for spec in model.types:
+            acc += spec.weight
+            self._cum_weights.append(acc)
+        self._total_weight = acc
+        self._traced_ms_prev = 0.0
+        self._tick_rt_sum: dict[str, float] = {}
+        self._tick_rt_count: dict[str, int] = {}
+        self._tick_completed = 0
+        self._last_tick = 0.0
+        self._next_tick = config.adaptation_frequency
+        self.seconds: list[SecondStats] = []
+        self.events: list[RequestEvent] = []
+        self.traces: list[TraceRecord] = []
+
+    def step(self, second: int, users: int) -> SecondStats:
+        """Simulate one second; returns the per-second outcome."""
+        model = self.model
+        strategy = self.strategy
+        rate_in_effect = strategy.rate
+        monitoring_in_effect = strategy.monitoring_enabled
+        capacity = model.capacity_users
+        mon_load = self._traced_ms_prev / 1000.0
+        u_eff = users + mon_load
+        overload = max(0.0, u_eff - capacity) / capacity
+        io_excess = max(0.0, mon_load - model.trace_io_capacity)
+        slowdown = (
+            1.0
+            + model.contention_gamma * overload
+            + model.trace_contention * io_excess / capacity
+        )
+        stress = max(0.0, users / capacity - 1.0)
+        mem_level = 1.0 + model.mem_load_gain * min(1.0, users / capacity)
+        budget = users * 1000.0
+        neg_prob = min(0.9, model.gc_negative_prob * (1.0 + model.gc_negative_gain * stress))
+        jitter_prob = min(_JITTER_PROB_CAP, model.mem_noise_gain * stress)
+
+        # Offered stream for this second: identical across strategies.
+        offered: list[tuple[int, float, float]] = []
+        base_spent = 0.0
+        rand = self.workload_rng.random
+        lognorm = self.workload_rng.lognormvariate
+        cum = self._cum_weights
+        total_weight = self._total_weight
+        types = model.types
+        while base_spent < budget:
+            idx = bisect_right(cum, rand() * total_weight)
+            spec = types[idx]
+            base_rt = spec.base_rt * lognorm(0.0, spec.rt_dispersion)
+            sigma = spec.mem_dispersion
+            mem = spec.base_mem * mem_level * lognorm(-0.5 * sigma * sigma, sigma)
+            if rand() < jitter_prob:
+                mem *= _JITTER_HIGH if rand() < _JITTER_HIGH_PROB else _JITTER_LOW
+            else:
+                rand()
+            if rand() < neg_prob:
+                mem = -mem
+            offered.append((idx, base_rt, mem))
+            base_spent += base_rt
+
+        # The strategy completes a prefix of the offered stream.
+        spent = 0.0
+        traced_ms = 0.0
+        completed = 0
+        second_ms = second * 1000
+        trace_cost = model.trace_cost
+        decision_rng = self.decision_rng
+        rt_sum = self._tick_rt_sum
+        rt_count = self._tick_rt_count
+        events = self.events
+        traces = self.traces
+        monitor = strategy.monitor if isinstance(strategy, AdaptiveStrategy) else None
+        for idx, base_rt, mem in offered:
+            if spent >= budget:
+                break
+            start = second_ms + min(999, int(1000.0 * spent / budget))
+            type_id = types[idx].type_id
+            response_time = base_rt * slowdown
+            event = RequestEvent(
+                type_id=type_id,
+                start=start,
+                response_time=response_time,
+                memory_delta=mem,
+            )
+            # Cycle index at decision time; a release triggered by this very
+            # accept advances the monitor's counter afterwards.
+            cycle_index = monitor.cycle_index if monitor is not None else 0
+            traced = strategy.decide(event, start / 1000.0, decision_rng)
+            spent += response_time
+            if traced:
+                spent += trace_cost
+                traced_ms += trace_cost
+                traces.append(
+                    TraceRecord(event=event, cycle_index=cycle_index, recorded_at=start)
+                )
+            events.append(event)
+            completed += 1
+            rt_sum[type_id] = rt_sum.get(type_id, 0.0) + response_time
+            rt_count[type_id] = rt_count.get(type_id, 0) + 1
+
+        self._traced_ms_prev = traced_ms
+        self._tick_completed += completed
+        now = float(second + 1)
+        if now + 1e-9 >= self._next_tick:
+            elapsed = now - self._last_tick
+            record = PerformanceRecord(
+                rps=self._tick_completed / elapsed if elapsed > 0 else 0.0,
+                mean_rt={t: rt_sum[t] / rt_count[t] for t in rt_sum},
+                monitoring_enabled=monitoring_in_effect,
+            )
+            strategy.on_tick(record, now)
+            self._tick_rt_sum = {}
+            self._tick_rt_count = {}
+            self._tick_completed = 0
+            self._last_tick = now
+            self._next_tick += self.config.adaptation_frequency
+
+        stats = SecondStats(
+            second=second,
+            users=users,
+            throughput=completed,
+            sampling_rate=rate_in_effect,
+            monitoring_enabled=monitoring_in_effect,
+        )
+        self.seconds.append(stats)
+        return stats
+
+    def run(self) -> RunResult:
+        duration = int(self.workload.total_duration)
+        for second in range(duration):
+            self.step(second, users_at(self.workload, float(second)))
+        return RunResult(
+            strategy=self.strategy.kind,
+            seed=self.seed,
+            seconds=self.seconds,
+            events=self.events,
+            traces=self.traces,
+            releases=self.strategy.drain_releases(),
+            sampler_events=self.strategy.drain_events(),
+            config=self.config,
+        )
+
+
+def run_scenario(
+    model: AppModel,
+    workload: WorkloadSpec,
+    strategy_kind: StrategyKind | str,
+    seed: int,
+    config: Optional[SamplerConfig] = None,
+) -> RunResult:
+    """Run one (model, workload, strategy, seed) combination to completion."""
+    config = config if config is not None else SamplerConfig()
+    strategy = make_strategy(strategy_kind, config)
+    return Simulation(model, workload, strategy, config, seed).run()
