@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 from collections import deque
 from dataclasses import dataclass
+from math import inf
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -29,6 +30,7 @@ class RequestEvent:
     ``start`` is in milliseconds from simulation start; ``response_time``
     in milliseconds; ``memory_delta`` in kilobytes and may be negative
     when the measurement was invalidated by garbage-collection artifacts.
+    Both measurements must be finite: NaN or an infinity is rejected.
     """
 
     type_id: str
@@ -39,8 +41,13 @@ class RequestEvent:
     def __post_init__(self) -> None:
         if not self.type_id:
             raise ValueError("type_id must be non-empty")
-        if self.response_time < 0:
-            raise ValueError(f"response_time must be >= 0, got {self.response_time}")
+        # Chained comparisons are False for NaN, so they reject it too.
+        if not 0.0 <= self.response_time < inf:
+            raise ValueError(
+                f"response_time must be finite and >= 0, got {self.response_time}"
+            )
+        if not -inf < self.memory_delta < inf:
+            raise ValueError(f"memory_delta must be finite, got {self.memory_delta}")
 
 
 @dataclass(slots=True)
@@ -101,7 +108,7 @@ class PerformanceRecord:
     """Throughput plus per-type mean response times for one measurement interval.
 
     ``monitoring_enabled`` tells whether monitoring was active while the
-    interval was measured.
+    interval was measured.  ``rps`` and every mean must be finite and >= 0.
     """
 
     rps: float
@@ -109,11 +116,13 @@ class PerformanceRecord:
     monitoring_enabled: bool
 
     def __post_init__(self) -> None:
-        if self.rps < 0:
-            raise ValueError(f"rps must be >= 0, got {self.rps}")
+        if not 0.0 <= self.rps < inf:
+            raise ValueError(f"rps must be finite and >= 0, got {self.rps}")
         for type_id, rt in self.mean_rt.items():
-            if rt < 0:
-                raise ValueError(f"mean response time of {type_id!r} must be >= 0")
+            if not 0.0 <= rt < inf:
+                raise ValueError(
+                    f"mean response time of {type_id!r} must be finite and >= 0, got {rt}"
+                )
 
 
 class PerformanceReferenceTable:

@@ -113,7 +113,6 @@ class AdaptiveMonitor:
         self.population = FrequencyTable()
         self.sample = FrequencyTable()
         self.sample_traces: list[TraceRecord] = []
-        self.sample_rts: list[float] = []
         self.population_rt_sum: float = 0.0
         self.population_rt_count: int = 0
         self.perf_ref = PerformanceReferenceTable(config.history_capacity)
@@ -136,27 +135,31 @@ class AdaptiveMonitor:
         this request is counted; an empty sample accepts anything).
         """
         type_id = request.type_id
-        pop_prop = self.population.proportion(type_id)
-        sample_total = self.sample.total
-        samp_prop = self.sample.proportion(type_id)
-        self.population.add(type_id)
-        self.population_rt_sum += request.response_time
+        population = self.population
+        sample = self.sample
+        # Both proportions as FrequencyTable.proportion computes them; the
+        # population's is taken before this request is counted.
+        pop_total = population.total
+        pop_prop = population.counts.get(type_id, 0) / pop_total if pop_total else 0.0
+        population.add(type_id)
+        response_time = request.response_time
+        self.population_rt_sum += response_time
         self.population_rt_count += 1
         if not self.monitoring_enabled:
             return False
         if not bernoulli(self.rate, rng):
             return False
-        if sample_total > 0 and pop_prop < samp_prop - self.config.epsilon:
-            return False
-        self.sample.add(type_id)
-        self.sample_traces.append(
-            TraceRecord(event=request, cycle_index=self.cycle_index, recorded_at=request.start)
-        )
-        self.sample_rts.append(request.response_time)
-        n = len(self.sample_rts)
-        delta = request.response_time - self._sample_rt_mean
+        sample_total = sample.total
+        if sample_total > 0:
+            samp_prop = sample.counts.get(type_id, 0) / sample_total
+            if pop_prop < samp_prop - self.config.epsilon:
+                return False
+        sample.add(type_id)
+        self.sample_traces.append(TraceRecord(request, self.cycle_index, request.start))
+        n = sample_total + 1
+        delta = response_time - self._sample_rt_mean
         self._sample_rt_mean += delta / n
-        self._sample_rt_m2 += delta * (request.response_time - self._sample_rt_mean)
+        self._sample_rt_m2 += delta * (response_time - self._sample_rt_mean)
         return True
 
     # --- activity 2: rate adaptation ---------------------------------------
@@ -234,7 +237,7 @@ class AdaptiveMonitor:
         )
         if not self.sample.total > needed:
             return None
-        n = len(self.sample_rts)
+        n = self.sample.total
         if n < 2:
             return None
         population_mean = self.population_rt_sum / self.population_rt_count
@@ -283,7 +286,6 @@ class AdaptiveMonitor:
         self.population = FrequencyTable()
         self.sample = FrequencyTable()
         self.sample_traces = []
-        self.sample_rts = []
         self.population_rt_sum = 0.0
         self.population_rt_count = 0
         self._sample_rt_mean = 0.0

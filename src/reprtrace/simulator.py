@@ -7,6 +7,12 @@ completes the prefix of that stream whose contention-scaled service times
 (plus a per-trace recording cost) fill the budget, so tracing overhead
 shows up as lost throughput and inflated response times while the offered
 stream itself stays identical across strategies for a fixed seed.
+
+The offered stream is defined by the draw inlined in ``Simulation._offer``:
+the Kinderman-Monahan loop of ``random.Random.normalvariate`` followed by
+``exp``.  Its values equal ``random.Random.lognormvariate`` on CPython
+3.10-3.13, whose ``normalvariate`` source is the same in all four versions;
+``tests/test_offer.py`` checks the equality on the running interpreter.
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
+from math import exp, log
+from random import NV_MAGICCONST
 from typing import Optional
 
 from .errors import ParameterError
@@ -270,15 +278,83 @@ class Simulation:
             acc += spec.weight
             self._cum_weights.append(acc)
         self._total_weight = acc
+        self._type_ids = [spec.type_id for spec in model.types]
+        # Per type: the parameters of its two lognormal draws, unpacked once
+        # per request (the memory draw's mu is precomputed as -0.5*sigma*sigma).
+        self._draw_params = [
+            (
+                spec.base_rt,
+                spec.rt_dispersion,
+                spec.base_mem,
+                -0.5 * spec.mem_dispersion * spec.mem_dispersion,
+                spec.mem_dispersion,
+            )
+            for spec in model.types
+        ]
         self._traced_ms_prev = 0.0
-        self._tick_rt_sum: dict[str, float] = {}
-        self._tick_rt_count: dict[str, int] = {}
+        # Per type index: summed response time and count since the last tick.
+        self._tick_rt_sum = [0.0] * len(model.types)
+        self._tick_rt_count = [0] * len(model.types)
         self._tick_completed = 0
         self._last_tick = 0.0
         self._next_tick = config.adaptation_frequency
         self.seconds: list[SecondStats] = []
         self.events: list[RequestEvent] = []
         self.traces: list[TraceRecord] = []
+
+    def _offer(self, users: int) -> list[tuple[int, float, float]]:
+        """This second's offered stream as (type index, base service time, memory).
+
+        It depends only on the workload generator and ``users``, so it is
+        identical across strategies.  Both lognormal draws of a request are
+        inlined: each loop is ``random.Random.normalvariate``'s
+        Kinderman-Monahan loop with the same ``random()`` calls and the same
+        float operations, so every value equals ``lognormvariate(mu, sigma)``
+        bit for bit.
+        """
+        model = self.model
+        capacity = model.capacity_users
+        stress = max(0.0, users / capacity - 1.0)
+        mem_level = 1.0 + model.mem_load_gain * min(1.0, users / capacity)
+        budget = users * 1000.0
+        neg_prob = min(0.9, model.gc_negative_prob * (1.0 + model.gc_negative_gain * stress))
+        jitter_prob = min(_JITTER_PROB_CAP, model.mem_noise_gain * stress)
+
+        offered: list[tuple[int, float, float]] = []
+        append = offered.append
+        base_spent = 0.0
+        rand = self.workload_rng.random
+        cum = self._cum_weights
+        total_weight = self._total_weight
+        draw_params = self._draw_params
+        while base_spent < budget:
+            idx = bisect_right(cum, rand() * total_weight)
+            base_rt, rt_sigma, base_mem, mem_mu, mem_sigma = draw_params[idx]
+            while True:
+                u1 = rand()
+                u2 = 1.0 - rand()
+                z = NV_MAGICCONST * (u1 - 0.5) / u2
+                if z * z / 4.0 <= -log(u2):
+                    break
+            # lognormvariate(0.0, rt_sigma) takes exp(0.0 + z * rt_sigma); adding
+            # 0.0 changes at most the sign of a zero, which exp ignores.
+            base_rt *= exp(z * rt_sigma)
+            while True:
+                u1 = rand()
+                u2 = 1.0 - rand()
+                z = NV_MAGICCONST * (u1 - 0.5) / u2
+                if z * z / 4.0 <= -log(u2):
+                    break
+            mem = base_mem * mem_level * exp(mem_mu + z * mem_sigma)
+            if rand() < jitter_prob:
+                mem *= _JITTER_HIGH if rand() < _JITTER_HIGH_PROB else _JITTER_LOW
+            else:
+                rand()
+            if rand() < neg_prob:
+                mem = -mem
+            append((idx, base_rt, mem))
+            base_spent += base_rt
+        return offered
 
     def step(self, second: int, users: int) -> SecondStats:
         """Simulate one second; returns the per-second outcome."""
@@ -296,75 +372,46 @@ class Simulation:
             + model.contention_gamma * overload
             + model.trace_contention * io_excess / capacity
         )
-        stress = max(0.0, users / capacity - 1.0)
-        mem_level = 1.0 + model.mem_load_gain * min(1.0, users / capacity)
         budget = users * 1000.0
-        neg_prob = min(0.9, model.gc_negative_prob * (1.0 + model.gc_negative_gain * stress))
-        jitter_prob = min(_JITTER_PROB_CAP, model.mem_noise_gain * stress)
-
-        # Offered stream for this second: identical across strategies.
-        offered: list[tuple[int, float, float]] = []
-        base_spent = 0.0
-        rand = self.workload_rng.random
-        lognorm = self.workload_rng.lognormvariate
-        cum = self._cum_weights
-        total_weight = self._total_weight
-        types = model.types
-        while base_spent < budget:
-            idx = bisect_right(cum, rand() * total_weight)
-            spec = types[idx]
-            base_rt = spec.base_rt * lognorm(0.0, spec.rt_dispersion)
-            sigma = spec.mem_dispersion
-            mem = spec.base_mem * mem_level * lognorm(-0.5 * sigma * sigma, sigma)
-            if rand() < jitter_prob:
-                mem *= _JITTER_HIGH if rand() < _JITTER_HIGH_PROB else _JITTER_LOW
-            else:
-                rand()
-            if rand() < neg_prob:
-                mem = -mem
-            offered.append((idx, base_rt, mem))
-            base_spent += base_rt
+        offered = self._offer(users)
 
         # The strategy completes a prefix of the offered stream.
         spent = 0.0
         traced_ms = 0.0
-        completed = 0
         second_ms = second * 1000
         trace_cost = model.trace_cost
+        type_ids = self._type_ids
+        decide = strategy.decide
         decision_rng = self.decision_rng
         rt_sum = self._tick_rt_sum
         rt_count = self._tick_rt_count
         events = self.events
-        traces = self.traces
+        completed_before = len(events)
+        append_event = events.append
+        append_trace = self.traces.append
         monitor = strategy.monitor if isinstance(strategy, AdaptiveStrategy) else None
         for idx, base_rt, mem in offered:
             if spent >= budget:
                 break
-            start = second_ms + min(999, int(1000.0 * spent / budget))
-            type_id = types[idx].type_id
+            offset_ms = int(1000.0 * spent / budget)
+            start = second_ms + (offset_ms if offset_ms < 999 else 999)
+            type_id = type_ids[idx]
             response_time = base_rt * slowdown
-            event = RequestEvent(
-                type_id=type_id,
-                start=start,
-                response_time=response_time,
-                memory_delta=mem,
-            )
+            event = RequestEvent(type_id, start, response_time, mem)
             # Cycle index at decision time; a release triggered by this very
             # accept advances the monitor's counter afterwards.
             cycle_index = monitor.cycle_index if monitor is not None else 0
-            traced = strategy.decide(event, start / 1000.0, decision_rng)
+            traced = decide(event, start / 1000.0, decision_rng)
             spent += response_time
             if traced:
                 spent += trace_cost
                 traced_ms += trace_cost
-                traces.append(
-                    TraceRecord(event=event, cycle_index=cycle_index, recorded_at=start)
-                )
-            events.append(event)
-            completed += 1
-            rt_sum[type_id] = rt_sum.get(type_id, 0.0) + response_time
-            rt_count[type_id] = rt_count.get(type_id, 0) + 1
+                append_trace(TraceRecord(event, cycle_index, start))
+            append_event(event)
+            rt_sum[idx] += response_time
+            rt_count[idx] += 1
 
+        completed = len(events) - completed_before
         self._traced_ms_prev = traced_ms
         self._tick_completed += completed
         now = float(second + 1)
@@ -372,12 +419,16 @@ class Simulation:
             elapsed = now - self._last_tick
             record = PerformanceRecord(
                 rps=self._tick_completed / elapsed if elapsed > 0 else 0.0,
-                mean_rt={t: rt_sum[t] / rt_count[t] for t in rt_sum},
+                mean_rt={
+                    type_ids[i]: rt_sum[i] / count
+                    for i, count in enumerate(rt_count)
+                    if count
+                },
                 monitoring_enabled=monitoring_in_effect,
             )
             strategy.on_tick(record, now)
-            self._tick_rt_sum = {}
-            self._tick_rt_count = {}
+            self._tick_rt_sum = [0.0] * len(type_ids)
+            self._tick_rt_count = [0] * len(type_ids)
             self._tick_completed = 0
             self._last_tick = now
             self._next_tick += self.config.adaptation_frequency

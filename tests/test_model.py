@@ -1,5 +1,6 @@
 """Domain type tests: frequency tables, bounded history, config, trace files."""
 
+import math
 import random
 
 import pytest
@@ -102,6 +103,26 @@ class TestValidation:
     def test_negative_memory_is_allowed(self):
         event = make_event(mem=-42.0)
         assert event.memory_delta == -42.0
+
+    @pytest.mark.parametrize("rt", [math.nan, math.inf, -math.inf])
+    def test_event_rejects_non_finite_rt(self, rt):
+        with pytest.raises(ValueError, match="response_time"):
+            RequestEvent(type_id="/a", start=0, response_time=rt, memory_delta=0.0)
+
+    @pytest.mark.parametrize("mem", [math.nan, math.inf, -math.inf])
+    def test_event_rejects_non_finite_memory(self, mem):
+        with pytest.raises(ValueError, match="memory_delta"):
+            RequestEvent(type_id="/a", start=0, response_time=1.0, memory_delta=mem)
+
+    @pytest.mark.parametrize("rps", [math.nan, math.inf])
+    def test_performance_record_rejects_non_finite_rps(self, rps):
+        with pytest.raises(ValueError, match="rps"):
+            PerformanceRecord(rps=rps, mean_rt={}, monitoring_enabled=True)
+
+    @pytest.mark.parametrize("rt", [math.nan, math.inf])
+    def test_performance_record_rejects_non_finite_mean_rt(self, rt):
+        with pytest.raises(ValueError, match="'/a'"):
+            PerformanceRecord(rps=1.0, mean_rt={"/a": rt}, monitoring_enabled=True)
 
     def test_trace_record_cycle_index(self):
         with pytest.raises(ValueError):

@@ -45,12 +45,25 @@ class TestDecide:
         assert accepted is True
         assert monitor.population.count("/owners") == 11
         assert monitor.sample.count("/owners") == 6
-        assert monitor.sample_rts[-1] == 80.0
+        assert monitor.sample_traces[-1].event.response_time == 80.0
         assert monitor.sample_traces[-1].event.type_id == "/owners"
 
     def test_empty_sample_accepts_anything(self, config):
         monitor = AdaptiveMonitor(config)
         assert monitor.decide(make_event("/rare"), AlwaysRng()) is True
+
+    def test_running_moments_track_accepted_rts(self, config):
+        monitor = AdaptiveMonitor(config)
+        rng = random.Random(3)
+        draws = ScriptRng([0.0, 0.99] * 100)
+        for i in range(200):
+            monitor.decide(make_event("/a", start=i, rt=rng.uniform(50, 150)), draws)
+        rts = [trace.event.response_time for trace in monitor.sample_traces]
+        assert len(rts) == monitor.sample.total == 100
+        mean = sum(rts) / len(rts)
+        assert monitor._sample_rt_mean == pytest.approx(mean, rel=1e-12)
+        assert monitor._sample_rt_m2 == pytest.approx(
+            sum((x - mean) ** 2 for x in rts), rel=1e-9)
 
     def test_monitoring_disabled_counts_population(self, config):
         monitor = AdaptiveMonitor(config)
@@ -349,7 +362,6 @@ class TestEvaluateSample:
         monitor.population_rt_sum = 80.0 * 1000
         monitor.population_rt_count = 1000
         rts = [79.0, 81.0] * 150
-        monitor.sample_rts = list(rts)
         monitor.sample_traces = [
             TraceRecord(event=make_event("/a" if i < 210 else "/b", start=i, rt=rts[i]),
                         cycle_index=0, recorded_at=i)
