@@ -5,7 +5,8 @@ executes one simulation, ``compare`` runs a strategies-by-seeds matrix and
 writes the comparison report, ``report`` regenerates the report from
 stored run artifacts.  Flags override scenario-file values; the effective
 configuration is echoed into the output directory.  ``REPRTRACE_THREADS``
-caps parallel runs in ``compare``.
+caps parallel runs in ``compare``; serial or parallel, each run is saved
+and reduced by the same job, and only the reductions reach the report.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterable, Optional
 
 from .errors import ParameterError, ScenarioError
-from .report import LoadedRun, load_run, save_run, write_report
+from .report import RunSummary, load_run, save_run, summarize_run, write_report
 from .scenario import Scenario, default_scenario, load_scenario, parse_scenario, scenario_to_dict
 from .simulator import RunResult, run_scenario
 from .strategies import StrategyKind
@@ -66,11 +67,12 @@ def _execute(scenario: Scenario, strategy: str, seed: int, run_dir: Path) -> Run
     return result
 
 
-def _worker(payload: tuple[dict, str, int, str]) -> str:
+def _compare_job(payload: tuple[dict, str, int, str]) -> RunSummary:
+    """One run of a compare matrix: simulate, save the artifacts, and return
+    the reduction the report needs.  Runs in a pool worker or in process."""
     raw, strategy, seed, run_dir = payload
     scenario = parse_scenario(raw, source="scenario")
-    _execute(scenario, strategy, seed, Path(run_dir))
-    return run_dir
+    return summarize_run(_execute(scenario, strategy, seed, Path(run_dir)))
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -121,23 +123,19 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     threads = int(os.environ.get("REPRTRACE_THREADS", "1") or "1")
     threads = max(1, min(threads, len(jobs)))
 
+    raw = scenario_to_dict(scenario)
+    payloads = [
+        (raw, strategy, seed, str(_run_dir(out_dir, strategy, seed)))
+        for strategy, seed in jobs
+    ]
+    summaries: Iterable[RunSummary]
     if threads > 1:
-        raw = scenario_to_dict(scenario)
-        payloads = [
-            (raw, strategy, seed, str(_run_dir(out_dir, strategy, seed)))
-            for strategy, seed in jobs
-        ]
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            run_dirs = list(pool.map(_worker, payloads))
-        runs: Iterator[RunResult | LoadedRun] = (load_run(d) for d in run_dirs)
+            summaries = list(pool.map(_compare_job, payloads))
     else:
-        def _generate() -> Iterator[RunResult]:
-            for strategy, seed in jobs:
-                yield _execute(scenario, strategy, seed, _run_dir(out_dir, strategy, seed))
+        summaries = map(_compare_job, payloads)
 
-        runs = _generate()
-
-    report = write_report(runs, out_dir / "report", strict=strict)
+    report = write_report(summaries, out_dir / "report", strict=strict)
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     print(f"{len(jobs)} runs -> {report.out_dir / 'summary.csv'}")

@@ -11,6 +11,11 @@ Output files (format version 1, stable field order):
 * ``distribution.csv`` - request-type shares of the collected traces,
   one percentage column per strategy with traces.
 
+The report reads each run through ``summarize_run``: the per-second
+series, per-type memory means and trace counts, and the release rows.
+``reprtrace compare`` reduces each run in the process that simulated it,
+so only these small records reach the report.
+
 Negative memory measurements (garbage-collection artifacts) are discarded
 identically from the ground truth and from every strategy's sample before
 any mean is formed.
@@ -24,7 +29,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from statistics import mean, stdev
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .errors import InsufficientDataError, MissingTypeError
 from .model import RequestEvent, SamplerConfig, TraceRecord, read_trace_file, write_trace_file
@@ -40,6 +45,8 @@ __all__ = [
     "save_run",
     "load_run",
     "LoadedRun",
+    "RunSummary",
+    "summarize_run",
     "StrategySummary",
     "ComparisonReport",
     "write_report",
@@ -83,26 +90,35 @@ def rmse(ground: Mapping[str, float], sampled: Mapping[str, float]) -> float:
     return math.sqrt(total / len(ground_types))
 
 
-def type_memory_means(events: Iterable[RequestEvent]) -> dict[str, float]:
-    """Per-type mean memory delta, negative (invalid) measurements discarded."""
+def _type_tallies(events: Iterable[RequestEvent]) -> tuple[dict[str, float], dict[str, int]]:
+    """Per-type mean memory delta (negative measurements discarded) and
+    per-type event count, in one pass."""
     sums: dict[str, float] = {}
+    valid: dict[str, int] = {}
     counts: dict[str, int] = {}
     for event in events:
+        tid = event.type_id
+        counts[tid] = counts.get(tid, 0) + 1
         if event.memory_delta < 0:
             continue
-        sums[event.type_id] = sums.get(event.type_id, 0.0) + event.memory_delta
-        counts[event.type_id] = counts.get(event.type_id, 0) + 1
-    return {t: sums[t] / counts[t] for t in sums}
+        sums[tid] = sums.get(tid, 0.0) + event.memory_delta
+        valid[tid] = valid.get(tid, 0) + 1
+    return {t: sums[t] / valid[t] for t in sums}, counts
 
 
-def throughput_stats(run: "RunResult | LoadedRun") -> float:
+def type_memory_means(events: Iterable[RequestEvent]) -> dict[str, float]:
+    """Per-type mean memory delta, negative (invalid) measurements discarded."""
+    return _type_tallies(events)[0]
+
+
+def throughput_stats(run: "RunResult | LoadedRun | RunSummary") -> float:
     """Mean requests per second over the run."""
     if not run.seconds:
         raise InsufficientDataError("run has no per-second series")
     return mean(row.throughput for row in run.seconds)
 
 
-def sampling_rate_stats(run: "RunResult | LoadedRun") -> float:
+def sampling_rate_stats(run: "RunResult | LoadedRun | RunSummary") -> float:
     """Mean of the per-second sampling-rate series."""
     if not run.seconds:
         raise InsufficientDataError("run has no per-second series")
@@ -123,18 +139,22 @@ def _release_meta(release) -> dict:
     }
 
 
-def save_run(run: RunResult, run_dir: str | Path) -> Path:
-    """Persist one run: series.csv, traces.txt and run.json metadata."""
-    run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    with open(run_dir / "series.csv", "w", newline="") as handle:
+def _write_series(path: Path, seconds: Iterable[SecondStats]) -> None:
+    with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(_SERIES_FIELDS)
-        for row in run.seconds:
+        for row in seconds:
             writer.writerow(
                 [row.second, row.users, row.throughput,
                  repr(row.sampling_rate), int(row.monitoring_enabled)]
             )
+
+
+def save_run(run: RunResult, run_dir: str | Path) -> Path:
+    """Persist one run: series.csv, traces.txt and run.json metadata."""
+    run_dir = Path(run_dir)
+    run_dir.mkdir(parents=True, exist_ok=True)
+    _write_series(run_dir / "series.csv", run.seconds)
     write_trace_file(run_dir / "traces.txt", run.traces)
     event_counts: dict[str, int] = {}
     for event in run.sampler_events:
@@ -193,6 +213,42 @@ def load_run(run_dir: str | Path) -> LoadedRun:
     )
 
 
+class RunSummary(NamedTuple):
+    """The part of one run that the report reads; small enough to pickle cheaply.
+
+    ``memory_means`` are the per-type mean memory deltas of the traces
+    (negative measurements discarded), ``type_counts`` the number of
+    traces per type, and ``release_meta`` one ``run.json`` release entry
+    per released cycle.
+    """
+
+    strategy: StrategyKind
+    seed: int
+    seconds: list[SecondStats]
+    memory_means: dict[str, float]
+    type_counts: dict[str, int]
+    release_meta: list[dict]
+
+
+def summarize_run(run: Union[RunResult, LoadedRun, RunSummary]) -> RunSummary:
+    """Reduce a run to what ``write_report`` needs, in one pass over its traces."""
+    if isinstance(run, RunSummary):
+        return run
+    memory_means, type_counts = _type_tallies(t.event for t in run.traces)
+    releases = (
+        run.release_meta if isinstance(run, LoadedRun)
+        else [_release_meta(rel) for rel in run.releases]
+    )
+    return RunSummary(
+        strategy=run.strategy,
+        seed=run.seed,
+        seconds=run.seconds,
+        memory_means=memory_means,
+        type_counts=type_counts,
+        release_meta=releases,
+    )
+
+
 # --- comparison report ------------------------------------------------------
 
 
@@ -226,16 +282,16 @@ def _sd(values: list[float]) -> float:
 
 
 def write_report(
-    runs: Iterable[Union[RunResult, LoadedRun]],
+    runs: Iterable[Union[RunResult, LoadedRun, RunSummary]],
     out_dir: str | Path,
     strict: bool = False,
 ) -> ComparisonReport:
     """Aggregate runs into the comparison CSVs under ``out_dir``.
 
-    Consumes ``runs`` one at a time (a generator works and keeps peak
-    memory at a single run).  RMSE is computed per seed against the FUM
-    run of the same seed; without FUM ground truth the RMSE columns are
-    omitted with a warning.
+    Consumes ``runs`` one at a time and reduces each with
+    ``summarize_run``, so a generator keeps peak memory at a single run.
+    RMSE is computed per seed against the FUM run of the same seed;
+    without FUM ground truth the RMSE columns are omitted with a warning.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -249,33 +305,22 @@ def write_report(
     warnings: list[str] = []
 
     for run in runs:
-        kind = run.strategy
-        tr = throughput_stats(run)
-        sr = sampling_rate_stats(run)
-        per_strategy.setdefault(kind, []).append((run.seed, tr, sr))
-        mem_means[(kind, run.seed)] = type_memory_means(t.event for t in run.traces)
+        summary = summarize_run(run)
+        kind, seed = summary.strategy, summary.seed
+        tr = throughput_stats(summary)
+        sr = sampling_rate_stats(summary)
+        per_strategy.setdefault(kind, []).append((seed, tr, sr))
+        mem_means[(kind, seed)] = summary.memory_means
         counts = dist_counts.setdefault(kind, {})
-        for trace in run.traces:
-            tid = trace.event.type_id
-            counts[tid] = counts.get(tid, 0) + 1
-        releases = (
-            run.release_meta if isinstance(run, LoadedRun)
-            else [_release_meta(rel) for rel in run.releases]
-        )
-        for rel in releases:
+        for tid, n in summary.type_counts.items():
+            counts[tid] = counts.get(tid, 0) + n
+        for rel in summary.release_meta:
             cycle_rows.append(
-                [kind.value, run.seed, rel["cycle_index"], repr(float(rel["released_at"])),
+                [kind.value, seed, rel["cycle_index"], repr(float(rel["released_at"])),
                  rel["size"], repr(float(rel["length"])), rel["reason"],
                  repr(float(rel["confidence"]))]
             )
-        with open(series_dir / f"{kind.value}_s{run.seed}.csv", "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(_SERIES_FIELDS)
-            for row in run.seconds:
-                writer.writerow(
-                    [row.second, row.users, row.throughput,
-                     repr(row.sampling_rate), int(row.monitoring_enabled)]
-                )
+        _write_series(series_dir / f"{kind.value}_s{seed}.csv", summary.seconds)
 
     if not per_strategy:
         raise InsufficientDataError("no runs to report on")

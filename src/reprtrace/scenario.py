@@ -3,11 +3,15 @@
 A scenario bundles an application model, a workload schedule, sampler
 settings and optionally a strategy and seed.  ``load_scenario`` reports
 JSON syntax errors with line numbers and semantic errors with key paths.
+Numbers must be finite (JSON ``NaN``/``Infinity`` are rejected), except
+``model.trace_io_capacity``, whose default ``Infinity`` means no trace
+I/O contention.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Optional
@@ -52,30 +56,46 @@ def _require(mapping: dict, key: str, where: str) -> Any:
     return mapping[key]
 
 
+def _finite(raw: Any, where: str, keys: Optional[tuple[str, ...]] = None,
+            allow_inf: tuple[str, ...] = ()) -> dict:
+    """The entries of object ``raw`` (only ``keys``, when given), checked to be
+    finite numbers: ScenarioError names the first NaN, or the first
+    infinity whose key is not in ``allow_inf``."""
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{where}: must be an object")
+    values = raw if keys is None else {k: raw[k] for k in keys if k in raw}
+    for key, value in values.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            if math.isnan(value) or key not in allow_inf:
+                raise ScenarioError(f"{where}.{key}: must be finite, got {value!r}")
+    return values
+
+
+_SEGMENTS = {
+    "stationary": (Stationary, {"users": int, "duration": float}),
+    "seasonal": (Seasonal, {"base_users": int, "amplitude": float, "period": float,
+                            "duration": float}),
+    "burst": (Burst, {"base_users": int, "peak_users": int, "at": float, "width": float,
+                      "duration": float}),
+}
+
+
 def _parse_segment(raw: dict, where: str):
     kind = _require(raw, "kind", where)
+    if kind not in _SEGMENTS:
+        raise ScenarioError(f"{where}: unknown segment kind {kind!r}")
+    cls, fields = _SEGMENTS[kind]
+    values = {}
+    for key, convert in fields.items():
+        try:
+            values[key] = convert(_require(raw, key, where))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ScenarioError(f"{where}.{key}: {exc}") from exc
+    _finite(values, where)
     try:
-        if kind == "stationary":
-            return Stationary(users=int(_require(raw, "users", where)),
-                              duration=float(_require(raw, "duration", where)))
-        if kind == "seasonal":
-            return Seasonal(
-                base_users=int(_require(raw, "base_users", where)),
-                amplitude=float(_require(raw, "amplitude", where)),
-                period=float(_require(raw, "period", where)),
-                duration=float(_require(raw, "duration", where)),
-            )
-        if kind == "burst":
-            return Burst(
-                base_users=int(_require(raw, "base_users", where)),
-                peak_users=int(_require(raw, "peak_users", where)),
-                at=float(_require(raw, "at", where)),
-                width=float(_require(raw, "width", where)),
-                duration=float(_require(raw, "duration", where)),
-            )
+        return cls(**values)
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
-    raise ScenarioError(f"{where}: unknown segment kind {kind!r}")
 
 
 def parse_scenario(raw: dict, source: str = "scenario") -> Scenario:
@@ -85,15 +105,16 @@ def parse_scenario(raw: dict, source: str = "scenario") -> Scenario:
     types = []
     for i, type_raw in enumerate(_require(model_raw, "types", f"{source}.model")):
         where = f"{source}.model.types[{i}]"
+        values = _finite(type_raw, where, _TYPE_KEYS)
         try:
-            types.append(RequestTypeSpec(**{k: type_raw[k] for k in _TYPE_KEYS if k in type_raw}))
-        except (TypeError, ValueError, KeyError) as exc:
+            types.append(RequestTypeSpec(**values))
+        except (TypeError, ValueError) as exc:
             raise ScenarioError(f"{where}: {exc}") from exc
+    # An infinite trace I/O capacity is the default: no I/O contention.
+    values = _finite(model_raw, f"{source}.model", _MODEL_KEYS,
+                     allow_inf=("trace_io_capacity",))
     try:
-        model = AppModel(
-            types=tuple(types),
-            **{k: model_raw[k] for k in _MODEL_KEYS if k in model_raw},
-        )
+        model = AppModel(types=tuple(types), **values)
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{source}.model: {exc}") from exc
 
@@ -105,7 +126,7 @@ def parse_scenario(raw: dict, source: str = "scenario") -> Scenario:
     except ValueError as exc:
         raise ScenarioError(f"{source}.workload: {exc}") from exc
 
-    sampler_raw = raw.get("sampler", {})
+    sampler_raw = _finite(raw.get("sampler", {}), f"{source}.sampler")
     try:
         sampler = SamplerConfig(**sampler_raw)
     except (TypeError, ValueError) as exc:
@@ -119,12 +140,15 @@ def parse_scenario(raw: dict, source: str = "scenario") -> Scenario:
             raise ScenarioError(f"{source}.strategy: {exc}") from exc
     seed = raw.get("seed")
     if seed is not None:
-        seed = int(seed)
+        try:
+            seed = int(seed)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ScenarioError(f"{source}.seed: {exc}") from exc
     seeds = raw.get("seeds")
     if seeds is not None:
         try:
             seeds = [int(s) for s in seeds]
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ScenarioError(f"{source}.seeds: {exc}") from exc
         if not seeds:
             raise ScenarioError(f"{source}.seeds: must be non-empty when given")

@@ -2,12 +2,13 @@
 
 import csv
 import json
+import math
 
 import pytest
 
 from reprtrace.cli import main
 from reprtrace.report import save_run
-from reprtrace.scenario import default_scenario, scenario_to_dict
+from reprtrace.scenario import default_scenario, parse_scenario, scenario_to_dict
 from test_report import _comparison_runs
 
 TINY_SCENARIO = {
@@ -30,6 +31,15 @@ TINY_SCENARIO = {
     ],
     "sampler": {"history_capacity": 10},
 }
+
+
+ALL_STRATEGIES = "ADP,INV,UNI,FUM,NOM"
+
+
+def _tree_bytes(root):
+    """Every file under ``root`` by relative path, with its bytes."""
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 @pytest.fixture
@@ -129,15 +139,42 @@ class TestCompare:
         serial = tmp_path / "serial"
         parallel = tmp_path / "parallel"
         assert main(["compare", "--scenario", str(tiny_scenario),
-                     "--strategies", "NOM,UNI", "--seeds", "1,2",
+                     "--strategies", ALL_STRATEGIES, "--seeds", "1,2",
                      "--out", str(serial)]) == 0
         monkeypatch.setenv("REPRTRACE_THREADS", "2")
         assert main(["compare", "--scenario", str(tiny_scenario),
-                     "--strategies", "NOM,UNI", "--seeds", "1,2",
+                     "--strategies", ALL_STRATEGIES, "--seeds", "1,2",
                      "--out", str(parallel)]) == 0
         assert (serial / "report" / "summary.csv").read_bytes() == (
             parallel / "report" / "summary.csv"
         ).read_bytes()
+        report = _tree_bytes(serial / "report")
+        assert {"summary.csv", "cycles.csv", "distribution.csv",
+                "timeseries/ADP_s1.csv", "timeseries/NOM_s2.csv"} <= set(report)
+        assert report == _tree_bytes(parallel / "report")
+        runs = _tree_bytes(serial / "runs")
+        assert len(runs) == 5 * 2 * 3
+        assert runs == _tree_bytes(parallel / "runs")
+
+    def test_parallel_compare_never_reads_artifacts_back(self, tiny_scenario, tmp_path,
+                                                         monkeypatch):
+        reference = tmp_path / "reference"
+        assert main(["compare", "--scenario", str(tiny_scenario),
+                     "--strategies", ALL_STRATEGIES, "--seeds", "1",
+                     "--out", str(reference)]) == 0
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("compare read a run artifact back")
+
+        monkeypatch.setattr("reprtrace.report.read_trace_file", refuse)
+        monkeypatch.setattr("reprtrace.cli.load_run", refuse)
+        monkeypatch.setenv("REPRTRACE_THREADS", "2")
+        parallel = tmp_path / "parallel"
+        assert main(["compare", "--scenario", str(tiny_scenario),
+                     "--strategies", ALL_STRATEGIES, "--seeds", "1",
+                     "--out", str(parallel)]) == 0
+        assert _tree_bytes(parallel / "report") == _tree_bytes(reference / "report")
+        assert _tree_bytes(parallel / "runs") == _tree_bytes(reference / "runs")
 
     def test_strict_fails_without_ground_truth(self, tiny_scenario, tmp_path, capsys):
         out = tmp_path / "cmp"
@@ -165,6 +202,17 @@ class TestReport:
             out / "report" / "summary.csv"
         ).read_bytes()
 
+    def test_reproduces_every_compare_report_file_from_disk(self, tiny_scenario, tmp_path):
+        out = tmp_path / "cmp"
+        assert main(["compare", "--scenario", str(tiny_scenario),
+                     "--strategies", ALL_STRATEGIES, "--seeds", "1,2",
+                     "--out", str(out)]) == 0
+        regen = tmp_path / "regen"
+        assert main(["report", "--in", str(out / "runs"), "--out", str(regen)]) == 0
+        report = _tree_bytes(out / "report")
+        assert "cycles.csv" in report and len(report) == 3 + 5 * 2
+        assert _tree_bytes(regen) == report
+
     def test_synthetic_runs(self, tmp_path):
         runs_dir = tmp_path / "runs"
         for run in _comparison_runs():
@@ -177,6 +225,57 @@ class TestReport:
         (tmp_path / "runs").mkdir()
         assert main(["report", "--in", str(tmp_path / "runs"),
                      "--out", str(tmp_path / "r")]) == 2
+
+
+class TestNonFiniteNumbers:
+    """NaN is rejected everywhere, infinity everywhere but ``trace_io_capacity``."""
+
+    def _validate(self, tmp_path, raw):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(raw))  # writes NaN / Infinity / -Infinity literals
+        return main(["validate", "--scenario", str(path)])
+
+    @pytest.mark.parametrize("key,value", [("weight", math.nan), ("base_rt", math.inf)])
+    def test_type_key(self, tmp_path, capsys, key, value):
+        raw = json.loads(json.dumps(TINY_SCENARIO))
+        raw["model"]["types"][1][key] = value
+        assert self._validate(tmp_path, raw) == 2
+        assert f"model.types[1].{key}: must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("contention_gamma", math.nan),
+                                           ("capacity_users", math.inf),
+                                           ("trace_io_capacity", math.nan)])
+    def test_model_key(self, tmp_path, capsys, key, value):
+        raw = json.loads(json.dumps(TINY_SCENARIO))
+        raw["model"][key] = value
+        assert self._validate(tmp_path, raw) == 2
+        assert f"model.{key}: must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("duration", math.inf), ("at", math.nan)])
+    def test_segment_key(self, tmp_path, capsys, key, value):
+        raw = json.loads(json.dumps(TINY_SCENARIO))
+        raw["workload"][1][key] = value
+        assert self._validate(tmp_path, raw) == 2
+        assert f"workload[1].{key}: must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("epsilon", math.nan),
+                                           ("max_cycle_length", math.inf),
+                                           ("history_capacity", math.nan)])
+    def test_sampler_key(self, tmp_path, capsys, key, value):
+        raw = json.loads(json.dumps(TINY_SCENARIO))
+        raw["sampler"][key] = value
+        assert self._validate(tmp_path, raw) == 2
+        assert f"sampler.{key}: must be finite" in capsys.readouterr().err
+
+    def test_infinite_trace_io_capacity_round_trips(self, tmp_path):
+        raw = json.loads(json.dumps(TINY_SCENARIO))
+        raw["model"]["trace_io_capacity"] = math.inf
+        assert self._validate(tmp_path, raw) == 0
+        scenario = parse_scenario(raw)
+        assert scenario.model.trace_io_capacity == math.inf
+        text = json.dumps(scenario_to_dict(scenario))
+        assert '"trace_io_capacity": Infinity' in text
+        assert parse_scenario(json.loads(text)) == scenario
 
 
 class TestScenarioRoundTrip:

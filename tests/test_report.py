@@ -14,6 +14,7 @@ from reprtrace.report import (
     rmse,
     sampling_rate_stats,
     save_run,
+    summarize_run,
     throughput_stats,
     type_memory_means,
     write_report,
@@ -134,6 +135,19 @@ class TestSaveLoad:
         assert loaded.traces[1].event.memory_delta == -50.0
         assert loaded.event_count == 3
         assert loaded.config == run.config
+
+
+class TestSummarizeRun:
+    def test_one_pass_reduction_matches_type_memory_means(self, tmp_path):
+        traces = _traces([("/a", 100.0), ("/b", -50.0), ("/a", 120.0)])
+        run = _run(StrategyKind.UNI, 3, [50, 60, 70], [0.5, 0.5, 0.5], traces=traces)
+        summary = summarize_run(run)
+        assert summary.memory_means == type_memory_means(t.event for t in traces)
+        assert summary.memory_means == {"/a": 110.0}
+        assert summary.type_counts == {"/a": 2, "/b": 1}
+        assert summarize_run(summary) is summary
+        save_run(run, tmp_path / "UNI_s3")
+        assert summarize_run(load_run(tmp_path / "UNI_s3")) == summary
 
 
 def _comparison_runs(include_fum=True):
