@@ -14,10 +14,11 @@ Three cooperating activities run per monitoring cycle:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .errors import InsufficientDataError
+from .errors import InsufficientDataError, ParameterError
 from .model import (
     RELEASE_CRITERIA,
     RELEASE_TIMEOUT,
@@ -33,8 +34,11 @@ from .stats import (
     bernoulli,
     cochran_sample_size,
     decayed_confidence,
+    normal_quantile,
     one_sample_t_p_value_from_stats,
     paired_t_test,
+    sample_size,
+    student_t_log_p_bound,
 )
 
 __all__ = [
@@ -52,6 +56,13 @@ ADAPT_ALPHA = 0.05
 # capped value into the sample-size formula; at the cap the required size
 # exceeds any sample a fresh cycle can hold.
 _CONF_CAP = 1.0 - 1e-6
+
+# Safety margins of the bounds that settle evaluation verdicts early: far
+# above the float error of the quantile, the size formula and the p-value,
+# far below anything that could move a verdict.
+_SIZE_BELOW = 1.0 - 1e-9
+_SIZE_ABOVE = 1.0 + 1e-9
+_LOG_P_MARGIN = 1e-6
 
 
 @dataclass(slots=True)
@@ -123,6 +134,13 @@ class AdaptiveMonitor:
         # per-accept evaluation stays O(#types).
         self._sample_rt_mean: float = 0.0
         self._sample_rt_m2: float = 0.0
+        self._last_tick: float = -math.inf
+        # Cycle ages [start, end] of the current size-check window and the
+        # z at each end of it; empty until the first evaluation opens one.
+        self._window_start: float = math.inf
+        self._window_end: float = -math.inf
+        self._z_high: float = 0.0
+        self._z_low: float = 0.0
 
     # --- activity 1: sampling decision ------------------------------------
 
@@ -223,27 +241,49 @@ class AdaptiveMonitor:
         its response times must be statistically equal to the population
         mean at significance 0.05 * conf, and every type's sample share
         must be within (1 - conf) + epsilon of its population share.
+
+        Most calls are settled by two bounds that give the exact verdict
+        without the normal quantile or the incomplete beta; only calls the
+        bounds leave open run the exact statistics:
+
+        * size: the Cochran size is non-decreasing in z, and z depends on
+          the cycle age alone and falls as it grows, so the sizes at the z
+          of either end of a window of ages (``adaptation_frequency`` long,
+          reopened when the age leaves it) bracket the exact size for the
+          live population count.  Below the bracket the sample is certainly
+          too small, above it certainly large enough.
+        * t-test: ``student_t_log_p_bound`` is a Mills-ratio upper bound on
+          the p-value, so when it lies below the threshold the sample
+          certainly fails.
+
+        The z bracket is read from ``config`` when a window opens.  ``now``
+        must not precede the cycle start.
         """
         age = now - self.cycle_start
+        if age < 0.0:
+            raise ParameterError(
+                f"evaluation at {now} precedes the cycle start {self.cycle_start}"
+            )
         cfg = self.config
         if age >= cfg.max_cycle_length:
-            conf = decayed_confidence(max(age, 0.0), cfg.max_cycle_length)
+            conf = decayed_confidence(age, cfg.max_cycle_length)
             return self._release(now, RELEASE_TIMEOUT, conf)
-        if self.population.total == 0 or self.sample.total == 0:
-            return None
-        conf = decayed_confidence(max(age, 0.0), cfg.max_cycle_length)
-        needed = cochran_sample_size(
-            min(conf, _CONF_CAP), cfg.variability_p, cfg.margin_e, self.population.total
-        )
-        if not self.sample.total > needed:
-            return None
         n = self.sample.total
+        if self.population.total == 0 or n == 0:
+            return None
+        if not self._exceeds_min_size(n, self.population.total, age):
+            return None
         if n < 2:
             return None
+        conf = decayed_confidence(age, cfg.max_cycle_length)
         population_mean = self.population_rt_sum / self.population_rt_count
-        p_value = one_sample_t_p_value_from_stats(
-            n, self._sample_rt_mean, self._sample_rt_m2, population_mean
-        )
+        mean, m2 = self._sample_rt_mean, self._sample_rt_m2
+        if m2 > 0.0:
+            # The statistic exactly as one_sample_t_p_value_from_stats forms it.
+            t = (mean - population_mean) / math.sqrt(m2 / (n - 1) / n)
+            if student_t_log_p_bound(t, n - 1) < math.log(ADAPT_ALPHA * conf) - _LOG_P_MARGIN:
+                return None
+        p_value = one_sample_t_p_value_from_stats(n, mean, m2, population_mean)
         if not p_value > ADAPT_ALPHA * conf:
             return None
         margin = (1.0 - conf) + cfg.epsilon
@@ -252,6 +292,31 @@ class AdaptiveMonitor:
             if gap > margin:
                 return None
         return self._release(now, RELEASE_CRITERIA, conf)
+
+    def _exceeds_min_size(self, n: int, population_size: float, age: float) -> bool:
+        """``n > cochran_sample_size(...)`` at cycle ``age``, settled by the
+        window's bracket when it is certain."""
+        if not self._window_start <= age <= self._window_end:
+            self._open_window(age)
+        cfg = self.config
+        p, e = cfg.variability_p, cfg.margin_e
+        if n < sample_size(self._z_low, p, e, population_size) * _SIZE_BELOW:
+            return False
+        if n > sample_size(self._z_high, p, e, population_size) * _SIZE_ABOVE:
+            return True
+        conf = decayed_confidence(age, cfg.max_cycle_length)
+        return n > cochran_sample_size(min(conf, _CONF_CAP), p, e, population_size)
+
+    def _open_window(self, age: float) -> None:
+        # z depends on the age alone, so a window stays valid across releases.
+        cfg = self.config
+        end = age + cfg.adaptation_frequency
+        self._window_start = age
+        self._window_end = end
+        self._z_high = normal_quantile(
+            min(decayed_confidence(age, cfg.max_cycle_length), _CONF_CAP))
+        self._z_low = normal_quantile(
+            min(decayed_confidence(end, cfg.max_cycle_length), _CONF_CAP))
 
     def _release(self, now: float, reason: str, conf: float) -> ReleasedSample:
         population_mean = (
@@ -297,7 +362,13 @@ class AdaptiveMonitor:
     # --- periodic driver -----------------------------------------------------
 
     def on_tick(self, now: float, current: PerformanceRecord) -> Optional[ReleasedSample]:
-        """Periodic step: expire baselines, adapt the rate, enforce the timeout."""
+        """Periodic step: expire baselines, adapt the rate, enforce the timeout.
+
+        ``now`` must not precede the previous tick's.
+        """
+        if now < self._last_tick:
+            raise ParameterError(f"tick at {now} precedes the previous tick at {self._last_tick}")
+        self._last_tick = now
         if self.baseline_until is not None and now >= self.baseline_until:
             self.monitoring_enabled = True
             self.baseline_until = None

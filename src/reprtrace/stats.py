@@ -6,6 +6,19 @@ sample sizes with finite population correction and exponential confidence
 decay.  Pure stdlib; p-values go through the regularized incomplete beta
 function and the normal quantile through a rational approximation refined
 with one Halley step, both good to well under 1e-6 absolute error.
+
+Two cheap bounds let a caller settle a verdict without those costly
+functions when the verdict is certain:
+
+* :func:`sample_size` is Cochran's size for a given z.  It is
+  non-decreasing in z for every population size N >= 1 (its derivative in
+  n_inf is N (N - 1) / (N + n_inf - 1)^2 >= 0), and z grows with the
+  confidence, so the sizes at the lowest and the highest confidence a
+  caller can see bracket every exact size in between.
+* :func:`student_t_log_p_bound` is the log of a Mills-ratio upper bound
+  on the two-sided Student-t p-value.  For x >= |t| the density satisfies
+  f(x) <= (x / |t|) f(x), whose integral has a closed form; a log bound
+  clearly below log(alpha) proves p <= alpha without the incomplete beta.
 """
 
 from __future__ import annotations
@@ -24,8 +37,10 @@ __all__ = [
     "one_sample_t_test",
     "normal_quantile",
     "cochran_sample_size",
+    "sample_size",
     "decayed_confidence",
     "student_t_two_sided_p",
+    "student_t_log_p_bound",
 ]
 
 
@@ -47,6 +62,9 @@ def bernoulli(p: float, rng) -> bool:
 
 
 # --- Student t machinery -------------------------------------------------
+
+_LOG2 = math.log(2.0)
+
 
 def _betacf(a: float, b: float, x: float) -> float:
     # Continued fraction for the incomplete beta function (Lentz's method).
@@ -112,6 +130,31 @@ def student_t_two_sided_p(t: float, df: float) -> float:
     if math.isinf(t):
         return 0.0
     return _betainc(df / 2.0, 0.5, df / (df + t * t))
+
+
+def student_t_log_p_bound(t: float, df: float) -> float:
+    """Log of an upper bound on ``student_t_two_sided_p(t, df)``.
+
+    The Mills-ratio bound 2 c nu / ((nu - 1) |t|) (1 + t^2 / nu)^(-(nu - 1) / 2),
+    with c = Gamma((nu + 1) / 2) / (sqrt(nu pi) Gamma(nu / 2)), computed in
+    logs so it neither overflows nor underflows.  Its ratio to the p-value
+    falls towards nu / (nu - 1) as |t| grows, so it is tight in the tails
+    where it is useful.  ``math.inf`` (no bound) when t = 0, or when
+    df <= 1, where the tail integral of x f(x) diverges.
+    """
+    if df <= 0:
+        raise ParameterError(f"degrees of freedom must be positive, got {df}")
+    if t == 0.0 or df <= 1.0:
+        return math.inf
+    return (
+        _LOG2
+        + math.lgamma((df + 1.0) / 2.0)
+        - math.lgamma(df / 2.0)
+        - 0.5 * math.log(df * math.pi)
+        + math.log(df / (df - 1.0))
+        - math.log(abs(t))
+        - (df - 1.0) / 2.0 * math.log1p(t * t / df)
+    )
 
 
 def paired_t_p_value(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -259,7 +302,16 @@ def cochran_sample_size(
         raise ParameterError(f"margin of error must be in (0, 1), got {margin_e}")
     if population_size < 1:
         raise ParameterError(f"population size must be >= 1, got {population_size}")
-    z = normal_quantile(conf)
+    return sample_size(normal_quantile(conf), variability_p, margin_e, population_size)
+
+
+def sample_size(
+    z: float, variability_p: float, margin_e: float, population_size: float
+) -> float:
+    """The formula of :func:`cochran_sample_size` for a given z, unchecked.
+
+    Non-decreasing in z > 0 for every ``population_size`` >= 1.
+    """
     n_inf = z * z * variability_p * (1.0 - variability_p) / (margin_e * margin_e)
     return n_inf / (1.0 + (n_inf - 1.0) / population_size)
 

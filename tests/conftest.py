@@ -1,8 +1,16 @@
-"""Shared test helpers: canned RNGs and event builders."""
+"""Shared test helpers: canned RNGs, event builders and the Hypothesis profiles."""
+
+import os
 
 import pytest
+from hypothesis import settings
 
 from reprtrace.model import FrequencyTable, RequestEvent, SamplerConfig
+
+# HYPOTHESIS_PROFILE=ci makes every property test replay the same examples on
+# every run; max_examples is at least any test's own, so none runs fewer.
+settings.register_profile("ci", derandomize=True, database=None, max_examples=500)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 class AlwaysRng:

@@ -1,0 +1,226 @@
+"""The bounds that settle sample evaluations early give the exact verdicts.
+
+``AdaptiveMonitor.evaluate_sample`` settles most calls from a bracket on
+Cochran's size and a Mills-ratio bound on the t-test p-value, and runs the
+exact statistics only for the rest.  These tests hold it to the verdicts of
+the exact computation: on random inputs at and around the thresholds, and
+on every evaluation of a realistic stream.
+"""
+
+import math
+import random
+from bisect import bisect_right
+from itertools import accumulate
+
+import scipy.stats as scipy_stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import make_event, table_from
+
+import reprtrace.sampler as sampler
+from reprtrace import stats
+from reprtrace.model import PerformanceRecord, RequestEvent, SamplerConfig, TraceRecord
+from reprtrace.sampler import ADAPT_ALPHA, AdaptiveMonitor
+
+CONFIG = SamplerConfig()
+CONF_CAP = 1.0 - 1e-6
+
+
+def exact_needed(age, population_size, config=CONFIG):
+    conf = min(stats.decayed_confidence(age, config.max_cycle_length), CONF_CAP)
+    return stats.cochran_sample_size(conf, config.variability_p, config.margin_e,
+                                     population_size)
+
+
+# --- size bracket -------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 3000),
+    population_size=st.floats(1.0, 1e6),
+    window_start=st.floats(0.0, CONFIG.max_cycle_length),
+    age=st.floats(0.0, CONFIG.max_cycle_length),
+)
+def test_bracket_matches_exact_size_check(n, population_size, window_start, age):
+    monitor = AdaptiveMonitor(CONFIG)
+    monitor._open_window(window_start)
+    verdict = monitor._exceeds_min_size(n, population_size, age)
+    assert verdict == (n > exact_needed(age, population_size))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    window_start=st.floats(0.0, CONFIG.max_cycle_length),
+    offset=st.floats(0.0, 1.0),
+    population_size=st.floats(1.0, 1e6),
+    step=st.sampled_from([-1, 0, 1, 2]),
+)
+def test_bracket_matches_exact_at_the_threshold_in_n(window_start, offset,
+                                                     population_size, step):
+    # n one below, at and just above the exact size, inside the window.
+    age = window_start + offset * CONFIG.adaptation_frequency
+    needed = exact_needed(age, population_size)
+    n = max(1, math.floor(needed) + step)
+    monitor = AdaptiveMonitor(CONFIG)
+    monitor._open_window(window_start)
+    assert monitor._exceeds_min_size(n, population_size, age) == (n > needed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    window_start=st.floats(0.0, CONFIG.max_cycle_length),
+    offset=st.floats(0.0, 1.0),
+    fraction=st.floats(0.0, 0.999),
+    ulps=st.sampled_from([-1, 0, 1]),
+)
+def test_bracket_matches_exact_at_the_threshold_in_population(window_start, offset,
+                                                              fraction, ulps):
+    # The population size whose exact Cochran size is n, and its neighbours
+    # one ulp away: n_inf N / (N + n_inf - 1) = n at N = n (n_inf - 1) / (n_inf - n).
+    age = window_start + offset * CONFIG.adaptation_frequency
+    n_inf = exact_needed(age, math.inf)
+    n = max(1, math.floor(1 + fraction * (n_inf - 1)))
+    threshold = n * (n_inf - 1.0) / (n_inf - n)
+    population_size = max(1.0, threshold + ulps * math.ulp(threshold))
+    monitor = AdaptiveMonitor(CONFIG)
+    monitor._open_window(window_start)
+    verdict = monitor._exceeds_min_size(n, population_size, age)
+    assert verdict == (n > exact_needed(age, population_size))
+
+
+# --- t-test bound ---------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(3, 2000),
+    age=st.floats(0.0, CONFIG.max_cycle_length, exclude_max=True),
+    scale=st.one_of(st.floats(0.5, 2.0), st.floats(0.999, 1.001)),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_t_stage_verdict_matches_exact_p_value(n, age, scale, sign):
+    # A sample that is its own population, so the size and balance checks
+    # pass and the t-test alone decides; t is drawn around its critical value.
+    conf = stats.decayed_confidence(age, CONFIG.max_cycle_length)
+    t_crit = scipy_stats.t.isf(ADAPT_ALPHA * conf / 2.0, n - 1)
+    mu0, m2 = 100.0, 25.0 * (n - 1)
+    mean = mu0 + sign * scale * t_crit * math.sqrt(m2 / (n - 1) / n)
+    monitor = AdaptiveMonitor(CONFIG)
+    monitor.population = table_from({"/a": n})
+    monitor.sample = table_from({"/a": n})
+    monitor.sample_traces = [TraceRecord(make_event("/a", start=i), 0, i) for i in range(n)]
+    monitor.population_rt_sum = mu0 * n
+    monitor.population_rt_count = n
+    monitor._sample_rt_mean = mean
+    monitor._sample_rt_m2 = m2
+    p_value = stats.one_sample_t_p_value_from_stats(n, mean, m2, mu0)
+    released = monitor.evaluate_sample(age)
+    assert (released is not None) == (p_value > ADAPT_ALPHA * conf)
+
+
+# --- whole evaluations on a realistic stream -----------------------------------------
+
+TYPES = 48
+SECONDS = 120
+CAPACITY = 16.0
+
+
+def zipf_stream(seed):
+    """Per second: the requests as ``RequestEvent``s and their per-type mean rts.
+
+    48 Zipf(1.1)-weighted request types; 10 to 24 users over one 120 s
+    wave against a contention knee at 16 users, so response times stretch
+    past the knee and the sampler starts baselines and releases cycles.
+    """
+    rng = random.Random(f"{seed}:bounds-stream")
+    types = [f"/t{i:02d}" for i in range(TYPES)]
+    cum = list(accumulate(1.0 / (i + 1) ** 1.1 for i in range(TYPES)))
+    base_rt = [20.0 + 60.0 * rng.random() for _ in types]
+    seconds = []
+    for sec in range(SECONDS):
+        users = 10.0 + 14.0 * max(0.0, math.sin(2.0 * math.pi * sec / SECONDS))
+        slowdown = 1.0 + 1.2 * max(0.0, users / CAPACITY - 1.0)
+        count = round(15.0 * min(users, CAPACITY) * (0.95 + 0.1 * rng.random()))
+        requests, rt_sum, rt_count = [], {}, {}
+        for j in range(count):
+            i = bisect_right(cum, rng.random() * cum[-1])
+            rt = base_rt[i] * slowdown * rng.lognormvariate(0.0, 0.25)
+            requests.append(RequestEvent(types[i], sec * 1000 + 1000 * j // count, rt, 100.0))
+            rt_sum[types[i]] = rt_sum.get(types[i], 0.0) + rt
+            rt_count[types[i]] = rt_count.get(types[i], 0) + 1
+        seconds.append((requests, {t: rt_sum[t] / rt_count[t] for t in rt_sum}))
+    return seconds
+
+
+def exact_verdict(monitor, now):
+    """The verdict of the exact evaluation, read from the monitor's state.
+
+    "timeout" or "criteria" for a release, otherwise the check that holds
+    the cycle open: "empty", "size", "t-test" or "balance".
+    """
+    cfg = monitor.config
+    age = now - monitor.cycle_start
+    if age >= cfg.max_cycle_length:
+        return "timeout"
+    population, sample = monitor.population, monitor.sample
+    if population.total == 0 or sample.total == 0:
+        return "empty"
+    n = sample.total
+    if not n > exact_needed(age, population.total, cfg) or n < 2:
+        return "size"
+    conf = stats.decayed_confidence(age, cfg.max_cycle_length)
+    mu0 = monitor.population_rt_sum / monitor.population_rt_count
+    p_value = stats.one_sample_t_p_value_from_stats(
+        n, monitor._sample_rt_mean, monitor._sample_rt_m2, mu0)
+    if not p_value > ADAPT_ALPHA * conf:
+        return "t-test"
+    margin = (1.0 - conf) + cfg.epsilon
+    for type_id in population.counts:
+        if abs(population.proportion(type_id) - sample.proportion(type_id)) > margin:
+            return "balance"
+    return "criteria"
+
+
+def counting(monkeypatch, name):
+    calls = [0]
+    original = getattr(sampler, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(sampler, name, counted)
+    return calls
+
+
+def test_every_evaluation_matches_the_exact_verdict(monkeypatch):
+    size_calls = counting(monkeypatch, "cochran_sample_size")
+    t_calls = counting(monkeypatch, "one_sample_t_p_value_from_stats")
+    monitor = AdaptiveMonitor(SamplerConfig())
+    rng = random.Random("bounds-decide")
+    verdicts = {}
+    for sec, (requests, mean_rt) in enumerate(zipf_stream(1)):
+        monitoring = monitor.monitoring_enabled
+        for event in requests:
+            if not monitor.decide(event, rng):
+                continue
+            now = event.start / 1000.0
+            expected = exact_verdict(monitor, now)
+            verdicts[expected] = verdicts.get(expected, 0) + 1
+            released = monitor.evaluate_sample(now)
+            if expected in ("timeout", "criteria"):
+                assert released is not None and released.reason == expected
+            else:
+                assert released is None, expected
+        record = PerformanceRecord(rps=float(len(requests)), mean_rt=mean_rt,
+                                   monitoring_enabled=monitoring)
+        monitor.on_tick(float(sec + 1), record)
+    evaluations = sum(verdicts.values())
+    t_stage = evaluations - verdicts.get("empty", 0) - verdicts.get("size", 0)
+    assert verdicts.get("criteria", 0) >= 2
+    assert any(e.kind == "baseline-started" for e in monitor.events)
+    # The bounds settled most evaluations: the exact statistics ran for few.
+    assert t_calls[0] <= t_stage - 1000
+    assert size_calls[0] <= evaluations // 2

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from conftest import AlwaysRng, NeverRng, ScriptRng, make_event, table_from
-from reprtrace.errors import InsufficientDataError
+from reprtrace.errors import InsufficientDataError, ParameterError
 from reprtrace.model import (
     PerformanceRecord,
     PerformanceReferenceTable,
@@ -409,6 +409,13 @@ class TestEvaluateSample:
         monitor = AdaptiveMonitor(config)
         assert monitor.evaluate_sample(now=10.0) is None
 
+    def test_time_before_the_cycle_start_rejected(self, config):
+        monitor = AdaptiveMonitor(config, start_time=10.0)
+        monitor.decide(make_event("/a", start=9000), AlwaysRng())
+        with pytest.raises(ParameterError, match="precedes the cycle start"):
+            monitor.evaluate_sample(now=9.5)
+        assert monitor.evaluate_sample(now=10.0) is None
+
     def test_released_criteria_recheck_offline(self, config):
         # Every criteria release must satisfy all three criteria when
         # re-evaluated from the stored statistics alone.
@@ -472,6 +479,14 @@ class TestOnTick:
         for second in range(1, 11):
             monitor.on_tick(float(second), record(TIGHT, rps=100))
         assert len(monitor.perf_ref) == 10
+
+    def test_tick_before_the_previous_tick_rejected(self, config):
+        monitor = AdaptiveMonitor(config)
+        monitor.on_tick(5.0, record(TIGHT, rps=100))
+        monitor.on_tick(5.0, record(TIGHT, rps=100))
+        with pytest.raises(ParameterError, match="precedes the previous tick"):
+            monitor.on_tick(4.0, record(TIGHT, rps=100))
+        assert len(monitor.perf_ref) == 2
 
     def test_tick_enforces_timeout(self, config):
         monitor = AdaptiveMonitor(config)

@@ -5,6 +5,8 @@ import random
 
 import pytest
 import scipy.stats as scipy_stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ScriptRng
 from reprtrace.errors import InsufficientDataError, ParameterError
@@ -18,6 +20,9 @@ from reprtrace.stats import (
     one_sample_t_test,
     paired_t_p_value,
     paired_t_test,
+    sample_size,
+    student_t_log_p_bound,
+    student_t_two_sided_p,
 )
 
 PAPER_NORMAL = [600.0, 780.0, 1050.0, 1100.0]
@@ -120,6 +125,40 @@ class TestOracleCorpus:
             assert normal_quantile(conf) == pytest.approx(expected, abs=1e-6)
 
 
+class TestStudentTLogPBound:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        df=st.floats(2.0, 1e5),
+        t=st.floats(0.0, 60.0, exclude_min=True),
+        sign=st.sampled_from([1.0, -1.0]),
+    )
+    def test_bounds_the_two_sided_p_value(self, df, t, sign):
+        log_bound = student_t_log_p_bound(sign * t, df)
+        for p_value in (student_t_two_sided_p(sign * t, df), 2.0 * scipy_stats.t.sf(t, df)):
+            assert p_value == 0.0 or log_bound >= math.log(p_value)
+
+    def test_is_the_mills_ratio_bound(self):
+        # 2 f(t) (df + t^2) / ((df - 1) |t|), with f the Student-t density.
+        for df, t in ((2.0, 0.5), (3.0, -2.0), (40.0, 3.0), (5000.0, 10.0)):
+            expected = 2.0 * scipy_stats.t.pdf(t, df) * (df + t * t) / ((df - 1.0) * abs(t))
+            assert math.exp(student_t_log_p_bound(t, df)) == pytest.approx(expected, rel=1e-12)
+
+    def test_tight_in_the_tail(self):
+        # The ratio to the p-value falls towards df / (df - 1).
+        for df in (2.0, 10.0, 1000.0):
+            ratio = math.exp(student_t_log_p_bound(40.0, df)) / student_t_two_sided_p(40.0, df)
+            assert 1.0 < ratio < df / (df - 1.0) * 1.01
+
+    def test_no_bound_at_zero_or_one_degree_of_freedom(self):
+        assert student_t_log_p_bound(0.0, 10.0) == math.inf
+        assert student_t_log_p_bound(5.0, 1.0) == math.inf
+        assert student_t_log_p_bound(5.0, 0.5) == math.inf
+
+    def test_rejects_non_positive_df(self):
+        with pytest.raises(ParameterError):
+            student_t_log_p_bound(1.0, 0.0)
+
+
 class TestOneSampleTTest:
     def test_constant_sample_equal_to_mean(self):
         assert one_sample_t_test([5.0, 5.0, 5.0], 5.0, 0.05) is True
@@ -206,6 +245,23 @@ class TestCochran:
                 # below one required sample the finite correction exceeds
                 # the uncorrected value by construction of the formula
                 assert n <= n_inf + 1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        z_lo=st.floats(0.01, 6.0),
+        z_hi=st.floats(0.01, 6.0),
+        population=st.floats(1.0, 1e9),
+    )
+    def test_sample_size_non_decreasing_in_z(self, z_lo, z_hi, population):
+        z_lo, z_hi = sorted((z_lo, z_hi))
+        # Up to the rounding of the formula, far inside the sampler's 1e-9 margin.
+        assert sample_size(z_lo, 0.5, 0.05, population) <= sample_size(
+            z_hi, 0.5, 0.05, population) * (1 + 1e-12)
+
+    def test_is_sample_size_at_the_quantile(self):
+        for conf in (0.2, 0.95, 1 - 1e-6):
+            z = normal_quantile(conf)
+            assert cochran_sample_size(conf, 0.5, 0.05, 1000) == sample_size(z, 0.5, 0.05, 1000)
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
