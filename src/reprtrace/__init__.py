@@ -31,6 +31,7 @@ from .simulator import (
     Simulation,
     Stationary,
     WorkloadSpec,
+    run_matrix,
     run_scenario,
     users_at,
 )

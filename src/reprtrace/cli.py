@@ -5,8 +5,10 @@ executes one simulation, ``compare`` runs a strategies-by-seeds matrix and
 writes the comparison report, ``report`` regenerates the report from
 stored run artifacts.  Flags override scenario-file values; the effective
 configuration is echoed into the output directory.  ``REPRTRACE_THREADS``
-caps parallel runs in ``compare``; serial or parallel, each run is saved
-and reduced by the same job, and only the reductions reach the report.
+caps parallel jobs in ``compare``.  A job runs a group of strategies on one
+seed through ``run_matrix``, so the seed's offered stream is generated once
+per job; serial or parallel, each run is saved and reduced by the job that
+ran it, and only the reductions reach the report.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Iterable, Optional
 from .errors import ParameterError, ScenarioError
 from .report import RunSummary, load_run, save_run, summarize_run, write_report
 from .scenario import Scenario, default_scenario, load_scenario, parse_scenario, scenario_to_dict
-from .simulator import RunResult, run_scenario
+from .simulator import run_matrix, run_scenario
 from .strategies import StrategyKind
 
 _ALL_STRATEGIES = [k.value for k in (StrategyKind.ADP, StrategyKind.INV, StrategyKind.UNI,
@@ -61,18 +63,32 @@ def _run_dir(out_dir: Path, strategy: str, seed: int) -> Path:
     return out_dir / "runs" / f"{strategy}_s{seed}"
 
 
-def _execute(scenario: Scenario, strategy: str, seed: int, run_dir: Path) -> RunResult:
-    result = run_scenario(scenario.model, scenario.workload, strategy, seed, scenario.sampler)
-    save_run(result, run_dir)
-    return result
+def _compare_groups(strategies: list[str], seeds: list[int],
+                    workers: int) -> list[tuple[int, list[str]]]:
+    """The (seed, strategies) of each compare job.
+
+    One job per seed; with fewer seeds than workers, each seed's strategies
+    are dealt round-robin into ceil(workers / seeds) groups, so the workers
+    stay busy while each job still generates its stream only once.
+    """
+    groups = min(len(strategies), -(-workers // len(seeds)))
+    return [(seed, strategies[g::groups]) for seed in seeds for g in range(groups)]
 
 
-def _compare_job(payload: tuple[dict, str, int, str]) -> RunSummary:
-    """One run of a compare matrix: simulate, save the artifacts, and return
-    the reduction the report needs.  Runs in a pool worker or in process."""
-    raw, strategy, seed, run_dir = payload
+def _compare_job(payload: tuple[dict, int, list[str], str]) -> list[RunSummary]:
+    """One job of a compare matrix: run a group of strategies on one seed,
+    save each run's artifacts, and return the reductions the report needs.
+    Runs in a pool worker or in process."""
+    raw, seed, strategies, out_dir = payload
     scenario = parse_scenario(raw, source="scenario")
-    return summarize_run(_execute(scenario, strategy, seed, Path(run_dir)))
+    summaries = []
+    for run in run_matrix(scenario.model, scenario.workload, strategies, seed,
+                          scenario.sampler):
+        save_run(run, _run_dir(Path(out_dir), run.strategy.value, seed))
+        summaries.append(summarize_run(run))
+        # Free this run before the next one is simulated.
+        del run
+    return summaries
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -95,7 +111,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     _echo_config(out_dir, scenario,
                  {"command": "run", "strategy": strategy, "seed": seed})
     run_dir = _run_dir(out_dir, strategy, seed)
-    result = _execute(scenario, strategy, seed, run_dir)
+    result = run_scenario(scenario.model, scenario.workload, strategy, seed, scenario.sampler)
+    save_run(result, run_dir)
     total = sum(row.throughput for row in result.seconds)
     mean_tr = total / len(result.seconds) if result.seconds else 0.0
     print(f"{strategy} seed {seed}: {total} requests ({mean_tr:.1f}/s), "
@@ -119,26 +136,22 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     _echo_config(out_dir, scenario,
                  {"command": "compare", "strategies": strategies, "seeds": seeds,
                   "strict": strict})
-    jobs = [(strategy, seed) for strategy in strategies for seed in seeds]
-    threads = int(os.environ.get("REPRTRACE_THREADS", "1") or "1")
-    threads = max(1, min(threads, len(jobs)))
-
+    threads = max(1, int(os.environ.get("REPRTRACE_THREADS", "1") or "1"))
     raw = scenario_to_dict(scenario)
-    payloads = [
-        (raw, strategy, seed, str(_run_dir(out_dir, strategy, seed)))
-        for strategy, seed in jobs
-    ]
+    payloads = [(raw, seed, group, str(out_dir))
+                for seed, group in _compare_groups(strategies, seeds, threads)]
+    threads = min(threads, len(payloads))
     summaries: Iterable[RunSummary]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            summaries = list(pool.map(_compare_job, payloads))
+            summaries = [s for job in pool.map(_compare_job, payloads) for s in job]
     else:
-        summaries = map(_compare_job, payloads)
+        summaries = (s for payload in payloads for s in _compare_job(payload))
 
     report = write_report(summaries, out_dir / "report", strict=strict)
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    print(f"{len(jobs)} runs -> {report.out_dir / 'summary.csv'}")
+    print(f"{len(strategies) * len(seeds)} runs -> {report.out_dir / 'summary.csv'}")
     if strict and report.strict_failures:
         print("strict mode: failing on report warnings", file=sys.stderr)
         return 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 from collections import deque
 from dataclasses import dataclass
 from math import inf
@@ -235,24 +236,32 @@ class ReleasedSample:
 TRACE_FIELDS = ("cycle_index", "type_id", "start", "response_time", "memory_delta")
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it in a row (quoted when it must be)."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow((text,))
+    return buffer.getvalue()[:-2]
+
+
 def write_trace_file(path: str | Path, records: Iterable[TraceRecord]) -> None:
     """Write traces as line-delimited text, one record per line.
 
     Field order: cycle_index, type_id, start, response_time, memory_delta.
+    The bytes are those of ``csv.writer`` with the floats as ``repr``: only
+    the type id can need quoting, so each one is quoted once by the csv
+    module and the lines are formatted directly.
     """
+    quoted: dict[str, str] = {}
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
+        write = handle.write
         for record in records:
             event = record.event
-            writer.writerow(
-                [
-                    record.cycle_index,
-                    event.type_id,
-                    event.start,
-                    repr(event.response_time),
-                    repr(event.memory_delta),
-                ]
-            )
+            type_id = event.type_id
+            type_q = quoted.get(type_id)
+            if type_q is None:
+                type_q = quoted[type_id] = _csv_field(type_id)
+            write(f"{record.cycle_index},{type_q},{event.start},"
+                  f"{event.response_time!r},{event.memory_delta!r}\r\n")
 
 
 def read_trace_file(path: str | Path) -> list[TraceRecord]:

@@ -13,17 +13,29 @@ the Kinderman-Monahan loop of ``random.Random.normalvariate`` followed by
 ``exp``.  Its values equal ``random.Random.lognormvariate`` on CPython
 3.10-3.13, whose ``normalvariate`` source is the same in all four versions;
 ``tests/test_offer.py`` checks the equality on the running interpreter.
+
+``run_matrix`` runs several strategies on one seed's workload and generates
+the offered stream once: while the first strategy runs on the live stream,
+each second's requests are recorded column-wise into a ``_Tape`` (per
+second, an ``array`` each of type indices, base service times and memory
+values: about 18 bytes a request, and no large buffer that must grow);
+every later strategy replays the tape second by second through the same
+consumer.  The arrays hold the same ints and floats, so a
+replayed run is bit-identical to one that draws its own stream.  Runs are
+yielded one at a time, and only the yielded run and the tape stay alive
+between them.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import exp, log
 from random import NV_MAGICCONST
-from typing import Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import ParameterError
 from .model import (
@@ -48,6 +60,7 @@ __all__ = [
     "users_at",
     "Simulation",
     "run_scenario",
+    "run_matrix",
 ]
 
 
@@ -301,6 +314,10 @@ class Simulation:
         self.seconds: list[SecondStats] = []
         self.events: list[RequestEvent] = []
         self.traces: list[TraceRecord] = []
+        # Set by run_matrix: a tape to record each offered second into, or a
+        # replay of one recorded by an earlier run of the same seed.
+        self._record: Optional[Callable[[list[tuple[int, float, float]]], None]] = None
+        self._replay: Optional[Iterator[Iterable[tuple[int, float, float]]]] = None
 
     def _offer(self, users: int) -> list[tuple[int, float, float]]:
         """This second's offered stream as (type index, base service time, memory).
@@ -373,7 +390,10 @@ class Simulation:
             + model.trace_contention * io_excess / capacity
         )
         budget = users * 1000.0
-        offered = self._offer(users)
+        replay = self._replay
+        offered = self._offer(users) if replay is None else next(replay)
+        if self._record is not None:
+            self._record(offered)
 
         # The strategy completes a prefix of the offered stream.
         spent = 0.0
@@ -459,6 +479,42 @@ class Simulation:
         )
 
 
+class _Tape:
+    """One seed's offered stream: per second, its three columns as arrays."""
+
+    __slots__ = ("seconds", "id_code")
+
+    def __init__(self, n_types: int) -> None:
+        self.seconds: list[tuple[array, array, array]] = []
+        self.id_code = "H" if n_types <= 0x10000 else "L"
+
+    def record(self, offered: list[tuple[int, float, float]]) -> None:
+        ids, rts, mems = zip(*offered) if offered else ((), (), ())
+        self.seconds.append((array(self.id_code, ids), array("d", rts), array("d", mems)))
+
+    def replay(self) -> Iterator[Iterable[tuple[int, float, float]]]:
+        for ids, rts, mems in self.seconds:
+            yield zip(ids, rts, mems)
+
+
+def _simulate(
+    model: AppModel,
+    workload: WorkloadSpec,
+    kind: StrategyKind,
+    seed: int,
+    config: SamplerConfig,
+    tape: Optional[_Tape] = None,
+    replay: bool = False,
+) -> RunResult:
+    sim = Simulation(model, workload, make_strategy(kind, config), config, seed)
+    if tape is not None:
+        if replay:
+            sim._replay = tape.replay()
+        else:
+            sim._record = tape.record
+    return sim.run()
+
+
 def run_scenario(
     model: AppModel,
     workload: WorkloadSpec,
@@ -468,5 +524,25 @@ def run_scenario(
 ) -> RunResult:
     """Run one (model, workload, strategy, seed) combination to completion."""
     config = config if config is not None else SamplerConfig()
-    strategy = make_strategy(strategy_kind, config)
-    return Simulation(model, workload, strategy, config, seed).run()
+    return _simulate(model, workload, StrategyKind(strategy_kind), seed, config)
+
+
+def run_matrix(
+    model: AppModel,
+    workload: WorkloadSpec,
+    kinds: Iterable[StrategyKind | str],
+    seed: int,
+    config: Optional[SamplerConfig] = None,
+) -> Iterator[RunResult]:
+    """Run each strategy of ``kinds`` on one seed, yielding the runs in order.
+
+    Each run equals ``run_scenario`` for its kind.  The offered stream is
+    generated once, by the first run, and replayed to the others.  The
+    next run starts only when the caller asks for it, so a caller that
+    drops each run before asking keeps one run in memory at a time.
+    """
+    config = config if config is not None else SamplerConfig()
+    kinds = [StrategyKind(kind) for kind in kinds]
+    tape = _Tape(len(model.types)) if len(kinds) > 1 else None
+    for position, kind in enumerate(kinds):
+        yield _simulate(model, workload, kind, seed, config, tape, replay=position > 0)

@@ -313,7 +313,12 @@ def sample_size(
     Non-decreasing in z > 0 for every ``population_size`` >= 1.
     """
     n_inf = z * z * variability_p * (1.0 - variability_p) / (margin_e * margin_e)
-    return n_inf / (1.0 + (n_inf - 1.0) / population_size)
+    try:
+        return n_inf / (1.0 + (n_inf - 1.0) / population_size)
+    except ZeroDivisionError:
+        # For N >= 1 only at N = 1 with n_inf so small that n_inf - 1 rounds
+        # to -1 (z = 0 included); there the formula is n_inf / n_inf, limit 1.
+        return 1.0
 
 
 def decayed_confidence(t: float, max_length: float) -> float:

@@ -1,14 +1,19 @@
 """CLI tests: validate, run, compare, report, strict mode, exit codes."""
 
 import csv
+import gc
 import json
 import math
+import weakref
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from reprtrace import cli
 from reprtrace.cli import main
 from reprtrace.report import save_run
 from reprtrace.scenario import default_scenario, parse_scenario, scenario_to_dict
+from reprtrace.simulator import Simulation
 from test_report import _comparison_runs
 
 TINY_SCENARIO = {
@@ -175,6 +180,69 @@ class TestCompare:
                      "--out", str(parallel)]) == 0
         assert _tree_bytes(parallel / "report") == _tree_bytes(reference / "report")
         assert _tree_bytes(parallel / "runs") == _tree_bytes(reference / "runs")
+
+    @pytest.mark.parametrize("seeds, strategies, threads, groups", [
+        ("1", ALL_STRATEGIES, "2", [(1, "ADP,UNI,NOM"), (1, "INV,FUM")]),
+        ("1", ALL_STRATEGIES, "3", [(1, "ADP,FUM"), (1, "INV,NOM"), (1, "UNI")]),
+        ("1,2,3", ALL_STRATEGIES, "2", [(1, ALL_STRATEGIES), (2, ALL_STRATEGIES),
+                                        (3, ALL_STRATEGIES)]),
+        ("1,2", ALL_STRATEGIES, "3", [(1, "ADP,UNI,NOM"), (1, "INV,FUM"),
+                                      (2, "ADP,UNI,NOM"), (2, "INV,FUM")]),
+        ("1", "UNI,ADP", "2", [(1, "UNI"), (1, "ADP")]),
+    ])
+    def test_jobs_group_strategies_per_seed(self, tiny_scenario, tmp_path, monkeypatch,
+                                            seeds, strategies, threads, groups):
+        serial = tmp_path / "serial"
+        assert main(["compare", "--scenario", str(tiny_scenario), "--strategies", strategies,
+                     "--seeds", seeds, "--out", str(serial)]) == 0
+        pools = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                super().__init__(max_workers=max_workers)
+                pools.append((max_workers, []))
+
+            def map(self, fn, payloads):
+                payloads = list(payloads)
+                pools[-1][1].extend((seed, ",".join(group)) for _raw, seed, group, _out
+                                    in payloads)
+                return super().map(fn, payloads)
+
+        monkeypatch.setattr("reprtrace.cli.ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setenv("REPRTRACE_THREADS", threads)
+        parallel = tmp_path / "parallel"
+        assert main(["compare", "--scenario", str(tiny_scenario), "--strategies", strategies,
+                     "--seeds", seeds, "--out", str(parallel)]) == 0
+        assert pools == [(min(int(threads), len(groups)), groups)]
+        assert _tree_bytes(parallel / "report") == _tree_bytes(serial / "report")
+        assert _tree_bytes(parallel / "runs") == _tree_bytes(serial / "runs")
+        assert len(_tree_bytes(serial / "runs")) == 3 * len(strategies.split(",")) * len(
+            seeds.split(","))
+
+    def test_job_frees_each_run_before_the_next(self, tiny_scenario, tmp_path, monkeypatch):
+        runs = []
+        step = Simulation.step
+        save = cli.save_run
+
+        def recording_save(run, run_dir):
+            runs.append(weakref.ref(run))
+            return save(run, run_dir)
+
+        def checked_step(self, second, users):
+            if second == 0:
+                assert all(ref() is None for ref in runs), "a saved run is still alive"
+            return step(self, second, users)
+
+        monkeypatch.setattr(cli, "save_run", recording_save)
+        monkeypatch.setattr(Simulation, "step", checked_step)
+        gc.disable()
+        try:
+            assert main(["compare", "--scenario", str(tiny_scenario),
+                         "--strategies", ALL_STRATEGIES, "--seeds", "1,2",
+                         "--out", str(tmp_path / "cmp")]) == 0
+        finally:
+            gc.enable()
+        assert len(runs) == 10
 
     def test_strict_fails_without_ground_truth(self, tiny_scenario, tmp_path, capsys):
         out = tmp_path / "cmp"

@@ -1,5 +1,6 @@
 """Domain type tests: frequency tables, bounded history, config, trace files."""
 
+import csv
 import math
 import random
 
@@ -244,6 +245,35 @@ class TestTraceFile:
         )
         line = path.read_text().strip()
         assert line.split(",")[:3] == ["2", "/x", "5"]
+
+    @pytest.mark.parametrize("type_id", [
+        "a,b", 'say "hi"', "cr\rhere", "lf\nhere", "crlf\r\n", "  padded  ", " lead",
+        "trail ", "naïve/ü/日本", '",\r\n ',
+    ])
+    def test_bytes_equal_csv_writer(self, tmp_path, type_id):
+        records = [
+            TraceRecord(event=make_event(tid, start=start, rt=rt, mem=mem),
+                        cycle_index=cycle, recorded_at=start)
+            for tid, start, rt, mem, cycle in [
+                (type_id, 0, 0.1 + 0.2, -1e-300, 0),
+                ("/plain", 7, 12.5, 64.0, 0),
+                (type_id, 2075, 200.125, -31.5, 3),
+                (type_id, 9000, 0.0, 1e22, 12),
+            ]
+        ]
+        expected = tmp_path / "csv_writer.txt"
+        with open(expected, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            for record in records:
+                event = record.event
+                writer.writerow([record.cycle_index, event.type_id, event.start,
+                                 repr(event.response_time), repr(event.memory_delta)])
+        path = tmp_path / "traces.txt"
+        write_trace_file(path, records)
+        assert path.read_bytes() == expected.read_bytes()
+        loaded = read_trace_file(path)
+        assert [(t.cycle_index, t.event) for t in loaded] == [
+            (t.cycle_index, t.event) for t in records]
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "traces.txt"
