@@ -15,15 +15,15 @@ the Kinderman-Monahan loop of ``random.Random.normalvariate`` followed by
 ``tests/test_offer.py`` checks the equality on the running interpreter.
 
 ``run_matrix`` runs several strategies on one seed's workload and generates
-the offered stream once: while the first strategy runs on the live stream,
-each second's requests are recorded column-wise into a ``_Tape`` (per
-second, an ``array`` each of type indices, base service times and memory
-values: about 18 bytes a request, and no large buffer that must grow);
-every later strategy replays the tape second by second through the same
-consumer.  The arrays hold the same ints and floats, so a
-replayed run is bit-identical to one that draws its own stream.  Runs are
-yielded one at a time, and only the yielded run and the tape stay alive
-between them.
+the offered stream once.  It shadows ``_offer`` on each ``Simulation``
+instance: the first strategy's wrapper calls the real ``_offer`` and records
+each second column-wise (an ``array`` each of type indices, base service
+times and memory values: about 20 bytes a request); each later strategy's
+wrapper replays the recorded seconds in order.  ``step`` is unchanged and
+consumes either stream the same way.  The arrays hold the same ints and
+floats, so a replayed run is bit-identical to one that draws its own stream.
+Runs are yielded one at a time, and only the yielded run and the recording
+stay alive between them.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import random
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from math import exp, log
 from random import NV_MAGICCONST
 from typing import Callable, Iterable, Iterator, Optional
@@ -314,10 +315,6 @@ class Simulation:
         self.seconds: list[SecondStats] = []
         self.events: list[RequestEvent] = []
         self.traces: list[TraceRecord] = []
-        # Set by run_matrix: a tape to record each offered second into, or a
-        # replay of one recorded by an earlier run of the same seed.
-        self._record: Optional[Callable[[list[tuple[int, float, float]]], None]] = None
-        self._replay: Optional[Iterator[Iterable[tuple[int, float, float]]]] = None
 
     def _offer(self, users: int) -> list[tuple[int, float, float]]:
         """This second's offered stream as (type index, base service time, memory).
@@ -390,10 +387,7 @@ class Simulation:
             + model.trace_contention * io_excess / capacity
         )
         budget = users * 1000.0
-        replay = self._replay
-        offered = self._offer(users) if replay is None else next(replay)
-        if self._record is not None:
-            self._record(offered)
+        offered = self._offer(users)
 
         # The strategy completes a prefix of the offered stream.
         spent = 0.0
@@ -479,40 +473,21 @@ class Simulation:
         )
 
 
-class _Tape:
-    """One seed's offered stream: per second, its three columns as arrays."""
-
-    __slots__ = ("seconds", "id_code")
-
-    def __init__(self, n_types: int) -> None:
-        self.seconds: list[tuple[array, array, array]] = []
-        self.id_code = "H" if n_types <= 0x10000 else "L"
-
-    def record(self, offered: list[tuple[int, float, float]]) -> None:
-        ids, rts, mems = zip(*offered) if offered else ((), (), ())
-        self.seconds.append((array(self.id_code, ids), array("d", rts), array("d", mems)))
-
-    def replay(self) -> Iterator[Iterable[tuple[int, float, float]]]:
-        for ids, rts, mems in self.seconds:
-            yield zip(ids, rts, mems)
+# One recorded second of an offered stream: its type indices, base service
+# times and memory values, one array each.
+_Second = tuple[array, array, array]
 
 
-def _simulate(
-    model: AppModel,
-    workload: WorkloadSpec,
-    kind: StrategyKind,
-    seed: int,
-    config: SamplerConfig,
-    tape: Optional[_Tape] = None,
-    replay: bool = False,
-) -> RunResult:
-    sim = Simulation(model, workload, make_strategy(kind, config), config, seed)
-    if tape is not None:
-        if replay:
-            sim._replay = tape.replay()
-        else:
-            sim._record = tape.record
-    return sim.run()
+def _record(offer: Callable[[int], list[tuple[int, float, float]]],
+            append: Callable[[_Second], None], users: int) -> list[tuple[int, float, float]]:
+    offered = offer(users)
+    ids, rts, mems = zip(*offered) if offered else ((), (), ())
+    append((array("I", ids), array("d", rts), array("d", mems)))
+    return offered
+
+
+def _replay(seconds: Iterator[_Second], users: int) -> Iterable[tuple[int, float, float]]:
+    return zip(*next(seconds))
 
 
 def run_scenario(
@@ -524,7 +499,8 @@ def run_scenario(
 ) -> RunResult:
     """Run one (model, workload, strategy, seed) combination to completion."""
     config = config if config is not None else SamplerConfig()
-    return _simulate(model, workload, StrategyKind(strategy_kind), seed, config)
+    strategy = make_strategy(strategy_kind, config)
+    return Simulation(model, workload, strategy, config, seed).run()
 
 
 def run_matrix(
@@ -543,6 +519,16 @@ def run_matrix(
     """
     config = config if config is not None else SamplerConfig()
     kinds = [StrategyKind(kind) for kind in kinds]
-    tape = _Tape(len(model.types)) if len(kinds) > 1 else None
+    tape: list[_Second] = []
     for position, kind in enumerate(kinds):
-        yield _simulate(model, workload, kind, seed, config, tape, replay=position > 0)
+        sim = Simulation(model, workload, make_strategy(kind, config), config, seed)
+        if position > 0:
+            sim._offer = partial(_replay, iter(tape))
+        elif len(kinds) > 1:
+            sim._offer = partial(_record, sim._offer, tape.append)
+        run = sim.run()
+        # A recorder holds a method bound to ``sim``: break that cycle so
+        # reference counting frees the run once the caller drops it.
+        vars(sim).pop("_offer", None)
+        yield run
+        del run

@@ -7,17 +7,15 @@ must be freed before the next kind starts.
 
 import gc
 import weakref
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reprtrace import simulator
-from reprtrace.simulator import RequestTypeSpec, Simulation, run_matrix, run_scenario
+from reprtrace.simulator import Simulation, run_matrix, run_scenario
 from reprtrace.strategies import StrategyKind
 from test_golden import GOLDEN, SCENARIOS, SEEDS, run_digest
-from test_simulator import small_workload
 
 KINDS = [k.value for k in StrategyKind]
 
@@ -74,32 +72,14 @@ def test_dropped_run_is_freed_before_the_next_kind_steps(monkeypatch):
     assert len(runs) == len(sims) == len(KINDS)
 
 
-def test_one_kind_records_no_tape(monkeypatch):
-    def no_tape(_n_types):
+def test_one_kind_records_nothing(monkeypatch):
+    def refuse(*_args):
         raise AssertionError("a single kind has nothing to replay to")
 
-    monkeypatch.setattr(simulator, "_Tape", no_tape)
+    monkeypatch.setattr(simulator, "array", refuse)
     model, workload = SCENARIOS["loaded"]()
     (run,) = run_matrix(model, workload, ["ADP"], 2)
     assert run_digest(run) == GOLDEN[("loaded", "ADP", 2)]
-
-
-def test_type_indices_past_16_bits_replay():
-    # Almost all weight on the last type, whose index does not fit in 16 bits.
-    n_types = 0x10001
-    types = tuple(
-        RequestTypeSpec(f"/t{i}", weight=1e-9 if i < n_types - 1 else 1.0, base_rt=50.0,
-                        rt_dispersion=0.2, base_mem=100.0, mem_dispersion=0.2)
-        for i in range(n_types)
-    )
-    model, _ = SCENARIOS["small"]()
-    model = replace(model, types=types)
-    workload = small_workload(duration=2)
-    got = [run_digest(run) for run in run_matrix(model, workload, ["UNI", "FUM"], 3)]
-    want = [run_digest(run_scenario(model, workload, kind, 3)) for kind in ("UNI", "FUM")]
-    assert got == want
-    assert any(t.event.type_id == f"/t{n_types - 1}"
-               for t in run_scenario(model, workload, "FUM", 3).traces)
 
 
 def test_unknown_kind_fails_before_any_run(monkeypatch):
