@@ -11,7 +11,6 @@ from .errors import InsufficientDataError, MissingTypeError, ParameterError, Sce
 from .model import (
     FrequencyTable,
     PerformanceRecord,
-    PerformanceReferenceTable,
     ReleasedSample,
     RequestEvent,
     SamplerConfig,
@@ -37,7 +36,6 @@ from .simulator import (
 )
 from .report import (
     ComparisonReport,
-    LoadedRun,
     StrategySummary,
     load_run,
     rmse,

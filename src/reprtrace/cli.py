@@ -23,7 +23,8 @@ from typing import Iterable, Optional
 
 from .errors import ParameterError, ScenarioError
 from .report import RunSummary, load_run, save_run, summarize_run, write_report
-from .scenario import Scenario, default_scenario, load_scenario, parse_scenario, scenario_to_dict
+from .scenario import (Scenario, _unique, default_scenario, load_scenario, parse_scenario,
+                       scenario_to_dict)
 from .simulator import run_matrix, run_scenario
 from .strategies import StrategyKind
 
@@ -38,13 +39,15 @@ def _parse_seeds(text: str) -> list[int]:
         if not part:
             continue
         if "-" in part[1:]:
-            lo, _, hi = part.partition("-")
-            seeds.extend(range(int(lo), int(hi) + 1))
+            lo, hi = map(int, part.split("-", 1))
+            if hi < lo:
+                raise ScenarioError(f"--seeds: range {part!r} runs backwards")
+            seeds.extend(range(lo, hi + 1))
         else:
             seeds.append(int(part))
     if not seeds:
         raise ScenarioError(f"no seeds in {text!r}")
-    return seeds
+    return _unique(seeds, "seed", "--seeds")
 
 
 def _load(scenario_path: Optional[str]) -> Scenario:
@@ -125,6 +128,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     strategies = [StrategyKind(s.strip()).value for s in args.strategies.split(",") if s.strip()]
     if not strategies:
         raise ScenarioError("no strategies given")
+    _unique(strategies, "strategy", "--strategies")
     if args.seeds is not None:
         seeds = _parse_seeds(args.seeds)
     elif scenario.seeds:

@@ -4,18 +4,16 @@ from __future__ import annotations
 
 import csv
 import io
-from collections import deque
 from dataclasses import dataclass
 from math import inf
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 __all__ = [
     "RequestEvent",
     "TraceRecord",
     "FrequencyTable",
     "PerformanceRecord",
-    "PerformanceReferenceTable",
     "SamplerConfig",
     "ReleasedSample",
     "TRACE_FIELDS",
@@ -57,7 +55,6 @@ class TraceRecord:
 
     event: RequestEvent
     cycle_index: int
-    recorded_at: int
 
     def __post_init__(self) -> None:
         if self.cycle_index < 0:
@@ -91,12 +88,6 @@ class FrequencyTable:
             return 0.0
         return self.counts.get(type_id, 0) / self.total
 
-    def copy(self) -> "FrequencyTable":
-        dup = FrequencyTable()
-        dup.counts = dict(self.counts)
-        dup.total = self.total
-        return dup
-
     def __len__(self) -> int:
         return len(self.counts)
 
@@ -124,32 +115,6 @@ class PerformanceRecord:
                 raise ValueError(
                     f"mean response time of {type_id!r} must be finite and >= 0, got {rt}"
                 )
-
-
-class PerformanceReferenceTable:
-    """Bounded FIFO history of performance records.
-
-    Appending beyond capacity evicts the oldest record; insertion order of
-    survivors is preserved.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self._records: deque[PerformanceRecord] = deque(maxlen=capacity)
-
-    @property
-    def capacity(self) -> int:
-        return self._records.maxlen or 0
-
-    def add(self, record: PerformanceRecord) -> None:
-        self._records.append(record)
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self) -> Iterator[PerformanceRecord]:
-        return iter(self._records)
 
 
 @dataclass(slots=True)
@@ -277,7 +242,5 @@ def read_trace_file(path: str | Path) -> list[TraceRecord]:
                 response_time=float(response_time),
                 memory_delta=float(memory_delta),
             )
-            records.append(
-                TraceRecord(event=event, cycle_index=int(cycle_index), recorded_at=int(start))
-            )
+            records.append(TraceRecord(event=event, cycle_index=int(cycle_index)))
     return records

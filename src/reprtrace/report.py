@@ -11,10 +11,13 @@ Output files (format version 1, stable field order):
 * ``distribution.csv`` - request-type shares of the collected traces,
   one percentage column per strategy with traces.
 
-The report reads each run through ``summarize_run``: the per-second
-series, per-type memory means and trace counts, and the release rows.
-``reprtrace compare`` reduces each run in the process that simulated it,
-so only these small records reach the report.
+The report reads each run as a ``RunSummary``: the per-second series,
+per-type memory means and trace counts, and the release rows.
+``summarize_run`` reduces a run in memory; ``reprtrace compare`` calls it
+in the process that simulated each run, so only these small records reach
+the report.  ``load_run`` makes the same reduction from a saved run
+directory: it parses ``series.csv``, tallies ``traces.txt`` and takes the
+release rows from ``run.json``.
 
 Negative memory measurements (garbage-collection artifacts) are discarded
 identically from the ground truth and from every strategy's sample before
@@ -31,8 +34,8 @@ from pathlib import Path
 from statistics import mean, stdev
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
-from .errors import InsufficientDataError, MissingTypeError
-from .model import RequestEvent, SamplerConfig, TraceRecord, read_trace_file, write_trace_file
+from .errors import InsufficientDataError, MissingTypeError, ParameterError
+from .model import RequestEvent, read_trace_file, write_trace_file
 from .simulator import RunResult, SecondStats
 from .strategies import StrategyKind
 
@@ -44,7 +47,6 @@ __all__ = [
     "sampling_rate_stats",
     "save_run",
     "load_run",
-    "LoadedRun",
     "RunSummary",
     "summarize_run",
     "StrategySummary",
@@ -111,14 +113,14 @@ def type_memory_means(events: Iterable[RequestEvent]) -> dict[str, float]:
     return _type_tallies(events)[0]
 
 
-def throughput_stats(run: "RunResult | LoadedRun | RunSummary") -> float:
+def throughput_stats(run: "RunResult | RunSummary") -> float:
     """Mean requests per second over the run."""
     if not run.seconds:
         raise InsufficientDataError("run has no per-second series")
     return mean(row.throughput for row in run.seconds)
 
 
-def sampling_rate_stats(run: "RunResult | LoadedRun | RunSummary") -> float:
+def sampling_rate_stats(run: "RunResult | RunSummary") -> float:
     """Mean of the per-second sampling-rate series."""
     if not run.seconds:
         raise InsufficientDataError("run has no per-second series")
@@ -173,46 +175,6 @@ def save_run(run: RunResult, run_dir: str | Path) -> Path:
     return run_dir
 
 
-@dataclass
-class LoadedRun:
-    """A run reloaded from disk; events are not persisted, only their count."""
-
-    strategy: StrategyKind
-    seed: int
-    seconds: list[SecondStats]
-    traces: list[TraceRecord]
-    release_meta: list[dict]
-    event_count: int
-    config: SamplerConfig
-
-
-def load_run(run_dir: str | Path) -> LoadedRun:
-    run_dir = Path(run_dir)
-    meta = json.loads((run_dir / "run.json").read_text())
-    seconds: list[SecondStats] = []
-    with open(run_dir / "series.csv", newline="") as handle:
-        for row in csv.DictReader(handle):
-            seconds.append(
-                SecondStats(
-                    second=int(row["second"]),
-                    users=int(row["users"]),
-                    throughput=int(row["throughput"]),
-                    sampling_rate=float(row["sampling_rate"]),
-                    monitoring_enabled=bool(int(row["monitoring_enabled"])),
-                )
-            )
-    traces = read_trace_file(run_dir / "traces.txt")
-    return LoadedRun(
-        strategy=StrategyKind(meta["strategy"]),
-        seed=int(meta["seed"]),
-        seconds=seconds,
-        traces=traces,
-        release_meta=meta.get("releases", []),
-        event_count=int(meta.get("event_count", 0)),
-        config=SamplerConfig(**meta.get("sampler", {})),
-    )
-
-
 class RunSummary(NamedTuple):
     """The part of one run that the report reads; small enough to pickle cheaply.
 
@@ -230,22 +192,46 @@ class RunSummary(NamedTuple):
     release_meta: list[dict]
 
 
-def summarize_run(run: Union[RunResult, LoadedRun, RunSummary]) -> RunSummary:
+def load_run(run_dir: str | Path) -> RunSummary:
+    """Reduce a run saved by ``save_run`` to what ``write_report`` needs."""
+    run_dir = Path(run_dir)
+    meta = json.loads((run_dir / "run.json").read_text())
+    seconds: list[SecondStats] = []
+    with open(run_dir / "series.csv", newline="") as handle:
+        for row in csv.DictReader(handle):
+            seconds.append(
+                SecondStats(
+                    second=int(row["second"]),
+                    users=int(row["users"]),
+                    throughput=int(row["throughput"]),
+                    sampling_rate=float(row["sampling_rate"]),
+                    monitoring_enabled=bool(int(row["monitoring_enabled"])),
+                )
+            )
+    traces = read_trace_file(run_dir / "traces.txt")
+    memory_means, type_counts = _type_tallies(t.event for t in traces)
+    return RunSummary(
+        strategy=StrategyKind(meta["strategy"]),
+        seed=int(meta["seed"]),
+        seconds=seconds,
+        memory_means=memory_means,
+        type_counts=type_counts,
+        release_meta=meta.get("releases", []),
+    )
+
+
+def summarize_run(run: Union[RunResult, RunSummary]) -> RunSummary:
     """Reduce a run to what ``write_report`` needs, in one pass over its traces."""
     if isinstance(run, RunSummary):
         return run
     memory_means, type_counts = _type_tallies(t.event for t in run.traces)
-    releases = (
-        run.release_meta if isinstance(run, LoadedRun)
-        else [_release_meta(rel) for rel in run.releases]
-    )
     return RunSummary(
         strategy=run.strategy,
         seed=run.seed,
         seconds=run.seconds,
         memory_means=memory_means,
         type_counts=type_counts,
-        release_meta=releases,
+        release_meta=[_release_meta(rel) for rel in run.releases],
     )
 
 
@@ -282,7 +268,7 @@ def _sd(values: list[float]) -> float:
 
 
 def write_report(
-    runs: Iterable[Union[RunResult, LoadedRun, RunSummary]],
+    runs: Iterable[Union[RunResult, RunSummary]],
     out_dir: str | Path,
     strict: bool = False,
 ) -> ComparisonReport:
@@ -290,6 +276,8 @@ def write_report(
 
     Consumes ``runs`` one at a time and reduces each with
     ``summarize_run``, so a generator keeps peak memory at a single run.
+    Each (strategy, seed) may appear once; a second run of it raises
+    ``ParameterError``.
     RMSE is computed per seed against the FUM run of the same seed;
     without FUM ground truth the RMSE columns are omitted with a warning.
     """
@@ -307,6 +295,8 @@ def write_report(
     for run in runs:
         summary = summarize_run(run)
         kind, seed = summary.strategy, summary.seed
+        if (kind, seed) in mem_means:
+            raise ParameterError(f"two runs of {kind.value} seed {seed}")
         tr = throughput_stats(summary)
         sr = sampling_rate_stats(summary)
         per_strategy.setdefault(kind, []).append((seed, tr, sr))

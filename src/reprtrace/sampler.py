@@ -15,6 +15,7 @@ Three cooperating activities run per monitoring cycle:
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -24,7 +25,6 @@ from .model import (
     RELEASE_TIMEOUT,
     FrequencyTable,
     PerformanceRecord,
-    PerformanceReferenceTable,
     ReleasedSample,
     RequestEvent,
     SamplerConfig,
@@ -126,7 +126,7 @@ class AdaptiveMonitor:
         self.sample_traces: list[TraceRecord] = []
         self.population_rt_sum: float = 0.0
         self.population_rt_count: int = 0
-        self.perf_ref = PerformanceReferenceTable(config.history_capacity)
+        self.perf_ref: deque[PerformanceRecord] = deque(maxlen=config.history_capacity)
         self.cycle_start: float = start_time
         self.cycle_index: int = 0
         self.events: list[SamplerEvent] = []
@@ -173,7 +173,7 @@ class AdaptiveMonitor:
             if pop_prop < samp_prop - self.config.epsilon:
                 return False
         sample.add(type_id)
-        self.sample_traces.append(TraceRecord(request, self.cycle_index, request.start))
+        self.sample_traces.append(TraceRecord(request, self.cycle_index))
         n = sample_total + 1
         delta = response_time - self._sample_rt_mean
         self._sample_rt_mean += delta / n
@@ -183,7 +183,7 @@ class AdaptiveMonitor:
     # --- activity 2: rate adaptation ---------------------------------------
 
     def record_performance(self, current: PerformanceRecord) -> None:
-        self.perf_ref.add(current)
+        self.perf_ref.append(current)
 
     def adapt_rate(self, current: PerformanceRecord, now: float) -> float:
         """One adaptation step; returns the (possibly updated) rate.

@@ -56,6 +56,16 @@ def _require(mapping: dict, key: str, where: str) -> Any:
     return mapping[key]
 
 
+def _unique(values: list, what: str, where: str) -> list:
+    """``values`` unchanged; ScenarioError names the first repeated one."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ScenarioError(f"{where}: duplicate {what} {value}")
+        seen.add(value)
+    return values
+
+
 def _finite(raw: Any, where: str, keys: Optional[tuple[str, ...]] = None,
             allow_inf: tuple[str, ...] = ()) -> dict:
     """The entries of object ``raw`` (only ``keys``, when given), checked to be
@@ -78,6 +88,8 @@ _SEGMENTS = {
     "burst": (Burst, {"base_users": int, "peak_users": int, "at": float, "width": float,
                       "duration": float}),
 }
+
+_SEGMENT_KINDS = {cls: kind for kind, (cls, _fields) in _SEGMENTS.items()}
 
 
 def _parse_segment(raw: dict, where: str):
@@ -152,6 +164,7 @@ def parse_scenario(raw: dict, source: str = "scenario") -> Scenario:
             raise ScenarioError(f"{source}.seeds: {exc}") from exc
         if not seeds:
             raise ScenarioError(f"{source}.seeds: must be non-empty when given")
+        _unique(seeds, "seed", f"{source}.seeds")
     out = raw.get("out")
     strict = raw.get("strict")
     if strict is not None:
@@ -181,14 +194,6 @@ def load_scenario(path: str | Path) -> Scenario:
     return parse_scenario(raw, source=str(path))
 
 
-def _segment_to_dict(seg) -> dict:
-    if isinstance(seg, Stationary):
-        return {"kind": "stationary", **asdict(seg)}
-    if isinstance(seg, Seasonal):
-        return {"kind": "seasonal", **asdict(seg)}
-    return {"kind": "burst", **asdict(seg)}
-
-
 def scenario_to_dict(scenario: Scenario) -> dict:
     model = scenario.model
     return {
@@ -196,7 +201,8 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             **{key: getattr(model, key) for key in _MODEL_KEYS},
             "types": [asdict(spec) for spec in model.types],
         },
-        "workload": [_segment_to_dict(seg) for seg in scenario.workload.segments],
+        "workload": [{"kind": _SEGMENT_KINDS[type(seg)], **asdict(seg)}
+                     for seg in scenario.workload.segments],
         "sampler": asdict(scenario.sampler),
         "strategy": scenario.strategy.value if scenario.strategy else None,
         "seed": scenario.seed,

@@ -47,7 +47,7 @@ from .model import (
     TraceRecord,
 )
 from .sampler import SamplerEvent
-from .strategies import AdaptiveStrategy, Strategy, StrategyKind, make_strategy
+from .strategies import Strategy, StrategyKind, make_strategy
 
 __all__ = [
     "RequestTypeSpec",
@@ -403,7 +403,9 @@ class Simulation:
         completed_before = len(events)
         append_event = events.append
         append_trace = self.traces.append
-        monitor = strategy.monitor if isinstance(strategy, AdaptiveStrategy) else None
+        # The cycle advances only on a tick or by the release an accept
+        # triggers, after its trace is decided: re-read it after each trace.
+        cycle_index = strategy.cycle_index
         for idx, base_rt, mem in offered:
             if spent >= budget:
                 break
@@ -412,15 +414,13 @@ class Simulation:
             type_id = type_ids[idx]
             response_time = base_rt * slowdown
             event = RequestEvent(type_id, start, response_time, mem)
-            # Cycle index at decision time; a release triggered by this very
-            # accept advances the monitor's counter afterwards.
-            cycle_index = monitor.cycle_index if monitor is not None else 0
             traced = decide(event, start / 1000.0, decision_rng)
             spent += response_time
             if traced:
                 spent += trace_cost
                 traced_ms += trace_cost
-                append_trace(TraceRecord(event, cycle_index, start))
+                append_trace(TraceRecord(event, cycle_index))
+                cycle_index = strategy.cycle_index
             append_event(event)
             rt_sum[idx] += response_time
             rt_count[idx] += 1

@@ -39,9 +39,14 @@ class StrategyKind(str, Enum):
 
 
 class Strategy:
-    """Per-request decision plus a periodic tick, selected by kind."""
+    """Per-request decision plus a periodic tick, selected by kind.
+
+    ``cycle_index`` is the monitoring cycle of a trace accepted now (0 but
+    for ADP); it advances only in ``on_tick`` or after an accept.
+    """
 
     kind: StrategyKind
+    cycle_index: int = 0
 
     def decide(self, request: RequestEvent, now: float, rng) -> bool:
         raise NotImplementedError
@@ -83,6 +88,10 @@ class AdaptiveStrategy(Strategy):
         released = self.monitor.on_tick(now, record)
         if released is not None:
             self._releases.append(released)
+
+    @property
+    def cycle_index(self) -> int:
+        return self.monitor.cycle_index
 
     @property
     def rate(self) -> float:

@@ -140,6 +140,20 @@ class TestCompare:
         names = sorted(p.name for p in (out / "runs").iterdir())
         assert names == ["NOM_s1", "NOM_s2", "NOM_s3", "NOM_s7"]
 
+    @pytest.mark.parametrize("seeds, strategies, message", [
+        ("1,5-3", "NOM", "--seeds: range '5-3' runs backwards"),
+        ("1,1", "NOM", "--seeds: duplicate seed 1"),
+        ("2,1-3", "NOM", "--seeds: duplicate seed 2"),
+        ("1", "UNI,UNI,FUM", "--strategies: duplicate strategy UNI"),
+    ])
+    def test_bad_matrix_rejected_before_any_job(self, tiny_scenario, tmp_path, capsys,
+                                                seeds, strategies, message):
+        out = tmp_path / "cmp"
+        assert main(["compare", "--scenario", str(tiny_scenario), "--strategies", strategies,
+                     "--seeds", seeds, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_parallel_matches_serial(self, tiny_scenario, tmp_path, monkeypatch):
         serial = tmp_path / "serial"
         parallel = tmp_path / "parallel"
@@ -289,6 +303,13 @@ class TestReport:
         assert main(["report", "--in", str(runs_dir), "--out", str(out)]) == 0
         assert (out / "summary.csv").exists()
 
+    def test_two_copies_of_a_run_rejected(self, tmp_path, capsys):
+        for copy in ("a", "b"):
+            for run in _comparison_runs():
+                save_run(run, tmp_path / copy / f"{run.strategy.value}_s{run.seed}")
+        assert main(["report", "--in", str(tmp_path), "--out", str(tmp_path / "r")]) == 2
+        assert "two runs of" in capsys.readouterr().err
+
     def test_empty_input_dir(self, tmp_path):
         (tmp_path / "runs").mkdir()
         assert main(["report", "--in", str(tmp_path / "runs"),
@@ -365,6 +386,14 @@ class TestScenarioRoundTrip:
                      "--strategies", "NOM,FUM"]) == 0
         names = sorted(p.name for p in (tmp_path / "from-file" / "runs").iterdir())
         assert names == ["FUM_s2", "FUM_s5", "NOM_s2", "NOM_s5"]
+
+    def test_duplicate_file_seed_names_key_path(self, tmp_path, capsys):
+        raw = json.loads(json.dumps(TINY_SCENARIO))
+        raw["seeds"] = [2, 5, 2]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate", "--scenario", str(path)]) == 2
+        assert f"{path}.seeds: duplicate seed 2" in capsys.readouterr().err
 
     def test_flag_seeds_override_file_seeds(self, tmp_path):
         raw = json.loads(json.dumps(TINY_SCENARIO))

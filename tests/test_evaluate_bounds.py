@@ -110,7 +110,7 @@ def test_t_stage_verdict_matches_exact_p_value(n, age, scale, sign):
     monitor = AdaptiveMonitor(CONFIG)
     monitor.population = table_from({"/a": n})
     monitor.sample = table_from({"/a": n})
-    monitor.sample_traces = [TraceRecord(make_event("/a", start=i), 0, i) for i in range(n)]
+    monitor.sample_traces = [TraceRecord(make_event("/a", start=i), 0) for i in range(n)]
     monitor.population_rt_sum = mu0 * n
     monitor.population_rt_count = n
     monitor._sample_rt_mean = mean

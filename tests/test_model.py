@@ -10,7 +10,6 @@ from conftest import make_event, table_from
 from reprtrace.model import (
     FrequencyTable,
     PerformanceRecord,
-    PerformanceReferenceTable,
     ReleasedSample,
     RequestEvent,
     SamplerConfig,
@@ -63,34 +62,6 @@ class TestFrequencyTable:
                 table.add(rng.choice("abcdef"))
             assert table.total == sum(table.counts.values())
 
-    def test_copy_is_independent(self):
-        table = table_from({"/a": 2})
-        dup = table.copy()
-        dup.add("/a")
-        assert table.count("/a") == 2
-        assert dup.count("/a") == 3
-
-
-class TestPerformanceReferenceTable:
-    def test_eviction_keeps_most_recent(self):
-        table = PerformanceReferenceTable(capacity=3)
-        records = [PerformanceRecord(rps=float(i), mean_rt={}, monitoring_enabled=True)
-                   for i in range(5)]
-        for record in records:
-            table.add(record)
-        assert len(table) == 3
-        assert [r.rps for r in table] == [2.0, 3.0, 4.0]
-
-    def test_single_record(self):
-        table = PerformanceReferenceTable(capacity=60)
-        table.add(PerformanceRecord(rps=10.0, mean_rt={"/a": 5.0}, monitoring_enabled=False))
-        assert len(table) == 1
-        assert next(iter(table)).monitoring_enabled is False
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            PerformanceReferenceTable(capacity=0)
-
 
 class TestValidation:
     def test_event_requires_type(self):
@@ -127,7 +98,7 @@ class TestValidation:
 
     def test_trace_record_cycle_index(self):
         with pytest.raises(ValueError):
-            TraceRecord(event=make_event(), cycle_index=-1, recorded_at=0)
+            TraceRecord(event=make_event(), cycle_index=-1)
 
     def test_performance_record_bounds(self):
         with pytest.raises(ValueError):
@@ -169,7 +140,7 @@ class TestValidation:
 
 class TestReleasedSample:
     def _traces(self, n):
-        return [TraceRecord(event=make_event(start=i), cycle_index=0, recorded_at=i)
+        return [TraceRecord(event=make_event(start=i), cycle_index=0)
                 for i in range(n)]
 
     def test_totals_must_match(self):
@@ -219,11 +190,11 @@ class TestTraceFile:
     def test_round_trip(self, tmp_path):
         records = [
             TraceRecord(event=make_event("/home", start=10, rt=12.5, mem=64.0),
-                        cycle_index=0, recorded_at=10),
+                        cycle_index=0),
             TraceRecord(event=make_event("/vets", start=2075, rt=200.125, mem=-31.5),
-                        cycle_index=3, recorded_at=2075),
+                        cycle_index=3),
             TraceRecord(event=make_event("odd,type", start=9000, rt=0.0, mem=0.0),
-                        cycle_index=4, recorded_at=9000),
+                        cycle_index=4),
         ]
         path = tmp_path / "traces.txt"
         write_trace_file(path, records)
@@ -241,7 +212,7 @@ class TestTraceFile:
         write_trace_file(
             path,
             [TraceRecord(event=make_event("/x", start=5, rt=7.0, mem=9.0),
-                         cycle_index=2, recorded_at=5)],
+                         cycle_index=2)],
         )
         line = path.read_text().strip()
         assert line.split(",")[:3] == ["2", "/x", "5"]
@@ -253,7 +224,7 @@ class TestTraceFile:
     def test_bytes_equal_csv_writer(self, tmp_path, type_id):
         records = [
             TraceRecord(event=make_event(tid, start=start, rt=rt, mem=mem),
-                        cycle_index=cycle, recorded_at=start)
+                        cycle_index=cycle)
             for tid, start, rt, mem, cycle in [
                 (type_id, 0, 0.1 + 0.2, -1e-300, 0),
                 ("/plain", 7, 12.5, 64.0, 0),

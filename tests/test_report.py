@@ -1,15 +1,16 @@
 """Metrics and report tests: RMSE, stats, artifacts, comparison CSVs."""
 
 import csv
+import json
 import random
 
 import pytest
 
 from conftest import make_event
-from reprtrace.errors import InsufficientDataError, MissingTypeError
+from reprtrace.errors import InsufficientDataError, MissingTypeError, ParameterError
 from reprtrace.model import SamplerConfig, TraceRecord
 from reprtrace.report import (
-    LoadedRun,
+    RunSummary,
     load_run,
     rmse,
     sampling_rate_stats,
@@ -97,7 +98,7 @@ def _traces(spec, start=0):
     """spec: list of (type_id, mem) pairs."""
     return [
         TraceRecord(event=make_event(type_id, start=start + i, mem=mem),
-                    cycle_index=0, recorded_at=start + i)
+                    cycle_index=0)
         for i, (type_id, mem) in enumerate(spec)
     ]
 
@@ -127,14 +128,15 @@ class TestSaveLoad:
         run = _run(StrategyKind.UNI, 3, [50, 60, 70], [0.5, 0.5, 0.5], traces=traces)
         save_run(run, tmp_path / "UNI_s3")
         loaded = load_run(tmp_path / "UNI_s3")
-        assert isinstance(loaded, LoadedRun)
+        assert isinstance(loaded, RunSummary)
         assert loaded.strategy is StrategyKind.UNI
         assert loaded.seed == 3
         assert loaded.seconds == run.seconds
-        assert len(loaded.traces) == 3
-        assert loaded.traces[1].event.memory_delta == -50.0
-        assert loaded.event_count == 3
-        assert loaded.config == run.config
+        assert loaded.type_counts == {"/a": 2, "/b": 1}
+        assert loaded.memory_means == {"/a": 110.0}
+        meta = json.loads((tmp_path / "UNI_s3" / "run.json").read_text())
+        assert meta["event_count"] == 3
+        assert SamplerConfig(**meta["sampler"]) == run.config
 
 
 class TestSummarizeRun:
@@ -253,6 +255,11 @@ class TestWriteReport:
     def test_accepts_generator_input(self, tmp_path):
         report = write_report(iter(_comparison_runs()), tmp_path)
         assert len(report.rows) == 4
+
+    def test_second_run_of_a_strategy_and_seed_rejected(self, tmp_path):
+        runs = _comparison_runs()
+        with pytest.raises(ParameterError, match="UNI seed 1"):
+            write_report(runs + [runs[2]], tmp_path)
 
     def test_no_runs_rejected(self, tmp_path):
         with pytest.raises(InsufficientDataError):

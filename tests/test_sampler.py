@@ -9,7 +9,6 @@ from conftest import AlwaysRng, NeverRng, ScriptRng, make_event, table_from
 from reprtrace.errors import InsufficientDataError, ParameterError
 from reprtrace.model import (
     PerformanceRecord,
-    PerformanceReferenceTable,
     SamplerConfig,
     FrequencyTable,
 )
@@ -196,6 +195,15 @@ TIGHT = {"/a": 100.0, "/b": 101.0, "/c": 99.0, "/d": 100.5, "/e": 99.5, "/f": 10
 
 
 class TestAdaptRate:
+    def test_eviction_keeps_most_recent(self):
+        monitor = AdaptiveMonitor(SamplerConfig(history_capacity=3))
+        records = [PerformanceRecord(rps=float(i), mean_rt={}, monitoring_enabled=True)
+                   for i in range(5)]
+        for rec in records:
+            monitor.record_performance(rec)
+        assert len(monitor.perf_ref) == 3
+        assert [r.rps for r in monitor.perf_ref] == [2.0, 3.0, 4.0]
+
     def test_reference_example_keeps_rate(self, config):
         monitor = AdaptiveMonitor(config)
         monitor.monitoring_enabled = False
@@ -364,7 +372,7 @@ class TestEvaluateSample:
         rts = [79.0, 81.0] * 150
         monitor.sample_traces = [
             TraceRecord(event=make_event("/a" if i < 210 else "/b", start=i, rt=rts[i]),
-                        cycle_index=0, recorded_at=i)
+                        cycle_index=0)
             for i in range(300)
         ]
         monitor._sample_rt_mean = 80.0

@@ -48,6 +48,12 @@ class TestFixedStrategies:
             strategy.on_tick(perf(100), 1.0)
             assert strategy.drain_releases() == []
 
+    def test_cycle_index_stays_zero(self):
+        for strategy in (NoMonitoringStrategy(), FullMonitoringStrategy(), UniformStrategy(),
+                         InverseThroughputStrategy(SamplerConfig())):
+            strategy.on_tick(perf(100), 200.0)
+            assert strategy.cycle_index == 0
+
 
 class TestInverseThroughput:
     def test_rate_at_reference_is_max(self, config):
@@ -129,6 +135,14 @@ class TestAdaptiveStrategy:
         assert releases, "identical population should have released at least once"
         assert strategy.drain_releases() == []
 
+    def test_cycle_index_follows_the_monitor(self, config):
+        strategy = AdaptiveStrategy(config)
+        assert strategy.cycle_index == 0
+        strategy.decide(make_event("/a"), 0.01, AlwaysRng())
+        strategy.on_tick(perf(10), config.max_cycle_length + 1.0)
+        assert [r.cycle_index for r in strategy.drain_releases()] == [0]
+        assert strategy.cycle_index == strategy.monitor.cycle_index == 1
+
     def test_events_are_drained(self, config):
         strategy = AdaptiveStrategy(config)
         strategy.decide(make_event("/a"), 0.01, AlwaysRng())
@@ -150,9 +164,9 @@ class TestFactory:
         ],
     )
     def test_make_strategy(self, kind, cls, config):
-        strategy = make_strategy(kind, config)
-        assert isinstance(strategy, cls)
-        assert strategy.kind is kind
+        made = make_strategy(kind, config)
+        assert isinstance(made, cls)
+        assert made.kind is kind
 
     def test_make_strategy_from_string(self, config):
         assert make_strategy("NOM", config).kind is StrategyKind.NOM
