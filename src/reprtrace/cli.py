@@ -22,7 +22,8 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from .errors import ParameterError, ScenarioError
-from .report import RunSummary, load_run, save_run, summarize_run, write_report
+from .report import (ComparisonReport, RunSummary, load_run, save_run, summarize_run,
+                     write_report)
 from .scenario import (Scenario, _unique, default_scenario, load_scenario, parse_scenario,
                        scenario_to_dict)
 from .simulator import run_matrix, run_scenario
@@ -38,13 +39,19 @@ def _parse_seeds(text: str) -> list[int]:
         part = part.strip()
         if not part:
             continue
-        if "-" in part[1:]:
-            lo, hi = map(int, part.split("-", 1))
-            if hi < lo:
-                raise ScenarioError(f"--seeds: range {part!r} runs backwards")
-            seeds.extend(range(lo, hi + 1))
-        else:
-            seeds.append(int(part))
+        # A range splits at its first "-" after the first character, so
+        # "-3-5" runs from -3 to 5 and "-3" is one seed.
+        dash = part.find("-", 1)
+        try:
+            if dash < 0:
+                lo = hi = int(part)
+            else:
+                lo, hi = int(part[:dash]), int(part[dash + 1:])
+        except ValueError:
+            raise ScenarioError(f"--seeds: {part!r} is not an integer or a range") from None
+        if hi < lo:
+            raise ScenarioError(f"--seeds: range {part!r} runs backwards")
+        seeds.extend(range(lo, hi + 1))
     if not seeds:
         raise ScenarioError(f"no seeds in {text!r}")
     return _unique(seeds, "seed", "--seeds")
@@ -94,6 +101,18 @@ def _compare_job(payload: tuple[dict, int, list[str], str]) -> list[RunSummary]:
     return summaries
 
 
+def _finish(report: ComparisonReport, n_runs: int, strict: bool) -> int:
+    """Print the report's warnings and where it went; under ``--strict``
+    any warning (missing ground truth, a type the sample lacks) exits 1."""
+    for warning in report.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    print(f"{n_runs} runs -> {report.out_dir / 'summary.csv'}")
+    if strict and report.warnings:
+        print("strict mode: failing on report warnings", file=sys.stderr)
+        return 1
+    return 0
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
     scenario = _load(args.scenario)
     n_types = len(scenario.model.types)
@@ -136,11 +155,15 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     else:
         seeds = list(range(1, 11))
     strict = bool(args.strict or scenario.strict)
+    threads_text = os.environ.get("REPRTRACE_THREADS", "1") or "1"
+    try:
+        threads = max(1, int(threads_text))
+    except ValueError:
+        raise ScenarioError(f"REPRTRACE_THREADS: {threads_text!r} is not an integer") from None
     out_dir = Path(args.out if args.out is not None else (scenario.out or "reprtrace-out"))
     _echo_config(out_dir, scenario,
                  {"command": "compare", "strategies": strategies, "seeds": seeds,
                   "strict": strict})
-    threads = max(1, int(os.environ.get("REPRTRACE_THREADS", "1") or "1"))
     raw = scenario_to_dict(scenario)
     payloads = [(raw, seed, group, str(out_dir))
                 for seed, group in _compare_groups(strategies, seeds, threads)]
@@ -152,14 +175,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     else:
         summaries = (s for payload in payloads for s in _compare_job(payload))
 
-    report = write_report(summaries, out_dir / "report", strict=strict)
-    for warning in report.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    print(f"{len(strategies) * len(seeds)} runs -> {report.out_dir / 'summary.csv'}")
-    if strict and report.strict_failures:
-        print("strict mode: failing on report warnings", file=sys.stderr)
-        return 1
-    return 0
+    report = write_report(summaries, out_dir / "report")
+    return _finish(report, len(strategies) * len(seeds), strict)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -168,14 +185,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if not run_dirs:
         raise ScenarioError(f"no run artifacts (run.json) found under {in_dir}")
     runs = (load_run(d) for d in run_dirs)
-    report = write_report(runs, Path(args.out), strict=bool(args.strict))
-    for warning in report.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    print(f"{len(run_dirs)} runs -> {report.out_dir / 'summary.csv'}")
-    if args.strict and report.strict_failures:
-        print("strict mode: failing on report warnings", file=sys.stderr)
-        return 1
-    return 0
+    report = write_report(runs, Path(args.out))
+    return _finish(report, len(run_dirs), args.strict)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -19,6 +19,11 @@ the report.  ``load_run`` makes the same reduction from a saved run
 directory: it parses ``series.csv``, tallies ``traces.txt`` and takes the
 release rows from ``run.json``.
 
+``write_report`` reads every run before it writes: a duplicate run, an
+empty series, an empty FUM ground truth or no runs at all raise with no
+file written.  Each run's RMSE is taken once, against the FUM run of the
+same seed, over the request types both hold.
+
 Negative memory measurements (garbage-collection artifacts) are discarded
 identically from the ground truth and from every strategy's sample before
 any mean is formed.
@@ -27,6 +32,7 @@ any mean is formed.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -70,10 +76,11 @@ _SERIES_FIELDS = ("second", "users", "throughput", "sampling_rate", "monitoring_
 def rmse(ground: Mapping[str, float], sampled: Mapping[str, float]) -> float:
     """Root-mean-square error between per-type mean memory values.
 
-    Both mappings must cover the same request-type set; a type present in
-    the ground truth but absent from the sample makes the error undefined
-    and raises :class:`MissingTypeError` (the report layer falls back to
-    the covered subset and flags the run).
+    Both mappings must cover the same, non-empty request-type set: an
+    empty ground truth raises :class:`InsufficientDataError`, and a type
+    held by one mapping but not the other raises :class:`MissingTypeError`.
+    ``write_report`` passes only the types the sample shares with its
+    ground truth, and reports the ones the sample lacks as lower coverage.
     """
     ground_types = set(ground)
     sampled_types = set(sampled)
@@ -141,22 +148,33 @@ def _release_meta(release) -> dict:
     }
 
 
-def _write_series(path: Path, seconds: Iterable[SecondStats]) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_SERIES_FIELDS)
-        for row in seconds:
-            writer.writerow(
-                [row.second, row.users, row.throughput,
-                 repr(row.sampling_rate), int(row.monitoring_enabled)]
-            )
+def _csv_text(header: Iterable, rows: Iterable[Iterable]) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+def _write_csv(path: Path, header: Iterable, rows: Iterable[Iterable]) -> None:
+    path.write_text(_csv_text(header, rows), newline="")
+
+
+def _series_csv(seconds: Iterable[SecondStats]) -> str:
+    """A run's per-second series as the CSV text of ``series.csv`` and of
+    the report's ``timeseries/`` file."""
+    return _csv_text(
+        _SERIES_FIELDS,
+        ([row.second, row.users, row.throughput, repr(row.sampling_rate),
+          int(row.monitoring_enabled)] for row in seconds),
+    )
 
 
 def save_run(run: RunResult, run_dir: str | Path) -> Path:
     """Persist one run: series.csv, traces.txt and run.json metadata."""
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    _write_series(run_dir / "series.csv", run.seconds)
+    (run_dir / "series.csv").write_text(_series_csv(run.seconds), newline="")
     write_trace_file(run_dir / "traces.txt", run.traces)
     event_counts: dict[str, int] = {}
     for event in run.sampler_events:
@@ -257,50 +275,49 @@ class StrategySummary:
 class ComparisonReport:
     out_dir: Path
     rows: list[StrategySummary]
-    distribution: dict[str, dict[str, float]]
     rmse_by_run: dict[tuple[str, int], float]
     warnings: list[str]
-    strict_failures: list[str]
 
 
 def _sd(values: list[float]) -> float:
     return stdev(values) if len(values) >= 2 else 0.0
 
 
+def _optional(value: Optional[float], spec: str) -> str:
+    return "" if value is None else format(value, spec)
+
+
 def write_report(
     runs: Iterable[Union[RunResult, RunSummary]],
     out_dir: str | Path,
-    strict: bool = False,
 ) -> ComparisonReport:
     """Aggregate runs into the comparison CSVs under ``out_dir``.
 
-    Consumes ``runs`` one at a time and reduces each with
-    ``summarize_run``, so a generator keeps peak memory at a single run.
-    Each (strategy, seed) may appear once; a second run of it raises
-    ``ParameterError``.
-    RMSE is computed per seed against the FUM run of the same seed;
-    without FUM ground truth the RMSE columns are omitted with a warning.
-    """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    series_dir = out_dir / "timeseries"
-    series_dir.mkdir(exist_ok=True)
+    Reads every run before it writes anything. Each run is reduced with
+    ``summarize_run`` and its series rendered to CSV text as it arrives, so
+    a generator keeps at most one full run in memory. A second run of one
+    (strategy, seed) raises ``ParameterError``; no runs, an empty series or
+    a FUM ground truth with no request types raises
+    ``InsufficientDataError``. ``out_dir`` is created only once the whole
+    set has passed, so a report that raises writes no file.
 
-    per_strategy: dict[StrategyKind, list[tuple[int, float, float]]] = {}
-    mem_means: dict[tuple[StrategyKind, int], dict[str, float]] = {}
+    RMSE is computed once per run, against the FUM run of the same seed and
+    over the types both hold. A run without FUM ground truth has no RMSE,
+    and a type the sample lacks lowers its coverage; each adds a warning.
+    """
+    # (strategy, seed) -> (mean throughput, mean sampling rate, memory means)
+    reduced: dict[tuple[StrategyKind, int], tuple[float, float, dict[str, float]]] = {}
+    series: dict[str, str] = {}
     dist_counts: dict[StrategyKind, dict[str, int]] = {}
     cycle_rows: list[list] = []
-    warnings: list[str] = []
-
     for run in runs:
         summary = summarize_run(run)
         kind, seed = summary.strategy, summary.seed
-        if (kind, seed) in mem_means:
+        if (kind, seed) in reduced:
             raise ParameterError(f"two runs of {kind.value} seed {seed}")
-        tr = throughput_stats(summary)
-        sr = sampling_rate_stats(summary)
-        per_strategy.setdefault(kind, []).append((seed, tr, sr))
-        mem_means[(kind, seed)] = summary.memory_means
+        reduced[(kind, seed)] = (throughput_stats(summary), sampling_rate_stats(summary),
+                                 summary.memory_means)
+        series[f"{kind.value}_s{seed}.csv"] = _series_csv(summary.seconds)
         counts = dist_counts.setdefault(kind, {})
         for tid, n in summary.type_counts.items():
             counts[tid] = counts.get(tid, 0) + n
@@ -310,72 +327,57 @@ def write_report(
                  rel["size"], repr(float(rel["length"])), rel["reason"],
                  repr(float(rel["confidence"]))]
             )
-        _write_series(series_dir / f"{kind.value}_s{seed}.csv", summary.seconds)
-
-    if not per_strategy:
+    if not reduced:
         raise InsufficientDataError("no runs to report on")
 
-    # RMSE per run against the same-seed FUM ground truth.
     rmse_by_run: dict[tuple[str, int], float] = {}
     coverage_by_run: dict[tuple[str, int], float] = {}
     missing_by_strategy: dict[StrategyKind, set[str]] = {}
-    strict_failures: list[str] = []
-    fum_seeds = {seed for (kind, seed) in mem_means if kind is StrategyKind.FUM}
-    for kind, entries in sorted(per_strategy.items(), key=lambda kv: kv[0].value):
+    warnings: list[str] = []
+    for kind, seed in sorted(reduced, key=lambda key: key[0].value):
         if kind in (StrategyKind.FUM, StrategyKind.NOM):
             continue
-        for seed, _tr, _sr in entries:
-            if seed not in fum_seeds:
-                msg = f"no FUM ground truth for seed {seed}; RMSE omitted for {kind.value}"
-                warnings.append(msg)
-                strict_failures.append(msg)
+        if (StrategyKind.FUM, seed) not in reduced:
+            warnings.append(f"no FUM ground truth for seed {seed}; RMSE omitted for {kind.value}")
+            continue
+        ground = reduced[(StrategyKind.FUM, seed)][2]
+        sampled = reduced[(kind, seed)][2]
+        if not ground:
+            raise InsufficientDataError(f"ground truth has no request types (FUM seed {seed})")
+        shared = [t for t in ground if t in sampled]
+        if len(shared) < len(ground):
+            missing = sorted(set(ground).difference(sampled))
+            missing_by_strategy.setdefault(kind, set()).update(missing)
+            warnings.append(
+                f"{kind.value} seed {seed}: no valid samples for {missing}; "
+                f"RMSE computed over {len(shared)}/{len(ground)} types"
+            )
+            if not shared:
                 continue
-            ground = mem_means[(StrategyKind.FUM, seed)]
-            sampled = mem_means[(kind, seed)]
-            try:
-                value = rmse(ground, sampled)
-                coverage = 1.0
-            except MissingTypeError:
-                covered = sorted(set(ground) & set(sampled))
-                missing = sorted(set(ground) - set(sampled))
-                missing_by_strategy.setdefault(kind, set()).update(missing)
-                msg = (
-                    f"{kind.value} seed {seed}: no valid samples for {missing}; "
-                    f"RMSE computed over {len(covered)}/{len(ground)} types"
-                )
-                warnings.append(msg)
-                strict_failures.append(msg)
-                if not covered:
-                    continue
-                value = rmse(
-                    {t: ground[t] for t in covered}, {t: sampled[t] for t in covered}
-                )
-                coverage = len(covered) / len(ground)
-            rmse_by_run[(kind.value, seed)] = value
-            coverage_by_run[(kind.value, seed)] = coverage
+        rmse_by_run[(kind.value, seed)] = rmse(
+            {t: ground[t] for t in shared}, {t: sampled[t] for t in shared}
+        )
+        coverage_by_run[(kind.value, seed)] = len(shared) / len(ground)
 
-    nom_entries = per_strategy.get(StrategyKind.NOM)
-    nom_tr = mean(tr for _s, tr, _r in nom_entries) if nom_entries else None
-
+    nom_trs = [tr for (kind, _seed), (tr, _sr, _m) in reduced.items()
+               if kind is StrategyKind.NOM]
+    nom_tr = mean(nom_trs) if nom_trs else None
     rows: list[StrategySummary] = []
     for kind in _STRATEGY_ORDER:
-        entries = per_strategy.get(kind)
-        if not entries:
+        keys = sorted((kind.value, seed) for k, seed in reduced if k is kind)
+        if not keys:
             continue
-        entries.sort()
-        trs = [tr for _s, tr, _r in entries]
-        srs = [sr for _s, _t, sr in entries]
-        rmses = [rmse_by_run[(kind.value, seed)] for seed, _t, _r in entries
-                 if (kind.value, seed) in rmse_by_run]
-        coverages = [coverage_by_run[(kind.value, seed)] for seed, _t, _r in entries
-                     if (kind.value, seed) in coverage_by_run]
+        trs = [reduced[(kind, seed)][0] for _k, seed in keys]
+        srs = [reduced[(kind, seed)][1] for _k, seed in keys]
+        rmses = [rmse_by_run[key] for key in keys if key in rmse_by_run]
+        coverages = [coverage_by_run[key] for key in keys if key in coverage_by_run]
         delta = None
         if nom_tr and kind is not StrategyKind.NOM:
             delta = (mean(trs) - nom_tr) / nom_tr * 100.0
         rows.append(
             StrategySummary(
                 strategy=kind,
-                n_runs=len(entries),
+                n_runs=len(keys),
                 throughput_mean=mean(trs),
                 throughput_sd=_sd(trs),
                 throughput_delta_pct=delta,
@@ -388,61 +390,37 @@ def write_report(
             )
         )
 
-    with open(out_dir / "summary.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["strategy", "n_runs", "throughput_mean", "throughput_sd",
-             "throughput_delta_vs_nom_pct", "sampling_rate_mean", "sampling_rate_sd",
-             "rmse_mean", "rmse_sd", "rmse_coverage", "missing_types"]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    row.strategy.value,
-                    row.n_runs,
-                    f"{row.throughput_mean:.4f}",
-                    f"{row.throughput_sd:.4f}",
-                    "" if row.throughput_delta_pct is None else f"{row.throughput_delta_pct:.2f}",
-                    f"{row.sampling_rate_mean:.6f}",
-                    f"{row.sampling_rate_sd:.6f}",
-                    "" if row.rmse_mean is None else f"{row.rmse_mean:.4f}",
-                    "" if row.rmse_sd is None else f"{row.rmse_sd:.4f}",
-                    "" if row.rmse_coverage is None else f"{row.rmse_coverage:.4f}",
-                    ";".join(row.missing_types),
-                ]
-            )
-
-    with open(out_dir / "cycles.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["strategy", "seed", "cycle_index", "released_at", "size",
-             "length", "reason", "confidence"]
-        )
-        cycle_rows.sort(key=lambda r: (r[0], r[1], r[2]))
-        writer.writerows(cycle_rows)
-
-    distribution: dict[str, dict[str, float]] = {}
-    traced_kinds = [k for k in _STRATEGY_ORDER if dist_counts.get(k)]
-    all_types = sorted({t for counts in dist_counts.values() for t in counts})
-    for tid in all_types:
-        distribution[tid] = {}
-        for kind in traced_kinds:
-            counts = dist_counts[kind]
-            total = sum(counts.values())
-            distribution[tid][kind.value] = counts.get(tid, 0) / total * 100.0
-    with open(out_dir / "distribution.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["request_type"] + [f"{k.value}_pct" for k in traced_kinds])
-        for tid in all_types:
-            writer.writerow(
-                [tid] + [f"{distribution[tid][k.value]:.6f}" for k in traced_kinds]
-            )
-
-    return ComparisonReport(
-        out_dir=out_dir,
-        rows=rows,
-        distribution=distribution,
-        rmse_by_run=rmse_by_run,
-        warnings=warnings,
-        strict_failures=strict_failures,
+    out_dir = Path(out_dir)
+    series_dir = out_dir / "timeseries"
+    series_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in series.items():
+        (series_dir / name).write_text(text, newline="")
+    _write_csv(
+        out_dir / "summary.csv",
+        ["strategy", "n_runs", "throughput_mean", "throughput_sd",
+         "throughput_delta_vs_nom_pct", "sampling_rate_mean", "sampling_rate_sd",
+         "rmse_mean", "rmse_sd", "rmse_coverage", "missing_types"],
+        ([row.strategy.value, row.n_runs, f"{row.throughput_mean:.4f}",
+          f"{row.throughput_sd:.4f}", _optional(row.throughput_delta_pct, ".2f"),
+          f"{row.sampling_rate_mean:.6f}", f"{row.sampling_rate_sd:.6f}",
+          _optional(row.rmse_mean, ".4f"), _optional(row.rmse_sd, ".4f"),
+          _optional(row.rmse_coverage, ".4f"), ";".join(row.missing_types)]
+         for row in rows),
     )
+    cycle_rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    _write_csv(
+        out_dir / "cycles.csv",
+        ["strategy", "seed", "cycle_index", "released_at", "size", "length", "reason",
+         "confidence"],
+        cycle_rows,
+    )
+    traced = {k: sum(dist_counts[k].values()) for k in _STRATEGY_ORDER if dist_counts.get(k)}
+    _write_csv(
+        out_dir / "distribution.csv",
+        ["request_type"] + [f"{k.value}_pct" for k in traced],
+        ([tid] + [f"{dist_counts[k].get(tid, 0) / total * 100.0:.6f}"
+                  for k, total in traced.items()]
+         for tid in sorted({t for counts in dist_counts.values() for t in counts})),
+    )
+    return ComparisonReport(out_dir=out_dir, rows=rows, rmse_by_run=rmse_by_run,
+                            warnings=warnings)

@@ -139,15 +139,30 @@ class TestCompare:
                      "--out", str(out)]) == 0
         names = sorted(p.name for p in (out / "runs").iterdir())
         assert names == ["NOM_s1", "NOM_s2", "NOM_s3", "NOM_s7"]
+        negative = tmp_path / "negative"
+        assert main(["compare", "--scenario", str(tiny_scenario),
+                     "--strategies", "NOM", "--seeds=-2-0",
+                     "--out", str(negative)]) == 0
+        names = sorted(p.name for p in (negative / "runs").iterdir())
+        assert names == ["NOM_s-1", "NOM_s-2", "NOM_s0"]
 
-    @pytest.mark.parametrize("seeds, strategies, message", [
-        ("1,5-3", "NOM", "--seeds: range '5-3' runs backwards"),
-        ("1,1", "NOM", "--seeds: duplicate seed 1"),
-        ("2,1-3", "NOM", "--seeds: duplicate seed 2"),
-        ("1", "UNI,UNI,FUM", "--strategies: duplicate strategy UNI"),
-    ])
+    _BAD_MATRICES = [
+        # seeds, strategies, REPRTRACE_THREADS, message
+        ("1,5-3", "NOM", "1", "--seeds: range '5-3' runs backwards"),
+        ("1,1", "NOM", "1", "--seeds: duplicate seed 1"),
+        ("2,1-3", "NOM", "1", "--seeds: duplicate seed 2"),
+        ("1", "UNI,UNI,FUM", "1", "--strategies: duplicate strategy UNI"),
+        ("1,x", "NOM", "1", "--seeds: 'x' is not an integer or a range"),
+        ("1", "NOM", "two", "REPRTRACE_THREADS: 'two' is not an integer"),
+    ]
+
+    @pytest.mark.parametrize("seeds, strategies, threads, message", _BAD_MATRICES,
+                             ids=[f"{seeds}-{strategies}-{message}"
+                                  for seeds, strategies, _threads, message in _BAD_MATRICES])
     def test_bad_matrix_rejected_before_any_job(self, tiny_scenario, tmp_path, capsys,
-                                                seeds, strategies, message):
+                                                monkeypatch, seeds, strategies, threads,
+                                                message):
+        monkeypatch.setenv("REPRTRACE_THREADS", threads)
         out = tmp_path / "cmp"
         assert main(["compare", "--scenario", str(tiny_scenario), "--strategies", strategies,
                      "--seeds", seeds, "--out", str(out)]) == 2
@@ -309,6 +324,7 @@ class TestReport:
                 save_run(run, tmp_path / copy / f"{run.strategy.value}_s{run.seed}")
         assert main(["report", "--in", str(tmp_path), "--out", str(tmp_path / "r")]) == 2
         assert "two runs of" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_empty_input_dir(self, tmp_path):
         (tmp_path / "runs").mkdir()

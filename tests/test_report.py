@@ -7,6 +7,7 @@ import random
 import pytest
 
 from conftest import make_event
+from reprtrace.cli import main
 from reprtrace.errors import InsufficientDataError, MissingTypeError, ParameterError
 from reprtrace.model import SamplerConfig, TraceRecord
 from reprtrace.report import (
@@ -206,7 +207,6 @@ class TestWriteReport:
     def test_missing_fum_warns_and_omits(self, tmp_path):
         report = write_report(_comparison_runs(include_fum=False), tmp_path)
         assert report.warnings
-        assert report.strict_failures
         assert all(row.rmse_mean is None for row in report.rows)
 
     def test_missing_type_flagged_with_coverage(self, tmp_path):
@@ -220,6 +220,21 @@ class TestWriteReport:
         assert adp.missing_types == ["/c"]
         assert adp.rmse_coverage is not None and adp.rmse_coverage < 1.0
         assert any("/c" in warning for warning in report.warnings)
+
+    def test_type_absent_from_ground_truth_is_not_a_warning(self, tmp_path):
+        runs = _comparison_runs()
+        uni = next(run for run in runs if run.strategy is StrategyKind.UNI and run.seed == 1)
+        uni.traces += _traces([("/d", 70.0)], start=10)
+        report = write_report(runs, tmp_path / "report")
+        assert report.warnings == []
+        row = next(row for row in report.rows if row.strategy is StrategyKind.UNI)
+        assert row.rmse_coverage == 1.0
+        assert row.missing_types == []
+        runs_dir = tmp_path / "runs"
+        for run in runs:
+            save_run(run, runs_dir / f"{run.strategy.value}_s{run.seed}")
+        assert main(["report", "--strict", "--in", str(runs_dir),
+                     "--out", str(tmp_path / "regen")]) == 0
 
     def test_distribution_columns_sum_to_hundred(self, tmp_path):
         write_report(_comparison_runs(), tmp_path)
@@ -264,3 +279,24 @@ class TestWriteReport:
     def test_no_runs_rejected(self, tmp_path):
         with pytest.raises(InsufficientDataError):
             write_report(iter([]), tmp_path)
+
+    @pytest.mark.parametrize("case, error", [
+        ("duplicate", ParameterError),
+        ("empty series", InsufficientDataError),
+        ("empty ground truth", InsufficientDataError),
+        ("no runs", InsufficientDataError),
+    ])
+    def test_failing_report_writes_nothing(self, tmp_path, case, error):
+        runs = _comparison_runs()
+        if case == "duplicate":
+            runs.append(runs[2])
+        elif case == "empty series":
+            runs.append(_run(StrategyKind.INV, 1, [], []))
+        elif case == "empty ground truth":
+            runs[0].traces = []
+        else:
+            runs = []
+        out = tmp_path / "report"
+        with pytest.raises(error):
+            write_report(runs, out)
+        assert not out.exists()
