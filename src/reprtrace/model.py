@@ -16,7 +16,6 @@ __all__ = [
     "PerformanceRecord",
     "SamplerConfig",
     "ReleasedSample",
-    "TRACE_FIELDS",
     "write_trace_file",
     "read_trace_file",
 ]
@@ -88,9 +87,6 @@ class FrequencyTable:
             return 0.0
         return self.counts.get(type_id, 0) / self.total
 
-    def __len__(self) -> int:
-        return len(self.counts)
-
     def __repr__(self) -> str:
         return f"FrequencyTable(total={self.total}, counts={self.counts!r})"
 
@@ -150,7 +146,10 @@ class SamplerConfig:
             raise ValueError("adaptation_frequency must be positive")
         if self.max_cycle_length <= 0:
             raise ValueError("max_cycle_length must be positive")
-        if self.history_capacity < 1:
+        capacity = self.history_capacity
+        if isinstance(capacity, bool) or not isinstance(capacity, int):
+            raise ValueError(f"history_capacity must be an integer, got {capacity!r}")
+        if capacity < 1:
             raise ValueError("history_capacity must be >= 1")
         if not 0.0 < self.variability_p < 1.0:
             raise ValueError("variability_p must be in (0, 1)")
@@ -197,8 +196,6 @@ class ReleasedSample:
 
 
 # --- Trace file format ----------------------------------------------------
-
-TRACE_FIELDS = ("cycle_index", "type_id", "start", "response_time", "memory_delta")
 
 
 def _csv_field(text: str) -> str:

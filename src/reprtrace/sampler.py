@@ -125,7 +125,6 @@ class AdaptiveMonitor:
         self.sample = FrequencyTable()
         self.sample_traces: list[TraceRecord] = []
         self.population_rt_sum: float = 0.0
-        self.population_rt_count: int = 0
         self.perf_ref: deque[PerformanceRecord] = deque(maxlen=config.history_capacity)
         self.cycle_start: float = start_time
         self.cycle_index: int = 0
@@ -162,7 +161,6 @@ class AdaptiveMonitor:
         population.add(type_id)
         response_time = request.response_time
         self.population_rt_sum += response_time
-        self.population_rt_count += 1
         if not self.monitoring_enabled:
             return False
         if not bernoulli(self.rate, rng):
@@ -269,14 +267,15 @@ class AdaptiveMonitor:
             conf = decayed_confidence(age, cfg.max_cycle_length)
             return self._release(now, RELEASE_TIMEOUT, conf)
         n = self.sample.total
-        if self.population.total == 0 or n == 0:
+        population_size = self.population.total
+        if population_size == 0 or n == 0:
             return None
-        if not self._exceeds_min_size(n, self.population.total, age):
+        if not self._exceeds_min_size(n, population_size, age):
             return None
         if n < 2:
             return None
         conf = decayed_confidence(age, cfg.max_cycle_length)
-        population_mean = self.population_rt_sum / self.population_rt_count
+        population_mean = self.population_rt_sum / population_size
         mean, m2 = self._sample_rt_mean, self._sample_rt_m2
         if m2 > 0.0:
             # The statistic exactly as one_sample_t_p_value_from_stats forms it.
@@ -319,11 +318,8 @@ class AdaptiveMonitor:
             min(decayed_confidence(end, cfg.max_cycle_length), _CONF_CAP))
 
     def _release(self, now: float, reason: str, conf: float) -> ReleasedSample:
-        population_mean = (
-            self.population_rt_sum / self.population_rt_count
-            if self.population_rt_count
-            else 0.0
-        )
+        total = self.population.total
+        population_mean = self.population_rt_sum / total if total else 0.0
         released = ReleasedSample(
             traces=self.sample_traces,
             population_stats=self.population,
@@ -352,7 +348,6 @@ class AdaptiveMonitor:
         self.sample = FrequencyTable()
         self.sample_traces = []
         self.population_rt_sum = 0.0
-        self.population_rt_count = 0
         self._sample_rt_mean = 0.0
         self._sample_rt_m2 = 0.0
         self.cycle_index += 1

@@ -5,7 +5,8 @@ settings and optionally a strategy and seed.  ``load_scenario`` reports
 JSON syntax errors with line numbers and semantic errors with key paths.
 Numbers must be finite (JSON ``NaN``/``Infinity`` are rejected), except
 ``model.trace_io_capacity``, whose default ``Infinity`` means no trace
-I/O contention.
+I/O contention.  Integer keys (seeds, user counts) reject a bool and a
+number with a fractional part, and ``strict`` must be a bool.
 """
 
 from __future__ import annotations
@@ -66,6 +67,13 @@ def _unique(values: list, what: str, where: str) -> list:
     return values
 
 
+def _integer(value: Any) -> int:
+    """``int(value)``; TypeError for a bool or a number with a fractional part."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise TypeError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
 def _finite(raw: Any, where: str, keys: Optional[tuple[str, ...]] = None,
             allow_inf: tuple[str, ...] = ()) -> dict:
     """The entries of object ``raw`` (only ``keys``, when given), checked to be
@@ -82,11 +90,11 @@ def _finite(raw: Any, where: str, keys: Optional[tuple[str, ...]] = None,
 
 
 _SEGMENTS = {
-    "stationary": (Stationary, {"users": int, "duration": float}),
-    "seasonal": (Seasonal, {"base_users": int, "amplitude": float, "period": float,
+    "stationary": (Stationary, {"users": _integer, "duration": float}),
+    "seasonal": (Seasonal, {"base_users": _integer, "amplitude": float, "period": float,
                             "duration": float}),
-    "burst": (Burst, {"base_users": int, "peak_users": int, "at": float, "width": float,
-                      "duration": float}),
+    "burst": (Burst, {"base_users": _integer, "peak_users": _integer, "at": float,
+                      "width": float, "duration": float}),
 }
 
 _SEGMENT_KINDS = {cls: kind for kind, (cls, _fields) in _SEGMENTS.items()}
@@ -153,13 +161,13 @@ def parse_scenario(raw: dict, source: str = "scenario") -> Scenario:
     seed = raw.get("seed")
     if seed is not None:
         try:
-            seed = int(seed)
+            seed = _integer(seed)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ScenarioError(f"{source}.seed: {exc}") from exc
     seeds = raw.get("seeds")
     if seeds is not None:
         try:
-            seeds = [int(s) for s in seeds]
+            seeds = [_integer(s) for s in seeds]
         except (TypeError, ValueError, OverflowError) as exc:
             raise ScenarioError(f"{source}.seeds: {exc}") from exc
         if not seeds:
@@ -167,8 +175,8 @@ def parse_scenario(raw: dict, source: str = "scenario") -> Scenario:
         _unique(seeds, "seed", f"{source}.seeds")
     out = raw.get("out")
     strict = raw.get("strict")
-    if strict is not None:
-        strict = bool(strict)
+    if strict is not None and not isinstance(strict, bool):
+        raise ScenarioError(f"{source}.strict: must be true or false, got {strict!r}")
     return Scenario(
         model=model,
         workload=workload,

@@ -309,7 +309,6 @@ class Simulation:
         # Per type index: summed response time and count since the last tick.
         self._tick_rt_sum = [0.0] * len(model.types)
         self._tick_rt_count = [0] * len(model.types)
-        self._tick_completed = 0
         self._last_tick = 0.0
         self._next_tick = config.adaptation_frequency
         self.seconds: list[SecondStats] = []
@@ -403,9 +402,6 @@ class Simulation:
         completed_before = len(events)
         append_event = events.append
         append_trace = self.traces.append
-        # The cycle advances only on a tick or by the release an accept
-        # triggers, after its trace is decided: re-read it after each trace.
-        cycle_index = strategy.cycle_index
         for idx, base_rt, mem in offered:
             if spent >= budget:
                 break
@@ -414,25 +410,23 @@ class Simulation:
             type_id = type_ids[idx]
             response_time = base_rt * slowdown
             event = RequestEvent(type_id, start, response_time, mem)
-            traced = decide(event, start / 1000.0, decision_rng)
+            trace = decide(event, start / 1000.0, decision_rng)
             spent += response_time
-            if traced:
+            if trace is not None:
                 spent += trace_cost
                 traced_ms += trace_cost
-                append_trace(TraceRecord(event, cycle_index))
-                cycle_index = strategy.cycle_index
+                append_trace(trace)
             append_event(event)
             rt_sum[idx] += response_time
             rt_count[idx] += 1
 
         completed = len(events) - completed_before
         self._traced_ms_prev = traced_ms
-        self._tick_completed += completed
         now = float(second + 1)
         if now + 1e-9 >= self._next_tick:
             elapsed = now - self._last_tick
             record = PerformanceRecord(
-                rps=self._tick_completed / elapsed if elapsed > 0 else 0.0,
+                rps=sum(rt_count) / elapsed if elapsed > 0 else 0.0,
                 mean_rt={
                     type_ids[i]: rt_sum[i] / count
                     for i, count in enumerate(rt_count)
@@ -443,7 +437,6 @@ class Simulation:
             strategy.on_tick(record, now)
             self._tick_rt_sum = [0.0] * len(type_ids)
             self._tick_rt_count = [0] * len(type_ids)
-            self._tick_completed = 0
             self._last_tick = now
             self._next_tick += self.config.adaptation_frequency
 

@@ -11,7 +11,7 @@ from enum import Enum
 from statistics import median
 from typing import Optional
 
-from .model import PerformanceRecord, ReleasedSample, RequestEvent, SamplerConfig
+from .model import PerformanceRecord, ReleasedSample, RequestEvent, SamplerConfig, TraceRecord
 from .sampler import AdaptiveMonitor, SamplerEvent
 from .stats import bernoulli
 
@@ -41,26 +41,19 @@ class StrategyKind(str, Enum):
 class Strategy:
     """Per-request decision plus a periodic tick, selected by kind.
 
-    ``cycle_index`` is the monitoring cycle of a trace accepted now (0 but
-    for ADP); it advances only in ``on_tick`` or after an accept.
+    ``decide`` returns the ``TraceRecord`` it records for a traced request,
+    or ``None``; only ADP stamps a monitoring cycle other than 0.
     """
 
     kind: StrategyKind
-    cycle_index: int = 0
+    rate: float
+    monitoring_enabled: bool = True
 
-    def decide(self, request: RequestEvent, now: float, rng) -> bool:
+    def decide(self, request: RequestEvent, now: float, rng) -> Optional[TraceRecord]:
         raise NotImplementedError
 
     def on_tick(self, record: PerformanceRecord, now: float) -> None:
         return None
-
-    @property
-    def rate(self) -> float:
-        raise NotImplementedError
-
-    @property
-    def monitoring_enabled(self) -> bool:
-        return True
 
     def drain_releases(self) -> list[ReleasedSample]:
         return []
@@ -76,22 +69,21 @@ class AdaptiveStrategy(Strategy):
         self.monitor = AdaptiveMonitor(config)
         self._releases: list[ReleasedSample] = []
 
-    def decide(self, request: RequestEvent, now: float, rng) -> bool:
-        traced = self.monitor.decide(request, rng)
-        if traced:
-            released = self.monitor.evaluate_sample(now)
-            if released is not None:
-                self._releases.append(released)
-        return traced
+    def decide(self, request: RequestEvent, now: float, rng) -> Optional[TraceRecord]:
+        monitor = self.monitor
+        if not monitor.decide(request, rng):
+            return None
+        # The monitor's own record, read before a release swaps its list.
+        trace = monitor.sample_traces[-1]
+        released = monitor.evaluate_sample(now)
+        if released is not None:
+            self._releases.append(released)
+        return trace
 
     def on_tick(self, record: PerformanceRecord, now: float) -> None:
         released = self.monitor.on_tick(now, record)
         if released is not None:
             self._releases.append(released)
-
-    @property
-    def cycle_index(self) -> int:
-        return self.monitor.cycle_index
 
     @property
     def rate(self) -> float:
@@ -122,7 +114,7 @@ class InverseThroughputStrategy(Strategy):
 
     def __init__(self, config: SamplerConfig) -> None:
         self._config = config
-        self._rate = config.max_rate
+        self.rate = config.max_rate
         self.throughput_history: deque[float] = deque(maxlen=config.history_capacity)
 
     @property
@@ -131,59 +123,43 @@ class InverseThroughputStrategy(Strategy):
             return None
         return median(self.throughput_history)
 
-    def decide(self, request: RequestEvent, now: float, rng) -> bool:
-        return bernoulli(self._rate, rng)
+    def decide(self, request: RequestEvent, now: float, rng) -> Optional[TraceRecord]:
+        return TraceRecord(request, 0) if bernoulli(self.rate, rng) else None
 
     def update(self, throughput: float) -> float:
         self.throughput_history.append(throughput)
         reference = median(self.throughput_history)
         raw = self._config.max_rate * reference / max(throughput, 1.0)
-        self._rate = min(max(raw, self._config.min_rate), self._config.max_rate)
-        return self._rate
+        self.rate = min(max(raw, self._config.min_rate), self._config.max_rate)
+        return self.rate
 
     def on_tick(self, record: PerformanceRecord, now: float) -> None:
         self.update(record.rps)
 
-    @property
-    def rate(self) -> float:
-        return self._rate
-
 
 class UniformStrategy(Strategy):
     kind = StrategyKind.UNI
+    rate = UNIFORM_RATE
 
-    def decide(self, request: RequestEvent, now: float, rng) -> bool:
-        return bernoulli(UNIFORM_RATE, rng)
-
-    @property
-    def rate(self) -> float:
-        return UNIFORM_RATE
+    def decide(self, request: RequestEvent, now: float, rng) -> Optional[TraceRecord]:
+        return TraceRecord(request, 0) if bernoulli(UNIFORM_RATE, rng) else None
 
 
 class FullMonitoringStrategy(Strategy):
     kind = StrategyKind.FUM
+    rate = 1.0
 
-    def decide(self, request: RequestEvent, now: float, rng) -> bool:
-        return True
-
-    @property
-    def rate(self) -> float:
-        return 1.0
+    def decide(self, request: RequestEvent, now: float, rng) -> Optional[TraceRecord]:
+        return TraceRecord(request, 0)
 
 
 class NoMonitoringStrategy(Strategy):
     kind = StrategyKind.NOM
+    rate = 0.0
+    monitoring_enabled = False
 
-    def decide(self, request: RequestEvent, now: float, rng) -> bool:
-        return False
-
-    @property
-    def rate(self) -> float:
-        return 0.0
-
-    @property
-    def monitoring_enabled(self) -> bool:
-        return False
+    def decide(self, request: RequestEvent, now: float, rng) -> Optional[TraceRecord]:
+        return None
 
 
 def make_strategy(kind: StrategyKind | str, config: SamplerConfig) -> Strategy:

@@ -383,6 +383,44 @@ class TestNonFiniteNumbers:
         assert parse_scenario(json.loads(text)) == scenario
 
 
+class TestIntegerAndBooleanKeys:
+    """Integer keys take no bool and no fractional number; ``strict`` takes only a bool."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw["sampler"].update(history_capacity=2.5),
+         "sampler: history_capacity must be an integer, got 2.5"),
+        (lambda raw: raw.update(seed=1.9), "seed: must be an integer, got 1.9"),
+        (lambda raw: raw.update(seed=True), "seed: must be an integer, got True"),
+        (lambda raw: raw["workload"][0].update(users=8.9),
+         "workload[0].users: must be an integer, got 8.9"),
+        (lambda raw: raw["workload"][1].update(peak_users=True),
+         "workload[1].peak_users: must be an integer, got True"),
+        (lambda raw: raw.update(seeds=[1.2, 1.7]), "seeds: must be an integer, got 1.2"),
+        (lambda raw: raw.update(strict="false"), "strict: must be true or false, got 'false'"),
+    ], ids=["history_capacity", "seed", "bool_seed", "users", "bool_users", "seeds",
+            "strict"])
+    def test_rejected_with_key_path(self, tmp_path, capsys, edit, message):
+        raw = json.loads(json.dumps(TINY_SCENARIO))
+        edit(raw)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate", "--scenario", str(path)]) == 2
+        assert f"{path}.{message}" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(path), "--strategy", "ADP",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_integral_numbers_accepted(self, tmp_path):
+        raw = json.loads(json.dumps(TINY_SCENARIO))
+        raw.update(seed=3.0, seeds=[2.0, 5], strict=True)
+        raw["workload"][0]["users"] = 4.0
+        scenario = parse_scenario(raw)
+        assert (scenario.seed, scenario.seeds, scenario.strict) == (3, [2, 5], True)
+        assert type(scenario.seed) is int
+        assert scenario.workload.segments[0].users == 4
+
+
 class TestScenarioRoundTrip:
     def test_default_scenario_serializes(self, tmp_path):
         scenario = default_scenario()

@@ -112,7 +112,6 @@ def test_t_stage_verdict_matches_exact_p_value(n, age, scale, sign):
     monitor.sample = table_from({"/a": n})
     monitor.sample_traces = [TraceRecord(make_event("/a", start=i), 0) for i in range(n)]
     monitor.population_rt_sum = mu0 * n
-    monitor.population_rt_count = n
     monitor._sample_rt_mean = mean
     monitor._sample_rt_m2 = m2
     p_value = stats.one_sample_t_p_value_from_stats(n, mean, m2, mu0)
@@ -171,7 +170,7 @@ def exact_verdict(monitor, now):
     if not n > exact_needed(age, population.total, cfg) or n < 2:
         return "size"
     conf = stats.decayed_confidence(age, cfg.max_cycle_length)
-    mu0 = monitor.population_rt_sum / monitor.population_rt_count
+    mu0 = monitor.population_rt_sum / population.total
     p_value = stats.one_sample_t_p_value_from_stats(
         n, monitor._sample_rt_mean, monitor._sample_rt_m2, mu0)
     if not p_value > ADAPT_ALPHA * conf:

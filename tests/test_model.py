@@ -119,6 +119,8 @@ class TestValidation:
             {"history_capacity": 0},
             {"variability_p": 1.0},
             {"margin_e": 0.0},
+            {"history_capacity": 2.5},
+            {"history_capacity": True},
         ],
     )
     def test_config_invariants(self, overrides):

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import AlwaysRng, NeverRng, ScriptRng, make_event, table_from
 from reprtrace.errors import InsufficientDataError, ParameterError
@@ -90,7 +92,7 @@ class TestDecide:
         monitor = AdaptiveMonitor(config)
         monitor.decide(make_event("/a", rt=100.0), AlwaysRng())
         monitor.decide(make_event("/a", rt=300.0), NeverRng())
-        assert monitor.population_rt_count == 2
+        assert monitor.population.total == 2
         assert monitor.population_rt_sum == 400.0
 
     def test_condition_uses_pre_add_proportions(self, config):
@@ -368,7 +370,6 @@ class TestEvaluateSample:
         monitor.population = table_from({"/a": 500, "/b": 500})
         monitor.sample = table_from({"/a": 210, "/b": 90})
         monitor.population_rt_sum = 80.0 * 1000
-        monitor.population_rt_count = 1000
         rts = [79.0, 81.0] * 150
         monitor.sample_traces = [
             TraceRecord(event=make_event("/a" if i < 210 else "/b", start=i, rt=rts[i]),
@@ -511,3 +512,65 @@ class TestOnTick:
         # criteria would hold, but ticks only enforce the timeout branch
         assert monitor.on_tick(6.0, record(TIGHT, rps=100)) is None
         assert monitor.sample.total == 600
+
+
+_TYPES = ("/a", "/b", "/c")
+
+# One step on the monitor's single timeline: ``dt`` seconds pass, then a
+# request is decided (its type, response time and Bernoulli draw), the
+# sample is evaluated, or a tick reports per-type mean response times.
+_STEP = st.one_of(
+    st.tuples(st.just("decide"), st.floats(0.0, 0.5), st.sampled_from(_TYPES),
+              st.floats(1.0, 400.0), st.floats(0.0, 1.0, exclude_max=True)),
+    st.tuples(st.just("evaluate"), st.floats(0.0, 2.0)),
+    st.tuples(st.just("tick"), st.floats(0.0, 3.0), st.floats(0.0, 500.0),
+              st.lists(st.floats(1.0, 400.0), min_size=3, max_size=3)),
+)
+
+
+class TestMonitorInvariants:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        history_capacity=st.integers(1, 5),
+        max_cycle_length=st.floats(1.0, 20.0),
+        margin_e=st.floats(0.1, 0.5),
+        steps=st.lists(_STEP, max_size=120),
+    )
+    def test_tables_and_history_stay_consistent(self, history_capacity, max_cycle_length,
+                                                margin_e, steps):
+        config = SamplerConfig(history_capacity=history_capacity,
+                               max_cycle_length=max_cycle_length, margin_e=margin_e)
+        monitor = AdaptiveMonitor(config)
+        now = 0.0
+        decided = 0      # requests decided since the last release
+        rt_sum = 0.0     # their summed response time, added in the same order
+        for step in steps:
+            now += step[1]
+            if step[0] == "decide":
+                _, _, type_id, rt, draw = step
+                event = make_event(type_id, start=int(now * 1000), rt=rt)
+                accepted = monitor.decide(event, ScriptRng([draw]))
+                decided += 1
+                rt_sum += rt
+                if accepted:
+                    assert monitor.sample_traces[-1].event is event
+                released = None
+            elif step[0] == "evaluate":
+                released = monitor.evaluate_sample(now)
+            else:
+                _, _, rps, rts = step
+                current = PerformanceRecord(rps=rps, mean_rt=dict(zip(_TYPES, rts)),
+                                            monitoring_enabled=monitor.monitoring_enabled)
+                released = monitor.on_tick(now, current)
+            if released is not None:
+                assert released.population_stats.total == decided
+                assert released.population_mean_rt == (rt_sum / decided if decided else 0.0)
+                decided = 0
+                rt_sum = 0.0
+            assert monitor.population.total == decided
+            assert monitor.population_rt_sum == rt_sum
+            assert monitor.sample.total == len(monitor.sample_traces)
+            for table in (monitor.population, monitor.sample):
+                assert table.total == sum(table.counts.values())
+            assert all(t.cycle_index == monitor.cycle_index for t in monitor.sample_traces)
+            assert len(monitor.perf_ref) <= history_capacity

@@ -171,6 +171,20 @@ class TestConservation:
         assert nom.traces == []
         assert len(fum.traces) == len(fum.events)
 
+    def test_one_record_per_trace(self):
+        # An ADP release holds the very records of the run's traces, in order,
+        # and every fixed-rate trace belongs to cycle 0.
+        run = run_scenario(small_model(), small_workload(duration=60), "ADP", seed=3)
+        assert run.releases
+        released = [trace for release in run.releases for trace in release.traces]
+        assert all(a is b for a, b in zip(released, run.traces[:len(released)], strict=True))
+        for release in run.releases:
+            assert all(t.cycle_index == release.cycle_index for t in release.traces)
+        for kind in ("INV", "UNI", "FUM"):
+            run = run_scenario(small_model(), small_workload(), kind, seed=3)
+            assert run.traces
+            assert all(t.cycle_index == 0 for t in run.traces)
+
     def test_negative_memory_sentinels_present(self):
         run = run_scenario(small_model(gc_negative_prob=0.2), small_workload(), "NOM", seed=6)
         negatives = [e for e in run.events if e.memory_delta < 0]
@@ -187,7 +201,7 @@ class _CountingStrategy(Strategy):
         self.ticks = []
 
     def decide(self, request, now, rng):
-        return False
+        return None
 
     def on_tick(self, record, now):
         self.ticks.append((now, record.rps))

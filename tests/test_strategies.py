@@ -26,20 +26,21 @@ class TestFixedStrategies:
     def test_nom_never_samples(self):
         strategy = NoMonitoringStrategy()
         rng = random.Random(1)
-        assert not any(strategy.decide(make_event(), float(i), rng) for i in range(1000))
+        assert all(strategy.decide(make_event(), float(i), rng) is None for i in range(1000))
         assert strategy.rate == 0.0
         assert strategy.monitoring_enabled is False
 
     def test_fum_always_samples(self):
         strategy = FullMonitoringStrategy()
         rng = random.Random(1)
-        assert all(strategy.decide(make_event(), float(i), rng) for i in range(1000))
+        assert all(strategy.decide(make_event(), float(i), rng) is not None
+                   for i in range(1000))
         assert strategy.rate == 1.0
 
     def test_uni_half_rate(self):
         strategy = UniformStrategy()
         rng = random.Random(42)
-        hits = sum(strategy.decide(make_event(), 0.0, rng) for _ in range(100_000))
+        hits = sum(strategy.decide(make_event(), 0.0, rng) is not None for _ in range(100_000))
         assert 0.49 <= hits / 100_000 <= 0.51
         assert strategy.rate == 0.5
 
@@ -49,10 +50,13 @@ class TestFixedStrategies:
             assert strategy.drain_releases() == []
 
     def test_cycle_index_stays_zero(self):
-        for strategy in (NoMonitoringStrategy(), FullMonitoringStrategy(), UniformStrategy(),
+        for strategy in (FullMonitoringStrategy(), UniformStrategy(),
                          InverseThroughputStrategy(SamplerConfig())):
             strategy.on_tick(perf(100), 200.0)
-            assert strategy.cycle_index == 0
+            event = make_event()
+            trace = strategy.decide(event, 200.0, AlwaysRng())
+            assert trace.event is event
+            assert trace.cycle_index == 0
 
 
 class TestInverseThroughput:
@@ -118,7 +122,8 @@ class TestInverseThroughput:
 class TestAdaptiveStrategy:
     def test_decide_feeds_the_monitor(self, config):
         strategy = AdaptiveStrategy(config)
-        assert strategy.decide(make_event("/a"), 0.01, AlwaysRng()) is True
+        trace = strategy.decide(make_event("/a"), 0.01, AlwaysRng())
+        assert trace is strategy.monitor.sample_traces[-1]
         assert strategy.monitor.population.total == 1
         assert strategy.monitor.sample.total == 1
         assert strategy.rate == config.max_rate
@@ -137,11 +142,14 @@ class TestAdaptiveStrategy:
 
     def test_cycle_index_follows_the_monitor(self, config):
         strategy = AdaptiveStrategy(config)
-        assert strategy.cycle_index == 0
-        strategy.decide(make_event("/a"), 0.01, AlwaysRng())
+        first = strategy.decide(make_event("/a"), 0.01, AlwaysRng())
+        assert first.cycle_index == 0
         strategy.on_tick(perf(10), config.max_cycle_length + 1.0)
-        assert [r.cycle_index for r in strategy.drain_releases()] == [0]
-        assert strategy.cycle_index == strategy.monitor.cycle_index == 1
+        [released] = strategy.drain_releases()
+        assert released.cycle_index == 0
+        assert released.traces == [first] and released.traces[0] is first
+        second = strategy.decide(make_event("/a"), config.max_cycle_length + 1.5, AlwaysRng())
+        assert second.cycle_index == strategy.monitor.cycle_index == 1
 
     def test_events_are_drained(self, config):
         strategy = AdaptiveStrategy(config)
