@@ -30,6 +30,7 @@ from .simulator import (
     Simulation,
     Stationary,
     WorkloadSpec,
+    offered_stream,
     run_matrix,
     run_scenario,
     users_at,

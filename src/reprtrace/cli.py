@@ -157,9 +157,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     strict = bool(args.strict or scenario.strict)
     threads_text = os.environ.get("REPRTRACE_THREADS", "1") or "1"
     try:
-        threads = max(1, int(threads_text))
+        threads = int(threads_text)
     except ValueError:
         raise ScenarioError(f"REPRTRACE_THREADS: {threads_text!r} is not an integer") from None
+    if threads < 1:
+        raise ScenarioError(f"REPRTRACE_THREADS: must be >= 1, got {threads}")
     out_dir = Path(args.out if args.out is not None else (scenario.out or "reprtrace-out"))
     _echo_config(out_dir, scenario,
                  {"command": "compare", "strategies": strategies, "seeds": seeds,

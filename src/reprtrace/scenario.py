@@ -3,10 +3,10 @@
 A scenario bundles an application model, a workload schedule, sampler
 settings and optionally a strategy and seed.  ``load_scenario`` reports
 JSON syntax errors with line numbers and semantic errors with key paths.
-Numbers must be finite (JSON ``NaN``/``Infinity`` are rejected), except
-``model.trace_io_capacity``, whose default ``Infinity`` means no trace
-I/O contention.  Integer keys (seeds, user counts) reject a bool and a
-number with a fractional part, and ``strict`` must be a bool.
+Numeric keys take only JSON numbers, not strings or bools, and only finite
+ones except ``model.trace_io_capacity``, whose default ``Infinity`` means
+no trace I/O contention.  Integer keys (seeds, user counts) reject a
+fractional part; ``seeds`` must be a list and ``strict`` a bool.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ class Scenario:
     strict: Optional[bool] = None
 
 
-_TYPE_KEYS = ("type_id", "weight", "base_rt", "rt_dispersion", "base_mem", "mem_dispersion")
+_TYPE_KEYS = ("weight", "base_rt", "rt_dispersion", "base_mem", "mem_dispersion")
 _MODEL_KEYS = (
     "capacity_users",
     "contention_gamma",
@@ -67,9 +67,14 @@ def _unique(values: list, what: str, where: str) -> list:
     return values
 
 
+def _is_number(value: Any) -> bool:
+    """Whether ``value`` is a JSON number: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _integer(value: Any) -> int:
-    """``int(value)``; TypeError for a bool or a number with a fractional part."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+    """``int(value)``; TypeError for anything but a number without a fractional part."""
+    if not _is_number(value) or isinstance(value, float) and not value.is_integer():
         raise TypeError(f"must be an integer, got {value!r}")
     return int(value)
 
@@ -77,12 +82,14 @@ def _integer(value: Any) -> int:
 def _finite(raw: Any, where: str, keys: Optional[tuple[str, ...]] = None,
             allow_inf: tuple[str, ...] = ()) -> dict:
     """The entries of object ``raw`` (only ``keys``, when given), checked to be
-    finite numbers: ScenarioError names the first NaN, or the first
-    infinity whose key is not in ``allow_inf``."""
+    finite numbers: ScenarioError names the first entry that is not a number,
+    the first NaN, or the first infinity whose key is not in ``allow_inf``."""
     if not isinstance(raw, dict):
         raise ScenarioError(f"{where}: must be an object")
     values = raw if keys is None else {k: raw[k] for k in keys if k in raw}
     for key, value in values.items():
+        if not _is_number(value):
+            raise ScenarioError(f"{where}.{key}: must be a number, got {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
             if math.isnan(value) or key not in allow_inf:
                 raise ScenarioError(f"{where}.{key}: must be finite, got {value!r}")
@@ -105,13 +112,13 @@ def _parse_segment(raw: dict, where: str):
     if kind not in _SEGMENTS:
         raise ScenarioError(f"{where}: unknown segment kind {kind!r}")
     cls, fields = _SEGMENTS[kind]
+    _finite(raw, where, tuple(key for key, convert in fields.items() if convert is float))
     values = {}
     for key, convert in fields.items():
         try:
             values[key] = convert(_require(raw, key, where))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ScenarioError(f"{where}.{key}: {exc}") from exc
-    _finite(values, where)
     try:
         return cls(**values)
     except ValueError as exc:
@@ -127,7 +134,7 @@ def parse_scenario(raw: dict, source: str = "scenario") -> Scenario:
         where = f"{source}.model.types[{i}]"
         values = _finite(type_raw, where, _TYPE_KEYS)
         try:
-            types.append(RequestTypeSpec(**values))
+            types.append(RequestTypeSpec(type_id=_require(type_raw, "type_id", where), **values))
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"{where}: {exc}") from exc
     # An infinite trace I/O capacity is the default: no I/O contention.
@@ -166,6 +173,8 @@ def parse_scenario(raw: dict, source: str = "scenario") -> Scenario:
             raise ScenarioError(f"{source}.seed: {exc}") from exc
     seeds = raw.get("seeds")
     if seeds is not None:
+        if not isinstance(seeds, list):
+            raise ScenarioError(f"{source}.seeds: must be a list, got {seeds!r}")
         try:
             seeds = [_integer(s) for s in seeds]
         except (TypeError, ValueError, OverflowError) as exc:

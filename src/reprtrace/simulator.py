@@ -1,29 +1,27 @@
 """Deterministic discrete-time model of a request-serving application.
 
-Each simulated second the workload generator draws an "offered" stream of
+``offered_stream`` draws, for each simulated second, an "offered" stream of
 requests (types, base service times, memory measurements) sized by the
-untraced service budget of the scheduled users.  The active strategy then
-completes the prefix of that stream whose contention-scaled service times
-(plus a per-trace recording cost) fill the budget, so tracing overhead
-shows up as lost throughput and inflated response times while the offered
-stream itself stays identical across strategies for a fixed seed.
+untraced service budget of the scheduled users.  A ``Simulation`` serves
+one strategy on such a stream: it completes the prefix of each second
+whose contention-scaled service times (plus a per-trace recording cost)
+fill the budget, so tracing overhead shows up as lost throughput and
+inflated response times while the offered stream itself stays identical
+across strategies for a fixed seed.
 
-The offered stream is defined by the draw inlined in ``Simulation._offer``:
+The offered stream is defined by the draw inlined in ``offered_stream``:
 the Kinderman-Monahan loop of ``random.Random.normalvariate`` followed by
 ``exp``.  Its values equal ``random.Random.lognormvariate`` on CPython
 3.10-3.13, whose ``normalvariate`` source is the same in all four versions;
-``tests/test_offer.py`` checks the equality on the running interpreter.
+the tests check the equality on the running interpreter.
 
-``run_matrix`` runs several strategies on one seed's workload and generates
-the offered stream once.  It shadows ``_offer`` on each ``Simulation``
-instance: the first strategy's wrapper calls the real ``_offer`` and records
-each second column-wise (an ``array`` each of type indices, base service
-times and memory values: about 20 bytes a request); each later strategy's
-wrapper replays the recorded seconds in order.  ``step`` is unchanged and
-consumes either stream the same way.  The arrays hold the same ints and
-floats, so a replayed run is bit-identical to one that draws its own stream.
-Runs are yielded one at a time, and only the yielded run and the recording
-stay alive between them.
+``run_matrix`` runs several strategies on one seed's workload and draws the
+offered stream once.  It packs the stream column-wise (an ``array`` each of
+type indices, base service times and memory values: about 20 bytes a
+request) and serves each strategy a fresh ``zip`` over the columns.  The
+arrays hold the same ints and floats, so every run is bit-identical to one
+that is served the stream as drawn.  Runs are yielded one at a time, and
+only the yielded run and the packed stream stay alive between them.
 """
 
 from __future__ import annotations
@@ -33,10 +31,10 @@ import random
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import partial
+from itertools import accumulate
 from math import exp, log
 from random import NV_MAGICCONST
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import ParameterError
 from .model import (
@@ -59,6 +57,7 @@ __all__ = [
     "SecondStats",
     "RunResult",
     "users_at",
+    "offered_stream",
     "Simulation",
     "run_scenario",
     "run_matrix",
@@ -266,67 +265,32 @@ class RunResult:
     config: SamplerConfig
 
 
-class Simulation:
-    """One strategy driven through one workload; fully seeded."""
+# One second of an offered stream: (users, [(type index, base rt, memory), ...]).
+OfferedSecond = tuple[int, Iterable[tuple[int, float, float]]]
 
-    def __init__(
-        self,
-        model: AppModel,
-        workload: WorkloadSpec,
-        strategy: Strategy,
-        config: SamplerConfig,
-        seed: int,
-    ) -> None:
-        self.model = model
-        self.workload = workload
-        self.strategy = strategy
-        self.config = config
-        self.seed = seed
-        # Separate sub-generators: the offered request stream depends only
-        # on the workload generator, decisions only on the per-strategy one.
-        self.workload_rng = random.Random(f"{seed}:workload")
-        self.decision_rng = random.Random(f"{seed}:decide:{strategy.kind.value}")
-        self._cum_weights: list[float] = []
-        acc = 0.0
-        for spec in model.types:
-            acc += spec.weight
-            self._cum_weights.append(acc)
-        self._total_weight = acc
-        self._type_ids = [spec.type_id for spec in model.types]
-        # Per type: the parameters of its two lognormal draws, unpacked once
-        # per request (the memory draw's mu is precomputed as -0.5*sigma*sigma).
-        self._draw_params = [
-            (
-                spec.base_rt,
-                spec.rt_dispersion,
-                spec.base_mem,
-                -0.5 * spec.mem_dispersion * spec.mem_dispersion,
-                spec.mem_dispersion,
-            )
-            for spec in model.types
-        ]
-        self._traced_ms_prev = 0.0
-        # Per type index: summed response time and count since the last tick.
-        self._tick_rt_sum = [0.0] * len(model.types)
-        self._tick_rt_count = [0] * len(model.types)
-        self._last_tick = 0.0
-        self._next_tick = config.adaptation_frequency
-        self.seconds: list[SecondStats] = []
-        self.events: list[RequestEvent] = []
-        self.traces: list[TraceRecord] = []
 
-    def _offer(self, users: int) -> list[tuple[int, float, float]]:
-        """This second's offered stream as (type index, base service time, memory).
+def offered_stream(model: AppModel, workload: WorkloadSpec,
+                   rng: random.Random) -> Iterator[tuple[int, list[tuple[int, float, float]]]]:
+    """Each second of ``workload``'s schedule as (users, offered requests).
 
-        It depends only on the workload generator and ``users``, so it is
-        identical across strategies.  Both lognormal draws of a request are
-        inlined: each loop is ``random.Random.normalvariate``'s
-        Kinderman-Monahan loop with the same ``random()`` calls and the same
-        float operations, so every value equals ``lognormvariate(mu, sigma)``
-        bit for bit.
-        """
-        model = self.model
-        capacity = model.capacity_users
+    A request is (type index, base service time, memory).  The stream
+    depends only on ``rng`` and the schedule, so it is identical across
+    strategies.  Both lognormal draws of a request are inlined: each loop is
+    ``random.Random.normalvariate``'s Kinderman-Monahan loop with the same
+    ``random()`` calls and the same float operations, so every value equals
+    ``lognormvariate(mu, sigma)`` bit for bit.
+    """
+    cum_weights = list(accumulate((spec.weight for spec in model.types), initial=0.0))[1:]
+    total_weight = cum_weights[-1]
+    # Per type: the parameters of its two lognormal draws, unpacked once
+    # per request (the memory draw's mu is precomputed as -0.5*sigma*sigma).
+    draw_params = [(spec.base_rt, spec.rt_dispersion, spec.base_mem,
+                    -0.5 * spec.mem_dispersion * spec.mem_dispersion, spec.mem_dispersion)
+                   for spec in model.types]
+    capacity = model.capacity_users
+    rand = rng.random
+    for second in range(int(workload.total_duration)):
+        users = users_at(workload, float(second))
         stress = max(0.0, users / capacity - 1.0)
         mem_level = 1.0 + model.mem_load_gain * min(1.0, users / capacity)
         budget = users * 1000.0
@@ -336,12 +300,8 @@ class Simulation:
         offered: list[tuple[int, float, float]] = []
         append = offered.append
         base_spent = 0.0
-        rand = self.workload_rng.random
-        cum = self._cum_weights
-        total_weight = self._total_weight
-        draw_params = self._draw_params
         while base_spent < budget:
-            idx = bisect_right(cum, rand() * total_weight)
+            idx = bisect_right(cum_weights, rand() * total_weight)
             base_rt, rt_sigma, base_mem, mem_mu, mem_sigma = draw_params[idx]
             while True:
                 u1 = rand()
@@ -367,10 +327,34 @@ class Simulation:
                 mem = -mem
             append((idx, base_rt, mem))
             base_spent += base_rt
-        return offered
+        yield users, offered
 
-    def step(self, second: int, users: int) -> SecondStats:
-        """Simulate one second; returns the per-second outcome."""
+
+class Simulation:
+    """One strategy served an offered stream; its decisions are seeded."""
+
+    def __init__(self, model: AppModel, strategy: Strategy, config: SamplerConfig,
+                 seed: int) -> None:
+        self.model = model
+        self.strategy = strategy
+        self.config = config
+        self.seed = seed
+        # Decisions draw from their own generator, never from the stream's.
+        self.decision_rng = random.Random(f"{seed}:decide:{strategy.kind.value}")
+        self._type_ids = [spec.type_id for spec in model.types]
+        self._traced_ms_prev = 0.0
+        # Per type index: summed response time and count since the last tick.
+        self._tick_rt_sum = [0.0] * len(model.types)
+        self._tick_rt_count = [0] * len(model.types)
+        self._last_tick = 0.0
+        self._next_tick = config.adaptation_frequency
+        self.seconds: list[SecondStats] = []
+        self.events: list[RequestEvent] = []
+        self.traces: list[TraceRecord] = []
+
+    def step(self, second: int, offered: OfferedSecond) -> SecondStats:
+        """Serve one second of an offered stream; returns the per-second outcome."""
+        users, requests = offered
         model = self.model
         strategy = self.strategy
         rate_in_effect = strategy.rate
@@ -386,7 +370,6 @@ class Simulation:
             + model.trace_contention * io_excess / capacity
         )
         budget = users * 1000.0
-        offered = self._offer(users)
 
         # The strategy completes a prefix of the offered stream.
         spent = 0.0
@@ -402,7 +385,7 @@ class Simulation:
         completed_before = len(events)
         append_event = events.append
         append_trace = self.traces.append
-        for idx, base_rt, mem in offered:
+        for idx, base_rt, mem in requests:
             if spent >= budget:
                 break
             offset_ms = int(1000.0 * spent / budget)
@@ -450,10 +433,10 @@ class Simulation:
         self.seconds.append(stats)
         return stats
 
-    def run(self) -> RunResult:
-        duration = int(self.workload.total_duration)
-        for second in range(duration):
-            self.step(second, users_at(self.workload, float(second)))
+    def run(self, stream: Iterable[OfferedSecond]) -> RunResult:
+        """Serve every second of ``stream``, numbered from 0."""
+        for second, offered in enumerate(stream):
+            self.step(second, offered)
         return RunResult(
             strategy=self.strategy.kind,
             seed=self.seed,
@@ -466,23 +449,6 @@ class Simulation:
         )
 
 
-# One recorded second of an offered stream: its type indices, base service
-# times and memory values, one array each.
-_Second = tuple[array, array, array]
-
-
-def _record(offer: Callable[[int], list[tuple[int, float, float]]],
-            append: Callable[[_Second], None], users: int) -> list[tuple[int, float, float]]:
-    offered = offer(users)
-    ids, rts, mems = zip(*offered) if offered else ((), (), ())
-    append((array("I", ids), array("d", rts), array("d", mems)))
-    return offered
-
-
-def _replay(seconds: Iterator[_Second], users: int) -> Iterable[tuple[int, float, float]]:
-    return zip(*next(seconds))
-
-
 def run_scenario(
     model: AppModel,
     workload: WorkloadSpec,
@@ -491,9 +457,7 @@ def run_scenario(
     config: Optional[SamplerConfig] = None,
 ) -> RunResult:
     """Run one (model, workload, strategy, seed) combination to completion."""
-    config = config if config is not None else SamplerConfig()
-    strategy = make_strategy(strategy_kind, config)
-    return Simulation(model, workload, strategy, config, seed).run()
+    return next(run_matrix(model, workload, [strategy_kind], seed, config))
 
 
 def run_matrix(
@@ -505,23 +469,24 @@ def run_matrix(
 ) -> Iterator[RunResult]:
     """Run each strategy of ``kinds`` on one seed, yielding the runs in order.
 
-    Each run equals ``run_scenario`` for its kind.  The offered stream is
-    generated once, by the first run, and replayed to the others.  The
-    next run starts only when the caller asks for it, so a caller that
-    drops each run before asking keeps one run in memory at a time.
+    Every run is served the same offered stream, drawn once.  The next run
+    starts only when the caller asks for it, so a caller that drops each
+    run before asking keeps one run in memory at a time.
     """
     config = config if config is not None else SamplerConfig()
     kinds = [StrategyKind(kind) for kind in kinds]
-    tape: list[_Second] = []
-    for position, kind in enumerate(kinds):
-        sim = Simulation(model, workload, make_strategy(kind, config), config, seed)
-        if position > 0:
-            sim._offer = partial(_replay, iter(tape))
-        elif len(kinds) > 1:
-            sim._offer = partial(_record, sim._offer, tape.append)
-        run = sim.run()
-        # A recorder holds a method bound to ``sim``: break that cycle so
-        # reference counting frees the run once the caller drops it.
-        vars(sim).pop("_offer", None)
+    stream: Iterable[OfferedSecond] = offered_stream(model, workload,
+                                                     random.Random(f"{seed}:workload"))
+    if len(kinds) > 1:
+        # Pack the stream once, one array per column (about 20 bytes a
+        # request); a second is never empty, since users >= 1.
+        tape = []
+        for users, requests in stream:
+            ids, rts, mems = zip(*requests)
+            tape.append((users, array("I", ids), array("d", rts), array("d", mems)))
+    for kind in kinds:
+        if len(kinds) > 1:
+            stream = ((users, zip(ids, rts, mems)) for users, ids, rts, mems in tape)
+        run = Simulation(model, make_strategy(kind, config), config, seed).run(stream)
         yield run
         del run

@@ -4,7 +4,8 @@ Used as the equivalence oracle: a deliberately plain, dictionary-based
 re-implementation of the per-request decision, the periodic rate
 adaptation and the sample evaluation, with scipy supplying every
 statistical verdict.  Both this and the production engine are driven by
-the same script and the same recorded tape of uniform draws and must
+the same seconds of requests (the script below, or seconds recorded from a
+simulator run) and the same recorded tape of uniform draws, and must
 produce identical accept/reject sequences, rate trajectories and release
 points.
 """
@@ -58,6 +59,13 @@ def _requests_for(second_start, factor, count):
     return requests
 
 
+def scripted_seconds():
+    """``build_script()`` as recorded seconds: (second start, requests, rps),
+    with each request (now, type id, response time)."""
+    return [(second_start, _requests_for(second_start, factor, count), rps)
+            for second_start, factor, count, rps in build_script()]
+
+
 def make_tape(length=600, seed=20240607):
     rng = random.Random(seed)
     return [rng.random() for _ in range(length)]
@@ -74,18 +82,18 @@ class _Tape:
         return value
 
 
-def run_engine(config: SamplerConfig, tape_values):
-    """Drive the production engine through the script."""
+def run_engine(config: SamplerConfig, tape_values, seconds=None):
+    """Drive the production engine through ``seconds`` (default: the script)."""
     monitor = AdaptiveMonitor(config)
     tape = _Tape(tape_values)
     accepts = []
     rates = []
     releases = []
-    for second_start, factor, count, rps in build_script():
+    for second_start, requests, rps in seconds if seconds is not None else scripted_seconds():
         flag = monitor.monitoring_enabled
         rt_sum = {}
         rt_count = {}
-        for now, type_id, rt in _requests_for(second_start, factor, count):
+        for now, type_id, rt in requests:
             event = RequestEvent(type_id=type_id, start=int(now * 1000),
                                  response_time=rt, memory_delta=0.0)
             accepted = monitor.decide(event, tape)
@@ -108,8 +116,9 @@ def run_engine(config: SamplerConfig, tape_values):
     return accepts, rates, releases, tape.pos
 
 
-def run_oracle(config: SamplerConfig, tape_values):
-    """Plain re-implementation of the three algorithms; scipy verdicts."""
+def run_oracle(config: SamplerConfig, tape_values, seconds=None):
+    """Plain re-implementation of the three algorithms, driven through
+    ``seconds`` (default: the script); scipy verdicts."""
     tape = list(tape_values)
     pos = 0
     rate = config.max_rate
@@ -173,11 +182,11 @@ def run_oracle(config: SamplerConfig, tape_values):
                 return
         release(now, "criteria")
 
-    for second_start, factor, count, rps in build_script():
+    for second_start, requests, rps in seconds if seconds is not None else scripted_seconds():
         flag = enabled
         rt_sum = {}
         rt_count = {}
-        for now, type_id, rt in _requests_for(second_start, factor, count):
+        for now, type_id, rt in requests:
             pop_count_before = population.get(type_id, 0)
             pop_total_before = pop_total
             sample_count = sample.get(type_id, 0)

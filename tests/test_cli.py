@@ -154,6 +154,8 @@ class TestCompare:
         ("1", "UNI,UNI,FUM", "1", "--strategies: duplicate strategy UNI"),
         ("1,x", "NOM", "1", "--seeds: 'x' is not an integer or a range"),
         ("1", "NOM", "two", "REPRTRACE_THREADS: 'two' is not an integer"),
+        ("1", "NOM", "0", "REPRTRACE_THREADS: must be >= 1, got 0"),
+        ("1", "NOM", "-2", "REPRTRACE_THREADS: must be >= 1, got -2"),
     ]
 
     @pytest.mark.parametrize("seeds, strategies, threads, message", _BAD_MATRICES,
@@ -384,7 +386,8 @@ class TestNonFiniteNumbers:
 
 
 class TestIntegerAndBooleanKeys:
-    """Integer keys take no bool and no fractional number; ``strict`` takes only a bool."""
+    """Numeric keys take only JSON numbers, integer keys no fractional number;
+    ``seeds`` takes only a list and ``strict`` only a bool."""
 
     @pytest.mark.parametrize("edit, message", [
         (lambda raw: raw["sampler"].update(history_capacity=2.5),
@@ -397,8 +400,23 @@ class TestIntegerAndBooleanKeys:
          "workload[1].peak_users: must be an integer, got True"),
         (lambda raw: raw.update(seeds=[1.2, 1.7]), "seeds: must be an integer, got 1.2"),
         (lambda raw: raw.update(strict="false"), "strict: must be true or false, got 'false'"),
+        (lambda raw: raw.update(seeds="12"), "seeds: must be a list, got '12'"),
+        (lambda raw: raw.update(seed="7"), "seed: must be an integer, got '7'"),
+        (lambda raw: raw["workload"][0].update(users="8"),
+         "workload[0].users: must be an integer, got '8'"),
+        (lambda raw: raw["workload"][0].update(duration=True),
+         "workload[0].duration: must be a number, got True"),
+        (lambda raw: raw["model"]["types"][0].update(weight=True),
+         "model.types[0].weight: must be a number, got True"),
+        (lambda raw: raw["model"].update(capacity_users="16"),
+         "model.capacity_users: must be a number, got '16'"),
+        (lambda raw: raw["sampler"].update(baseline_duration=True),
+         "sampler.baseline_duration: must be a number, got True"),
+        (lambda raw: raw["sampler"].update(max_rate=True),
+         "sampler.max_rate: must be a number, got True"),
     ], ids=["history_capacity", "seed", "bool_seed", "users", "bool_users", "seeds",
-            "strict"])
+            "strict", "string_seeds", "string_seed", "string_users", "bool_duration",
+            "bool_weight", "string_capacity", "bool_baseline_duration", "bool_max_rate"])
     def test_rejected_with_key_path(self, tmp_path, capsys, edit, message):
         raw = json.loads(json.dumps(TINY_SCENARIO))
         edit(raw)

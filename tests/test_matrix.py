@@ -53,13 +53,13 @@ def test_dropped_run_is_freed_before_the_next_kind_steps(monkeypatch):
     sims: list[weakref.ref] = []
     step = Simulation.step
 
-    def checked_step(self, second, users):
+    def checked_step(self, second, offered):
         if second == 0:
             # Reference counting alone must free them: the collector is off.
             assert all(ref() is None for ref in runs), "a dropped run is still alive"
             assert all(ref() is None for ref in sims), "a finished simulation is still alive"
             sims.append(weakref.ref(self))
-        return step(self, second, users)
+        return step(self, second, offered)
 
     monkeypatch.setattr(Simulation, "step", checked_step)
     gc.disable()

@@ -1,9 +1,10 @@
 """The offered-stream producer against a reference that calls the stdlib draws.
 
-``Simulation._offer`` inlines ``random.Random.lognormvariate``.  The
-reference below is the producer loop written with
-``rng.lognormvariate``; both must give the same tuples, bit for bit, and
-leave the generator in the same state.
+``offered_stream`` inlines ``random.Random.lognormvariate``.  The
+reference below is one second of its loop written with
+``rng.lognormvariate``.  Driven second by second over a schedule of 1 s
+segments, both must give the same users and tuples, bit for bit, and leave
+their generators in the same state after every second.
 """
 
 import random
@@ -12,17 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reprtrace.model import SamplerConfig
 from reprtrace.simulator import (
     _JITTER_HIGH,
     _JITTER_HIGH_PROB,
     _JITTER_LOW,
     _JITTER_PROB_CAP,
     RequestTypeSpec,
-    Simulation,
+    Stationary,
+    WorkloadSpec,
+    offered_stream,
 )
-from reprtrace.strategies import NoMonitoringStrategy
-from test_simulator import small_model, small_workload
+from test_simulator import small_model
 
 
 def reference_offer(model, rng, users):
@@ -58,11 +59,14 @@ def reference_offer(model, rng, users):
 
 
 def assert_offer_matches_reference(model, seed, user_counts):
-    sim = Simulation(model, small_workload(), NoMonitoringStrategy(), SamplerConfig(), seed)
+    workload = WorkloadSpec(tuple(Stationary(users, 1) for users in user_counts))
     rng = random.Random(f"{seed}:workload")
+    reference_rng = random.Random(f"{seed}:workload")
+    stream = offered_stream(model, workload, rng)
     for users in user_counts:
-        assert sim._offer(users) == reference_offer(model, rng, users)
-        assert sim.workload_rng.getstate() == rng.getstate()
+        assert next(stream) == (users, reference_offer(model, reference_rng, users))
+        assert rng.getstate() == reference_rng.getstate()
+    assert next(stream, None) is None
 
 
 # small_model's capacity knee is at 10 users.

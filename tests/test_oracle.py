@@ -1,7 +1,14 @@
 """Equivalence between the engine and the independent reference implementation."""
 
+import random
+
+import pytest
+
 from oracle import build_script, make_tape, run_engine, run_oracle
 from reprtrace.model import SamplerConfig
+from reprtrace.scenario import default_scenario
+from reprtrace.simulator import Simulation, offered_stream
+from reprtrace.strategies import make_strategy
 
 
 def test_script_has_exactly_two_hundred_requests():
@@ -37,3 +44,51 @@ def test_equivalence_across_other_tapes():
     for seed in (1, 2, 3):
         tape = make_tape(seed=seed)
         assert run_engine(config, tape) == run_oracle(config, tape)
+
+
+class _RecordingRng:
+    """A decision generator that records every draw it hands out."""
+
+    def __init__(self, rng):
+        self._random = rng.random
+        self.draws = []
+
+    def random(self):
+        value = self._random()
+        self.draws.append(value)
+        return value
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_live_adp_stream_replays_through_engine_and_oracle(seed):
+    """Differential replay on a real stream: the first 120 s of a live ADP run
+    on the default scenario, recorded as seconds of (now, type id, response
+    time) with each second's completed count and the decision draws."""
+    scenario = default_scenario()
+    config = scenario.sampler
+    sim = Simulation(scenario.model, make_strategy("ADP", config), config, seed)
+    sim.decision_rng = rng = _RecordingRng(sim.decision_rng)
+    stream = offered_stream(scenario.model, scenario.workload,
+                            random.Random(f"{seed}:workload"))
+    seconds, live_accepts, live_rates = [], [], []
+    for second, offered in zip(range(120), stream):
+        events_before, traces_before = len(sim.events), len(sim.traces)
+        stats = sim.step(second, offered)
+        events = sim.events[events_before:]
+        traced = {id(trace.event) for trace in sim.traces[traces_before:]}
+        live_accepts += [id(event) in traced for event in events]
+        live_rates.append(sim.strategy.rate)
+        seconds.append((float(second),
+                        [(e.start / 1000.0, e.type_id, e.response_time) for e in events],
+                        float(stats.throughput)))
+    live_reasons = [released.reason for released in sim.strategy.drain_releases()]
+
+    engine = run_engine(config, rng.draws, seconds)
+    engine_accepts, engine_rates, engine_releases, engine_draws = engine
+    assert engine_accepts == live_accepts
+    assert engine_rates == live_rates
+    assert [reason for _i, reason in engine_releases] == live_reasons
+    assert engine_draws == len(rng.draws)
+    assert run_oracle(config, rng.draws, seconds) == engine
+    # The replay must reach the representativeness verdicts, not only timeouts.
+    assert live_reasons.count("criteria") >= 1

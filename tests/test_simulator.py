@@ -1,6 +1,7 @@
 """Simulator tests: workload schedule, determinism, isolation, conservation."""
 
 import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -16,6 +17,7 @@ from reprtrace.simulator import (
     Simulation,
     Stationary,
     WorkloadSpec,
+    offered_stream,
     run_scenario,
     users_at,
 )
@@ -214,16 +216,15 @@ class _CountingStrategy(Strategy):
 class TestTicks:
     def test_one_tick_per_second(self):
         strategy = _CountingStrategy()
-        sim = Simulation(small_model(), small_workload(duration=10), strategy,
-                         SamplerConfig(), seed=1)
-        sim.run()
+        sim = Simulation(small_model(), strategy, SamplerConfig(), seed=1)
+        sim.run(offered_stream(small_model(), small_workload(duration=10), random.Random(1)))
         assert [t for t, _ in strategy.ticks] == [float(s) for s in range(1, 11)]
 
     def test_slower_cadence_aggregates(self):
         strategy = _CountingStrategy()
-        sim = Simulation(small_model(), small_workload(duration=10), strategy,
-                         SamplerConfig(adaptation_frequency=2.0), seed=1)
-        result = sim.run()
+        sim = Simulation(small_model(), strategy, SamplerConfig(adaptation_frequency=2.0), seed=1)
+        result = sim.run(offered_stream(small_model(), small_workload(duration=10),
+                                        random.Random(1)))
         assert [t for t, _ in strategy.ticks] == [2.0, 4.0, 6.0, 8.0, 10.0]
         total = sum(s.throughput for s in result.seconds)
         # rps covers the whole two-second interval
