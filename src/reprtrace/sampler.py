@@ -31,13 +31,11 @@ from .model import (
     TraceRecord,
 )
 from .stats import (
-    bernoulli,
     cochran_sample_size,
     decayed_confidence,
     normal_quantile,
     one_sample_t_p_value_from_stats,
     paired_t_test,
-    sample_size,
     student_t_log_p_bound,
 )
 
@@ -135,38 +133,49 @@ class AdaptiveMonitor:
         self._sample_rt_m2: float = 0.0
         self._last_tick: float = -math.inf
         # Cycle ages [start, end] of the current size-check window and the
-        # z at each end of it; empty until the first evaluation opens one.
+        # uncorrected Cochran size n_inf at the z of each end of it; empty
+        # until the first evaluation opens one.
         self._window_start: float = math.inf
         self._window_end: float = -math.inf
-        self._z_high: float = 0.0
-        self._z_low: float = 0.0
+        self._n_inf_high: float = 0.0
+        self._n_inf_low: float = 0.0
 
     # --- activity 1: sampling decision ------------------------------------
 
     def decide(self, request: RequestEvent, rng) -> bool:
         """Decide whether ``request`` gets traced; population is always counted.
 
-        A request is traced when monitoring is enabled, the Bernoulli draw
-        at the current rate succeeds, and its type is not already
-        over-represented in the sample (proportions snapshot taken before
-        this request is counted; an empty sample accepts anything).
+        In order: the request is counted into the population; with
+        monitoring enabled one uniform is drawn from ``rng`` and passes
+        below the current rate (``ParameterError`` for a rate outside
+        [0, 1]); only then are the shares read.  A passing request is
+        traced unless its type is already over-represented in the sample:
+        its population share before this request is below its sample share
+        minus epsilon.  An empty sample accepts anything.
         """
         type_id = request.type_id
         population = self.population
-        sample = self.sample
-        # Both proportions as FrequencyTable.proportion computes them; the
-        # population's is taken before this request is counted.
-        pop_total = population.total
-        pop_prop = population.counts.get(type_id, 0) / pop_total if pop_total else 0.0
-        population.add(type_id)
+        counts = population.counts
+        count = counts.get(type_id, 0) + 1
+        counts[type_id] = count
+        total = population.total + 1
+        population.total = total
         response_time = request.response_time
         self.population_rt_sum += response_time
         if not self.monitoring_enabled:
             return False
-        if not bernoulli(self.rate, rng):
+        rate = self.rate
+        if not 0.0 <= rate <= 1.0:
+            raise ParameterError(f"probability must be in [0, 1], got {rate}")
+        if not rng.random() < rate:
             return False
+        sample = self.sample
         sample_total = sample.total
         if sample_total > 0:
+            # The sample is drawn from the population, so before this request
+            # the population held at least one; these are the integers of
+            # the pre-request share, and so its float.
+            pop_prop = (count - 1) / (total - 1)
             samp_prop = sample.counts.get(type_id, 0) / sample_total
             if pop_prop < samp_prop - self.config.epsilon:
                 return False
@@ -254,8 +263,9 @@ class AdaptiveMonitor:
           the p-value, so when it lies below the threshold the sample
           certainly fails.
 
-        The z bracket is read from ``config`` when a window opens.  ``now``
-        must not precede the cycle start.
+        The size bracket is read from ``config`` when a window opens: the z
+        of each end, and from it n_inf with ``variability_p`` and
+        ``margin_e``.  ``now`` must not precede the cycle start.
         """
         age = now - self.cycle_start
         if age < 0.0:
@@ -286,9 +296,10 @@ class AdaptiveMonitor:
         if not p_value > ADAPT_ALPHA * conf:
             return None
         margin = (1.0 - conf) + cfg.epsilon
-        for type_id in self.population.counts:
-            gap = abs(self.population.proportion(type_id) - self.sample.proportion(type_id))
-            if gap > margin:
+        # Both shares as FrequencyTable.proportion forms them; both totals are > 0.
+        sample_count = self.sample.counts.get
+        for type_id, count in self.population.counts.items():
+            if abs(count / population_size - sample_count(type_id, 0) / n) > margin:
                 return None
         return self._release(now, RELEASE_CRITERIA, conf)
 
@@ -297,12 +308,20 @@ class AdaptiveMonitor:
         window's bracket when it is certain."""
         if not self._window_start <= age <= self._window_end:
             self._open_window(age)
+        # Each bracket end is sample_size's formula on its window's n_inf.
+        try:
+            n_inf = self._n_inf_low
+            if n < n_inf / (1.0 + (n_inf - 1.0) / population_size) * _SIZE_BELOW:
+                return False
+            n_inf = self._n_inf_high
+            if n > n_inf / (1.0 + (n_inf - 1.0) / population_size) * _SIZE_ABOVE:
+                return True
+        except ZeroDivisionError:
+            # Where sample_size falls back to its limit of 1 (N = 1, n_inf
+            # below 1e-16); the exact check below then decides.
+            pass
         cfg = self.config
         p, e = cfg.variability_p, cfg.margin_e
-        if n < sample_size(self._z_low, p, e, population_size) * _SIZE_BELOW:
-            return False
-        if n > sample_size(self._z_high, p, e, population_size) * _SIZE_ABOVE:
-            return True
         conf = decayed_confidence(age, cfg.max_cycle_length)
         return n > cochran_sample_size(min(conf, _CONF_CAP), p, e, population_size)
 
@@ -312,10 +331,12 @@ class AdaptiveMonitor:
         end = age + cfg.adaptation_frequency
         self._window_start = age
         self._window_end = end
-        self._z_high = normal_quantile(
-            min(decayed_confidence(age, cfg.max_cycle_length), _CONF_CAP))
-        self._z_low = normal_quantile(
-            min(decayed_confidence(end, cfg.max_cycle_length), _CONF_CAP))
+        z_high = normal_quantile(min(decayed_confidence(age, cfg.max_cycle_length), _CONF_CAP))
+        z_low = normal_quantile(min(decayed_confidence(end, cfg.max_cycle_length), _CONF_CAP))
+        # n_inf exactly as sample_size forms it, operation for operation.
+        p, e = cfg.variability_p, cfg.margin_e
+        self._n_inf_high = z_high * z_high * p * (1.0 - p) / (e * e)
+        self._n_inf_low = z_low * z_low * p * (1.0 - p) / (e * e)
 
     def _release(self, now: float, reason: str, conf: float) -> ReleasedSample:
         total = self.population.total

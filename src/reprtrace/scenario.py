@@ -6,7 +6,9 @@ JSON syntax errors with line numbers and semantic errors with key paths.
 Numeric keys take only JSON numbers, not strings or bools, and only finite
 ones except ``model.trace_io_capacity``, whose default ``Infinity`` means
 no trace I/O contention.  Integer keys (seeds, user counts) reject a
-fractional part; ``seeds`` must be a list and ``strict`` a bool.
+fractional part; ``seeds`` must be a list and ``strict`` a bool.  ``model``
+and each workload segment must be objects, ``model.types`` and
+``workload`` lists, and each ``type_id`` a string.
 """
 
 from __future__ import annotations
@@ -67,6 +69,17 @@ def _unique(values: list, what: str, where: str) -> list:
     return values
 
 
+_KIND_NAMES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _typed(value: Any, kind: type, where: str) -> Any:
+    """``value`` unchanged when it is a ``kind`` (dict, list or str);
+    ScenarioError naming ``where`` otherwise."""
+    if not isinstance(value, kind):
+        raise ScenarioError(f"{where}: must be {_KIND_NAMES[kind]}, got {value!r}")
+    return value
+
+
 def _is_number(value: Any) -> bool:
     """Whether ``value`` is a JSON number: an int or a float, not a bool."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -84,8 +97,7 @@ def _finite(raw: Any, where: str, keys: Optional[tuple[str, ...]] = None,
     """The entries of object ``raw`` (only ``keys``, when given), checked to be
     finite numbers: ScenarioError names the first entry that is not a number,
     the first NaN, or the first infinity whose key is not in ``allow_inf``."""
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"{where}: must be an object")
+    _typed(raw, dict, where)
     values = raw if keys is None else {k: raw[k] for k in keys if k in raw}
     for key, value in values.items():
         if not _is_number(value):
@@ -128,13 +140,16 @@ def _parse_segment(raw: dict, where: str):
 def parse_scenario(raw: dict, source: str = "scenario") -> Scenario:
     if not isinstance(raw, dict):
         raise ScenarioError(f"{source}: top level must be an object")
-    model_raw = _require(raw, "model", source)
+    model_raw = _typed(_require(raw, "model", source), dict, f"{source}.model")
     types = []
-    for i, type_raw in enumerate(_require(model_raw, "types", f"{source}.model")):
+    types_raw = _typed(_require(model_raw, "types", f"{source}.model"), list,
+                       f"{source}.model.types")
+    for i, type_raw in enumerate(types_raw):
         where = f"{source}.model.types[{i}]"
         values = _finite(type_raw, where, _TYPE_KEYS)
+        type_id = _typed(_require(type_raw, "type_id", where), str, f"{where}.type_id")
         try:
-            types.append(RequestTypeSpec(type_id=_require(type_raw, "type_id", where), **values))
+            types.append(RequestTypeSpec(type_id=type_id, **values))
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"{where}: {exc}") from exc
     # An infinite trace I/O capacity is the default: no I/O contention.
@@ -146,8 +161,10 @@ def parse_scenario(raw: dict, source: str = "scenario") -> Scenario:
         raise ScenarioError(f"{source}.model: {exc}") from exc
 
     segments = []
-    for i, seg_raw in enumerate(_require(raw, "workload", source)):
-        segments.append(_parse_segment(seg_raw, f"{source}.workload[{i}]"))
+    for i, seg_raw in enumerate(_typed(_require(raw, "workload", source), list,
+                                       f"{source}.workload")):
+        where = f"{source}.workload[{i}]"
+        segments.append(_parse_segment(_typed(seg_raw, dict, where), where))
     try:
         workload = WorkloadSpec(segments=tuple(segments))
     except ValueError as exc:
@@ -173,8 +190,7 @@ def parse_scenario(raw: dict, source: str = "scenario") -> Scenario:
             raise ScenarioError(f"{source}.seed: {exc}") from exc
     seeds = raw.get("seeds")
     if seeds is not None:
-        if not isinstance(seeds, list):
-            raise ScenarioError(f"{source}.seeds: must be a list, got {seeds!r}")
+        _typed(seeds, list, f"{source}.seeds")
         try:
             seeds = [_integer(s) for s in seeds]
         except (TypeError, ValueError, OverflowError) as exc:

@@ -387,7 +387,8 @@ class TestNonFiniteNumbers:
 
 class TestIntegerAndBooleanKeys:
     """Numeric keys take only JSON numbers, integer keys no fractional number;
-    ``seeds`` takes only a list and ``strict`` only a bool."""
+    ``seeds`` takes only a list and ``strict`` only a bool; ``type_id`` only a
+    string, and every container its JSON kind."""
 
     @pytest.mark.parametrize("edit, message", [
         (lambda raw: raw["sampler"].update(history_capacity=2.5),
@@ -414,9 +415,18 @@ class TestIntegerAndBooleanKeys:
          "sampler.baseline_duration: must be a number, got True"),
         (lambda raw: raw["sampler"].update(max_rate=True),
          "sampler.max_rate: must be a number, got True"),
+        (lambda raw: raw["model"]["types"][0].update(type_id=5),
+         "model.types[0].type_id: must be a string, got 5"),
+        (lambda raw: raw.update(workload=[5]), "workload[0]: must be an object, got 5"),
+        (lambda raw: raw["model"].update(types=5), "model.types: must be a list, got 5"),
+        (lambda raw: raw.update(workload={"a": 1}),
+         "workload: must be a list, got {'a': 1}"),
+        (lambda raw: raw.update(model=[1]), "model: must be an object, got [1]"),
     ], ids=["history_capacity", "seed", "bool_seed", "users", "bool_users", "seeds",
             "strict", "string_seeds", "string_seed", "string_users", "bool_duration",
-            "bool_weight", "string_capacity", "bool_baseline_duration", "bool_max_rate"])
+            "bool_weight", "string_capacity", "bool_baseline_duration", "bool_max_rate",
+            "int_type_id", "number_segment", "number_types", "object_workload",
+            "list_model"])
     def test_rejected_with_key_path(self, tmp_path, capsys, edit, message):
         raw = json.loads(json.dumps(TINY_SCENARIO))
         edit(raw)

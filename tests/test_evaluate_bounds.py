@@ -12,6 +12,7 @@ import random
 from bisect import bisect_right
 from itertools import accumulate
 
+import pytest
 import scipy.stats as scipy_stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -88,6 +89,36 @@ def test_bracket_matches_exact_at_the_threshold_in_population(window_start, offs
     monitor._open_window(window_start)
     verdict = monitor._exceeds_min_size(n, population_size, age)
     assert verdict == (n > exact_needed(age, population_size))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    window_start=st.floats(0.0, CONFIG.max_cycle_length),
+    variability_p=st.floats(0.01, 0.99),
+    margin_e=st.floats(0.01, 0.5),
+)
+def test_window_ends_hold_sample_sizes_n_inf(window_start, variability_p, margin_e):
+    # sample_size at N = inf is n_inf / (1 + 0) = n_inf, bit for bit.
+    config = SamplerConfig(variability_p=variability_p, margin_e=margin_e)
+    monitor = AdaptiveMonitor(config)
+    monitor._open_window(window_start)
+    ends = ((window_start, monitor._n_inf_high),
+            (window_start + config.adaptation_frequency, monitor._n_inf_low))
+    for age, n_inf in ends:
+        z = stats.normal_quantile(min(stats.decayed_confidence(age, config.max_cycle_length),
+                                      CONF_CAP))
+        assert n_inf == stats.sample_size(z, variability_p, margin_e, math.inf)
+
+
+@pytest.mark.parametrize("age", [0.0, 90.0, 179.0])
+def test_bracket_at_the_size_formulas_limit(age):
+    # A window about 700 cycle lengths wide: the z of its far end underflows
+    # n_inf to 0, where the size formula divides by zero at N = 1.
+    config = SamplerConfig(adaptation_frequency=700 * CONFIG.max_cycle_length)
+    monitor = AdaptiveMonitor(config)
+    monitor._open_window(age)
+    assert monitor._n_inf_low == 0.0
+    assert monitor._exceeds_min_size(1, 1.0, age) == (1 > exact_needed(age, 1.0, config))
 
 
 # --- t-test bound ---------------------------------------------------------------------

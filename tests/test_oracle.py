@@ -1,6 +1,9 @@
 """Equivalence between the engine and the independent reference implementation."""
 
+import math
 import random
+from bisect import bisect_right
+from itertools import accumulate
 
 import pytest
 
@@ -92,3 +95,46 @@ def test_live_adp_stream_replays_through_engine_and_oracle(seed):
     assert run_oracle(config, rng.draws, seconds) == engine
     # The replay must reach the representativeness verdicts, not only timeouts.
     assert live_reasons.count("criteria") >= 1
+
+
+def zipf_seconds(seed, types=48, seconds=120):
+    """A many-type stream as recorded seconds: (second start, requests, rps),
+    each request (now, type id, response time).
+
+    Zipf(1.1)-weighted request types; 10 to 24 users over one wave against a
+    contention knee at 16, so response times stretch past the knee and the
+    sampler starts baselines as well as releasing cycles.
+    """
+    rng = random.Random(f"{seed}:oracle-zipf")
+    names = [f"/t{i:02d}" for i in range(types)]
+    cum = list(accumulate(1.0 / (i + 1) ** 1.1 for i in range(types)))
+    base_rt = [20.0 + 60.0 * rng.random() for _ in names]
+    recorded = []
+    for sec in range(seconds):
+        users = 10.0 + 14.0 * max(0.0, math.sin(2.0 * math.pi * sec / seconds))
+        slowdown = 1.0 + 1.2 * max(0.0, users / 16.0 - 1.0)
+        count = round(15.0 * min(users, 16.0) * (0.95 + 0.1 * rng.random()))
+        requests = []
+        for j in range(count):
+            i = bisect_right(cum, rng.random() * cum[-1])
+            requests.append((sec + j / count, names[i],
+                             base_rt[i] * slowdown * rng.lognormvariate(0.0, 0.25)))
+        recorded.append((float(sec), requests, float(count)))
+    return recorded
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_many_type_zipf_stream_replays_through_engine_and_oracle(seed):
+    config = SamplerConfig()
+    seconds = zipf_seconds(seed)
+    tape = make_tape(length=sum(len(requests) for _s, requests, _r in seconds), seed=seed)
+    engine_accepts, engine_rates, engine_releases, engine_draws = run_engine(
+        config, tape, seconds)
+    oracle_accepts, oracle_rates, oracle_releases, oracle_draws = run_oracle(
+        config, tape, seconds)
+    assert engine_accepts == oracle_accepts
+    assert engine_rates == oracle_rates
+    assert engine_releases == oracle_releases
+    assert engine_draws == oracle_draws
+    # A criteria release passes the balance check over every population type.
+    assert [reason for _i, reason in engine_releases].count("criteria") >= 1

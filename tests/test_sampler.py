@@ -124,6 +124,44 @@ class TestDecide:
             assert monitor.decide(make_event("/a", start=i), rng) is False
         assert monitor.sample.total == 0
 
+    @pytest.mark.parametrize("rate", [1.5, -0.1, math.nan])
+    def test_rate_outside_unit_interval_rejected(self, config, rate):
+        monitor = AdaptiveMonitor(config)
+        monitor.rate = rate
+        rng = AlwaysRng()
+        with pytest.raises(ParameterError) as info:
+            monitor.decide(make_event("/a"), rng)
+        assert str(info.value) == f"probability must be in [0, 1], got {rate}"
+        assert rng.draws == 0
+
+    @pytest.mark.parametrize("rate", [1.5, -0.1, math.nan])
+    def test_rate_unchecked_while_monitoring_disabled(self, config, rate):
+        monitor = AdaptiveMonitor(config)
+        monitor.rate = rate
+        monitor.monitoring_enabled = False
+        assert monitor.decide(make_event("/a"), AlwaysRng()) is False
+        assert monitor.population.total == 1
+
+    @pytest.mark.parametrize("sample, accepted", [
+        ({"/a": 1, "/b": 1}, False),
+        ({"/a": 2, "/b": 3}, True),
+    ])
+    def test_share_is_the_one_before_this_request(self, sample, accepted):
+        # Population {/a: 2, /b: 3}, a request of /a: its share is 2/5 before
+        # the request and 3/6 after it, and 2/6 with only the count taken
+        # back.  A sample share of 1/2 lies in (2/5, 3/6], and one of 2/5 in
+        # (2/6, 2/5]: an off-by-one either way flips the verdict.
+        monitor = monitor_with_tables({"/a": 2, "/b": 3}, sample, epsilon=0.0)
+        before, after, count_back = 2 / 5, 3 / 6, 2 / 6
+        threshold = monitor.sample.proportion("/a")
+        if accepted:
+            assert count_back < threshold <= before
+        else:
+            assert before < threshold <= after
+        assert monitor.decide(make_event("/a"), AlwaysRng()) is accepted
+        assert monitor.population.count("/a") == 3
+        assert monitor.sample.count("/a") == sample["/a"] + accepted
+
 
 class TestSelectNormalBehavior:
     def _records(self, spec):
