@@ -6,8 +6,9 @@ writes the comparison report, ``report`` regenerates the report from
 stored run artifacts.  Flags override scenario-file values; the effective
 configuration is echoed into the output directory.  ``REPRTRACE_THREADS``
 caps parallel jobs in ``compare``.  A job runs a group of strategies on one
-seed through ``run_matrix``, so the seed's offered stream is generated once
-per job; serial or parallel, each run is saved and reduced by the job that
+seed through ``run_matrix``, so the seed's offered stream is generated at
+most once per job, and not again by a process's next job on the same seed;
+serial or parallel, each run is saved and reduced by the job that
 ran it, and only the reductions reach the report.
 """
 

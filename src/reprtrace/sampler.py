@@ -255,10 +255,11 @@ class AdaptiveMonitor:
 
         * size: the Cochran size is non-decreasing in z, and z depends on
           the cycle age alone and falls as it grows, so the sizes at the z
-          of either end of a window of ages (``adaptation_frequency`` long,
-          reopened when the age leaves it) bracket the exact size for the
-          live population count.  Below the bracket the sample is certainly
-          too small, above it certainly large enough.
+          of either end of a window of ages (``adaptation_frequency`` long
+          but ending by ``max_cycle_length``, reopened when the age leaves
+          it) bracket the exact size for the live population count.  Below
+          the bracket the sample is certainly too small, above it certainly
+          large enough.
         * t-test: ``student_t_log_p_bound`` is a Mills-ratio upper bound on
           the p-value, so when it lies below the threshold the sample
           certainly fails.
@@ -318,7 +319,8 @@ class AdaptiveMonitor:
                 return True
         except ZeroDivisionError:
             # Where sample_size falls back to its limit of 1 (N = 1, n_inf
-            # below 1e-16); the exact check below then decides.
+            # below 1e-16, as with a variability_p near 0); the exact check
+            # below then decides.
             pass
         cfg = self.config
         p, e = cfg.variability_p, cfg.margin_e
@@ -327,8 +329,11 @@ class AdaptiveMonitor:
 
     def _open_window(self, age: float) -> None:
         # z depends on the age alone, so a window stays valid across releases.
+        # It ends by max_cycle_length, or at once when opened past it:
+        # evaluations from that age on release on timeout, and far past it the
+        # confidence underflows to 0, which normal_quantile rejects.
         cfg = self.config
-        end = age + cfg.adaptation_frequency
+        end = min(age + cfg.adaptation_frequency, max(age, cfg.max_cycle_length))
         self._window_start = age
         self._window_end = end
         z_high = normal_quantile(min(decayed_confidence(age, cfg.max_cycle_length), _CONF_CAP))

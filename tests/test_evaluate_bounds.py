@@ -17,7 +17,7 @@ import scipy.stats as scipy_stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_event, table_from
+from conftest import AlwaysRng, make_event, table_from
 
 import reprtrace.sampler as sampler
 from reprtrace import stats
@@ -102,8 +102,9 @@ def test_window_ends_hold_sample_sizes_n_inf(window_start, variability_p, margin
     config = SamplerConfig(variability_p=variability_p, margin_e=margin_e)
     monitor = AdaptiveMonitor(config)
     monitor._open_window(window_start)
-    ends = ((window_start, monitor._n_inf_high),
-            (window_start + config.adaptation_frequency, monitor._n_inf_low))
+    assert monitor._window_end == min(window_start + config.adaptation_frequency,
+                                      config.max_cycle_length)
+    ends = ((window_start, monitor._n_inf_high), (monitor._window_end, monitor._n_inf_low))
     for age, n_inf in ends:
         z = stats.normal_quantile(min(stats.decayed_confidence(age, config.max_cycle_length),
                                       CONF_CAP))
@@ -112,13 +113,24 @@ def test_window_ends_hold_sample_sizes_n_inf(window_start, variability_p, margin
 
 @pytest.mark.parametrize("age", [0.0, 90.0, 179.0])
 def test_bracket_at_the_size_formulas_limit(age):
-    # A window about 700 cycle lengths wide: the z of its far end underflows
-    # n_inf to 0, where the size formula divides by zero at N = 1.
-    config = SamplerConfig(adaptation_frequency=700 * CONFIG.max_cycle_length)
+    # A variability_p near 0 puts n_inf below 1e-16 at both window ends, where
+    # the size formula divides by zero at N = 1.
+    config = SamplerConfig(variability_p=1e-30)
     monitor = AdaptiveMonitor(config)
     monitor._open_window(age)
-    assert monitor._n_inf_low == 0.0
+    for n_inf in (monitor._n_inf_low, monitor._n_inf_high):
+        assert 1.0 + (n_inf - 1.0) / 1.0 == 0.0
     assert monitor._exceeds_min_size(1, 1.0, age) == (1 > exact_needed(age, 1.0, config))
+
+
+def test_window_far_wider_than_a_cycle_ends_at_the_cycle_timeout():
+    # Over about 745 cycle lengths the confidence at the window's far end
+    # underflows to 0; the window ends at max_cycle_length instead.
+    config = SamplerConfig(adaptation_frequency=200000.0)
+    monitor = AdaptiveMonitor(config)
+    assert monitor.decide(make_event("/a", start=0), AlwaysRng())
+    assert monitor.evaluate_sample(0.001) is None
+    assert monitor._window_end == config.max_cycle_length
 
 
 # --- t-test bound ---------------------------------------------------------------------

@@ -1,11 +1,16 @@
-"""run_matrix: one offered stream per seed, recorded once and replayed.
+"""run_matrix: one offered stream per seed, drawn once, packed and replayed.
 
 Every run it yields must equal the run ``run_scenario`` gives for the same
 kind and seed, whatever the order of the kinds, and a run the caller drops
-must be freed before the next kind starts.
+must be freed before the next kind starts.  The packed tape is memoized by
+(model, workload, seed), so consecutive calls on one seed draw the stream
+once; a run served the unpacked ``offered_stream`` must give the same
+digests.
 """
 
+import dataclasses
 import gc
+import random
 import weakref
 
 import pytest
@@ -13,8 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reprtrace import simulator
-from reprtrace.simulator import Simulation, run_matrix, run_scenario
-from reprtrace.strategies import StrategyKind
+from reprtrace.model import SamplerConfig
+from reprtrace.simulator import (Simulation, WorkloadSpec, offered_stream, run_matrix,
+                                 run_scenario)
+from reprtrace.strategies import StrategyKind, make_strategy
 from test_golden import GOLDEN, SCENARIOS, SEEDS, run_digest
 
 KINDS = [k.value for k in StrategyKind]
@@ -72,14 +79,45 @@ def test_dropped_run_is_freed_before_the_next_kind_steps(monkeypatch):
     assert len(runs) == len(sims) == len(KINDS)
 
 
-def test_one_kind_records_nothing(monkeypatch):
-    def refuse(*_args):
-        raise AssertionError("a single kind has nothing to replay to")
+def test_stream_drawn_once_per_model_workload_and_seed(monkeypatch):
+    draws = []
+    drawn = simulator.offered_stream
 
-    monkeypatch.setattr(simulator, "array", refuse)
+    def counting(model, workload, rng):
+        draws.append(1)
+        return drawn(model, workload, rng)
+
+    monkeypatch.setattr(simulator, "offered_stream", counting)
+    simulator._tape.cache_clear()
     model, workload = SCENARIOS["loaded"]()
-    (run,) = run_matrix(model, workload, ["ADP"], 2)
-    assert run_digest(run) == GOLDEN[("loaded", "ADP", 2)]
+    runs = [run_scenario(model, workload, kind, 2) for kind in KINDS]
+    assert len(draws) == 1
+    assert run_digest(runs[0]) == GOLDEN[("loaded", "ADP", 2)]
+    assert [run_digest(run) for run in runs] == [GOLDEN[("loaded", kind, 2)] for kind in KINDS]
+    # Keyed by value: a scenario built anew is the same stream.
+    run_scenario(*SCENARIOS["loaded"](), "NOM", 2)
+    assert len(draws) == 1
+    # Another seed, or a changed model, is another stream; so is the seed 1.0,
+    # which seeds its generator with "1.0:workload".
+    run_scenario(model, workload, "NOM", 1)
+    assert len(draws) == 2
+    changed = dataclasses.replace(model, capacity_users=model.capacity_users + 1)
+    run_scenario(changed, workload, "NOM", 1)
+    assert len(draws) == 3
+    run_scenario(changed, workload, "NOM", 1.0)
+    assert len(draws) == 4
+    assert list(run_matrix(model, workload, [], 3)) == []
+    assert len(draws) == 4
+
+
+def test_list_built_scenario_runs_as_the_tuple_built_one():
+    model, workload = SCENARIOS["loaded"]()
+    listed_model = dataclasses.replace(model, types=list(model.types))
+    listed_workload = WorkloadSpec(segments=list(workload.segments))
+    assert (listed_model, listed_workload) == (model, workload)
+    simulator._tape.cache_clear()
+    run = run_scenario(listed_model, listed_workload, "ADP", 1)
+    assert run_digest(run) == GOLDEN[("loaded", "ADP", 1)]
 
 
 def test_unknown_kind_fails_before_any_run(monkeypatch):
@@ -95,3 +133,15 @@ def test_unknown_kind_fails_before_any_run(monkeypatch):
 def test_no_kinds_no_runs():
     model, workload = SCENARIOS["small"]()
     assert list(run_matrix(model, workload, [], 1)) == []
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_stream_served_as_drawn_matches_golden_digest(scenario, kind, seed):
+    # The unpacked generator, not the tape: the tape must serve the same values.
+    model, workload = SCENARIOS[scenario]()
+    config = SamplerConfig()
+    stream = offered_stream(model, workload, random.Random(f"{seed}:workload"))
+    run = Simulation(model, make_strategy(kind, config), config, seed).run(stream)
+    assert run_digest(run) == GOLDEN[(scenario, kind, seed)]
