@@ -8,14 +8,15 @@ ones except ``model.trace_io_capacity``, whose default ``Infinity`` means
 no trace I/O contention.  Integer keys (seeds, user counts) reject a
 fractional part; ``seeds`` must be a list and ``strict`` a bool.  ``model``
 and each workload segment must be objects, ``model.types`` and
-``workload`` lists, and each ``type_id`` a string.
+``workload`` lists, and each ``type_id`` a string.  A key that its section
+does not have is rejected, never ignored.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Optional
 
@@ -39,24 +40,26 @@ class Scenario:
     strict: Optional[bool] = None
 
 
-_TYPE_KEYS = ("weight", "base_rt", "rt_dispersion", "base_mem", "mem_dispersion")
-_MODEL_KEYS = (
-    "capacity_users",
-    "contention_gamma",
-    "trace_cost",
-    "gc_negative_prob",
-    "trace_io_capacity",
-    "trace_contention",
-    "mem_load_gain",
-    "mem_noise_gain",
-    "gc_negative_gain",
-)
+def _field_names(cls: type, *skip: str) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls) if f.name not in skip)
+
+
+# The numeric keys of a request type and of the model, in field order.
+_TYPE_KEYS = _field_names(RequestTypeSpec, "type_id")
+_MODEL_KEYS = _field_names(AppModel, "types")
 
 
 def _require(mapping: dict, key: str, where: str) -> Any:
     if key not in mapping:
         raise ScenarioError(f"{where}: missing key {key!r}")
     return mapping[key]
+
+
+def _known(raw: dict, keys: tuple[str, ...], where: str) -> None:
+    """ScenarioError naming the first key of ``raw`` that is not in ``keys``."""
+    for key in raw:
+        if key not in keys:
+            raise ScenarioError(f"{where}.{key}: unknown key")
 
 
 def _unique(values: list, what: str, where: str) -> list:
@@ -123,10 +126,11 @@ def _parse_segment(raw: dict, where: str):
     kind = _require(raw, "kind", where)
     if kind not in _SEGMENTS:
         raise ScenarioError(f"{where}: unknown segment kind {kind!r}")
-    cls, fields = _SEGMENTS[kind]
-    _finite(raw, where, tuple(key for key, convert in fields.items() if convert is float))
+    cls, converters = _SEGMENTS[kind]
+    _known(raw, ("kind", *converters), where)
+    _finite(raw, where, tuple(key for key, convert in converters.items() if convert is float))
     values = {}
-    for key, convert in fields.items():
+    for key, convert in converters.items():
         try:
             values[key] = convert(_require(raw, key, where))
         except (TypeError, ValueError, OverflowError) as exc:
@@ -140,13 +144,16 @@ def _parse_segment(raw: dict, where: str):
 def parse_scenario(raw: dict, source: str = "scenario") -> Scenario:
     if not isinstance(raw, dict):
         raise ScenarioError(f"{source}: top level must be an object")
+    _known(raw, _field_names(Scenario), source)
     model_raw = _typed(_require(raw, "model", source), dict, f"{source}.model")
+    _known(model_raw, _field_names(AppModel), f"{source}.model")
     types = []
     types_raw = _typed(_require(model_raw, "types", f"{source}.model"), list,
                        f"{source}.model.types")
     for i, type_raw in enumerate(types_raw):
         where = f"{source}.model.types[{i}]"
         values = _finite(type_raw, where, _TYPE_KEYS)
+        _known(type_raw, _field_names(RequestTypeSpec), where)
         type_id = _typed(_require(type_raw, "type_id", where), str, f"{where}.type_id")
         try:
             types.append(RequestTypeSpec(type_id=type_id, **values))
@@ -171,9 +178,10 @@ def parse_scenario(raw: dict, source: str = "scenario") -> Scenario:
         raise ScenarioError(f"{source}.workload: {exc}") from exc
 
     sampler_raw = _finite(raw.get("sampler", {}), f"{source}.sampler")
+    _known(sampler_raw, _field_names(SamplerConfig), f"{source}.sampler")
     try:
         sampler = SamplerConfig(**sampler_raw)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ScenarioError(f"{source}.sampler: {exc}") from exc
 
     strategy = None

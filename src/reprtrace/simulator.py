@@ -90,14 +90,22 @@ class RequestTypeSpec:
             raise ValueError("dispersions must be >= 0")
 
 
+def _check_users(name: str, users: int) -> None:
+    # An int, not a bool or a float: the tape memo compares segments by ==,
+    # so a 5.0 would be served 5's tape and leak its type into a later run.
+    if isinstance(users, bool) or not isinstance(users, int):
+        raise ValueError(f"{name} must be an integer, got {users!r}")
+    if users < 1:
+        raise ValueError(f"{name} must be >= 1")
+
+
 @dataclass(frozen=True)
 class Stationary:
     users: int
     duration: float
 
     def __post_init__(self) -> None:
-        if self.users < 1:
-            raise ValueError("users must be >= 1")
+        _check_users("users", self.users)
         if self.duration <= 0:
             raise ValueError("duration must be positive")
 
@@ -110,8 +118,7 @@ class Seasonal:
     duration: float
 
     def __post_init__(self) -> None:
-        if self.base_users < 1:
-            raise ValueError("base_users must be >= 1")
+        _check_users("base_users", self.base_users)
         if self.amplitude < 0:
             raise ValueError("amplitude must be >= 0")
         if self.period <= 0:
@@ -129,8 +136,8 @@ class Burst:
     duration: float
 
     def __post_init__(self) -> None:
-        if self.base_users < 1 or self.peak_users < 1:
-            raise ValueError("users must be >= 1")
+        _check_users("base_users", self.base_users)
+        _check_users("peak_users", self.peak_users)
         if self.duration <= 0:
             raise ValueError("duration must be positive")
         if self.width <= 0:
@@ -489,8 +496,7 @@ def run_matrix(
         del run
 
 
-# Keyed by ==: user counts must be ints, as annotated (5.0 would share 5's
-# tape); typed, as the seeds 1, 1.0 and True name different streams.
+# Typed, as the seeds 1, 1.0 and True name different streams.
 @lru_cache(maxsize=1, typed=True)
 def _tape(model: AppModel, workload: WorkloadSpec, seed: int) -> tuple:
     """``seed``'s offered stream as (users, type indices, base service times,

@@ -4,8 +4,8 @@ Everything the decision, adaptation and evaluation loops need: Bernoulli
 trials, Student-t equality verdicts, standard normal quantiles, minimum
 sample sizes with finite population correction and exponential confidence
 decay.  Pure stdlib; p-values go through the regularized incomplete beta
-function and the normal quantile through a rational approximation refined
-with one Halley step, both good to well under 1e-6 absolute error.
+function, good to well under 1e-6 absolute error, and the normal quantile
+through ``statistics.NormalDist.inv_cdf`` (Wichura's AS241).
 
 Two cheap bounds let a caller settle a verdict without those costly
 functions when the verdict is certain:
@@ -24,6 +24,7 @@ functions when the verdict is certain:
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 from typing import Sequence
 
 from .errors import InsufficientDataError, ParameterError
@@ -233,48 +234,7 @@ def one_sample_t_test(values: Sequence[float], mu0: float, alpha: float) -> bool
 
 # --- Normal quantile ------------------------------------------------------
 
-# Acklam's rational approximation of the inverse standard normal CDF.
-_PPF_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-          1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_PPF_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-          6.680131188771972e+01, -1.328068155288572e+01)
-_PPF_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-          -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_PPF_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-          3.754408661907416e+00)
-
-_SQRT2 = math.sqrt(2.0)
-_SQRT2PI = math.sqrt(2.0 * math.pi)
-
-
-def _norm_ppf(p: float) -> float:
-    plow = 0.02425
-    if p < plow:
-        q = math.sqrt(-2.0 * math.log(p))
-        a, b, c, d, e, f = _PPF_C
-        g, h, i, j = _PPF_D
-        x = (((((a * q + b) * q + c) * q + d) * q + e) * q + f) / (
-            (((g * q + h) * q + i) * q + j) * q + 1.0
-        )
-    elif p <= 1.0 - plow:
-        q = p - 0.5
-        r = q * q
-        a, b, c, d, e, f = _PPF_A
-        g, h, i, j, k = _PPF_B
-        x = (((((a * r + b) * r + c) * r + d) * r + e) * r + f) * q / (
-            ((((g * r + h) * r + i) * r + j) * r + k) * r + 1.0
-        )
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        a, b, c, d, e, f = _PPF_C
-        g, h, i, j = _PPF_D
-        x = -(((((a * q + b) * q + c) * q + d) * q + e) * q + f) / (
-            (((g * q + h) * q + i) * q + j) * q + 1.0
-        )
-    # One Halley refinement against the exact CDF.
-    err = 0.5 * math.erfc(-x / _SQRT2) - p
-    u = err * _SQRT2PI * math.exp(x * x / 2.0)
-    return x - u / (1.0 + x * u / 2.0)
+_STANDARD_NORMAL = NormalDist()
 
 
 def normal_quantile(conf: float) -> float:
@@ -284,7 +244,7 @@ def normal_quantile(conf: float) -> float:
     """
     if not 0.0 < conf < 1.0:
         raise ParameterError(f"confidence must be in (0, 1), got {conf}")
-    return _norm_ppf(1.0 - (1.0 - conf) / 2.0)
+    return _STANDARD_NORMAL.inv_cdf(1.0 - (1.0 - conf) / 2.0)
 
 
 def cochran_sample_size(

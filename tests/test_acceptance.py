@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as
 they print.  Criteria 6 and 7 share one 5-strategies x 10-seeds matrix of
-the default scenario.
+the default scenario, kept as each run's ``summarize_run`` reduction.
 """
 
 import math
@@ -17,7 +17,8 @@ import scipy.stats as scipy_stats
 from conftest import AlwaysRng, make_event, table_from
 from oracle import make_tape, run_engine, run_oracle
 from reprtrace.model import PerformanceRecord, SamplerConfig
-from reprtrace.report import rmse, sampling_rate_stats, throughput_stats, type_memory_means
+from reprtrace.report import (rmse, sampling_rate_stats, summarize_run, throughput_stats,
+                              type_memory_means)
 from reprtrace.sampler import AdaptiveMonitor, perf_diff
 from reprtrace.scenario import default_scenario
 from reprtrace.simulator import RequestTypeSpec, Stationary, WorkloadSpec, run_scenario
@@ -293,9 +294,9 @@ def matrix():
     runs = {}
     for kind in STRATEGIES:
         for seed in SEEDS:
-            runs[(kind, seed)] = run_scenario(
+            runs[(kind, seed)] = summarize_run(run_scenario(
                 scenario.model, scenario.workload, kind, seed, scenario.sampler
-            )
+            ))
     elapsed = time.perf_counter() - started
     return scenario, runs, elapsed
 
@@ -319,9 +320,9 @@ def test_criterion_6_trends(matrix):
 
     rmse_by = {k: {} for k in ["UNI", "INV", "ADP"]}
     for seed in SEEDS:
-        ground = type_memory_means(t.event for t in runs[("FUM", seed)].traces)
+        ground = runs[("FUM", seed)].memory_means
         for kind in rmse_by:
-            sampled = type_memory_means(t.event for t in runs[(kind, seed)].traces)
+            sampled = runs[(kind, seed)].memory_means
             covered = set(ground) & set(sampled)
             rmse_by[kind][seed] = rmse({t: ground[t] for t in covered},
                                        {t: sampled[t] for t in covered})
@@ -368,8 +369,8 @@ def test_criterion_7_cycle_behavior(matrix):
     timeouts = 0
     for seed in SEEDS:
         run = runs[("ADP", seed)]
-        total_cycles += len(run.releases)
-        timeouts += sum(1 for rel in run.releases if rel.reason == "timeout")
+        total_cycles += len(run.release_meta)
+        timeouts += sum(1 for rel in run.release_meta if rel["reason"] == "timeout")
         rates = [s.sampling_rate for s in run.seconds]
         seasonal_rates = rates[stationary_end:seasonal_end]
         burst_rates = rates[seasonal_end:burst_end]

@@ -388,7 +388,7 @@ class TestNonFiniteNumbers:
 class TestIntegerAndBooleanKeys:
     """Numeric keys take only JSON numbers, integer keys no fractional number;
     ``seeds`` takes only a list and ``strict`` only a bool; ``type_id`` only a
-    string, and every container its JSON kind."""
+    string, every container its JSON kind, and no section a key it lacks."""
 
     @pytest.mark.parametrize("edit, message", [
         (lambda raw: raw["sampler"].update(history_capacity=2.5),
@@ -422,11 +422,20 @@ class TestIntegerAndBooleanKeys:
         (lambda raw: raw.update(workload={"a": 1}),
          "workload: must be a list, got {'a': 1}"),
         (lambda raw: raw.update(model=[1]), "model: must be an object, got [1]"),
+        (lambda raw: raw["model"].update(trace_contension=99.0),
+         "model.trace_contension: unknown key"),
+        (lambda raw: raw["model"]["types"][1].update(owner="ops"),
+         "model.types[1].owner: unknown key"),
+        (lambda raw: raw["workload"][1].update(users=4),
+         "workload[1].users: unknown key"),
+        (lambda raw: raw.update(seeed=3), "seeed: unknown key"),
+        (lambda raw: raw["sampler"].update(max_rat=0.4), "sampler.max_rat: unknown key"),
     ], ids=["history_capacity", "seed", "bool_seed", "users", "bool_users", "seeds",
             "strict", "string_seeds", "string_seed", "string_users", "bool_duration",
             "bool_weight", "string_capacity", "bool_baseline_duration", "bool_max_rate",
             "int_type_id", "number_segment", "number_types", "object_workload",
-            "list_model"])
+            "list_model", "unknown_model_key", "unknown_type_key", "unknown_segment_key",
+            "unknown_top_level_key", "unknown_sampler_key"])
     def test_rejected_with_key_path(self, tmp_path, capsys, edit, message):
         raw = json.loads(json.dumps(TINY_SCENARIO))
         edit(raw)

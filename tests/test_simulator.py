@@ -93,6 +93,14 @@ class TestUsersAt:
             Burst(base_users=8, peak_users=20, at=70, width=2, duration=60)
         with pytest.raises(ValueError):
             WorkloadSpec(segments=())
+        # User counts are ints: the tape memo would serve 5.0 the tape of 5.
+        for make in (lambda: Stationary(users=5.0, duration=10),
+                     lambda: Stationary(users=True, duration=10),
+                     lambda: Seasonal(base_users=8.0, amplitude=1, period=60, duration=60),
+                     lambda: Burst(base_users=8, peak_users=20.0, at=5, width=2, duration=60),
+                     lambda: Burst(base_users=True, peak_users=20, at=5, width=2, duration=60)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                make()
 
 
 class TestDeterminism:

@@ -123,7 +123,7 @@ class TestOracleCorpus:
     def test_quantiles_match_scipy(self):
         for conf in [0.001, 0.01, 0.1, 0.3, 0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.999, 0.999999]:
             expected = scipy_stats.norm.ppf(1 - (1 - conf) / 2)
-            assert normal_quantile(conf) == pytest.approx(expected, abs=1e-6)
+            assert normal_quantile(conf) == pytest.approx(expected, rel=1e-14)
 
 
 class TestStudentTLogPBound:
