@@ -215,17 +215,23 @@ def load_run(run_dir: str | Path) -> RunSummary:
     run_dir = Path(run_dir)
     meta = json.loads((run_dir / "run.json").read_text())
     seconds: list[SecondStats] = []
-    with open(run_dir / "series.csv", newline="") as handle:
-        for row in csv.DictReader(handle):
-            seconds.append(
-                SecondStats(
-                    second=int(row["second"]),
-                    users=int(row["users"]),
-                    throughput=int(row["throughput"]),
-                    sampling_rate=float(row["sampling_rate"]),
-                    monitoring_enabled=bool(int(row["monitoring_enabled"])),
+    series_path = run_dir / "series.csv"
+    with open(series_path, newline="") as handle:
+        reader = csv.DictReader(handle)
+        for row in reader:
+            try:
+                seconds.append(
+                    SecondStats(
+                        second=int(row["second"]),
+                        users=int(row["users"]),
+                        throughput=int(row["throughput"]),
+                        sampling_rate=float(row["sampling_rate"]),
+                        monitoring_enabled=bool(int(row["monitoring_enabled"])),
+                    )
                 )
-            )
+            # A short row leaves its missing fields None: int(None) is a TypeError.
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{series_path}:{reader.line_num}: {exc}") from exc
     traces = read_trace_file(run_dir / "traces.txt")
     memory_means, type_counts = _type_tallies(t.event for t in traces)
     return RunSummary(

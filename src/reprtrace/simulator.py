@@ -23,6 +23,15 @@ by the value of (model, workload, seed), so runs on one seed draw it once;
 the last tape (about 22 bytes a request, 2.1 MB on the default scenario)
 stays alive after its runs.  Runs are yielded one at a time, and only the
 yielded run and the packed stream stay alive between them.
+
+``Simulation.run`` serves its stream with CPython's cyclic garbage
+collector paused and restores the caller's setting afterwards, also when a
+strategy raises.  A run allocates hundreds of thousands of events and trace
+records that all stay alive until the run is read, so the collector would
+otherwise scan them over and over and find nothing: the simulator, the
+sampler and the built-in strategies make no reference cycles, and reference
+counting alone frees a dropped run.  A custom strategy that does make
+cycles keeps them until its run ends and the collector runs again.
 """
 
 from __future__ import annotations
@@ -45,6 +54,7 @@ from .model import (
     ReleasedSample,
     SamplerConfig,
     TraceRecord,
+    collector_paused,
 )
 from .sampler import SamplerEvent
 from .strategies import Strategy, StrategyKind, make_strategy
@@ -447,9 +457,11 @@ class Simulation:
         return stats
 
     def run(self, stream: Iterable[OfferedSecond]) -> RunResult:
-        """Serve every second of ``stream``, numbered from 0."""
-        for second, offered in enumerate(stream):
-            self.step(second, offered)
+        """Serve every second of ``stream``, numbered from 0, with the cyclic
+        collector paused (see the module docstring)."""
+        with collector_paused():
+            for second, offered in enumerate(stream):
+                self.step(second, offered)
         return RunResult(
             strategy=self.strategy.kind,
             seed=self.seed,

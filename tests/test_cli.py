@@ -328,6 +328,26 @@ class TestReport:
         assert "two runs of" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("name, row, message", [
+        ("traces.txt", "0,/owners,12", "not enough values to unpack"),
+        ("traces.txt", "0,/owners,12,nan,1.0", "response_time must be finite"),
+        ("traces.txt", "0,/owners,12.5,3.0,1.0", "invalid literal for int()"),
+        ("series.csv", "2,4,90,0.5", "int() argument must be"),
+        ("series.csv", "2,4,90,half,1", "could not convert string to float"),
+    ])
+    def test_malformed_row_names_file_and_line(self, tmp_path, capsys, name, row, message):
+        runs_dir = tmp_path / "runs"
+        for run in _comparison_runs():
+            save_run(run, runs_dir / f"{run.strategy.value}_s{run.seed}")
+        path = runs_dir / "UNI_s1" / name
+        lines = path.read_bytes().splitlines(keepends=True)
+        # The row replaces the file's second line.
+        path.write_bytes(lines[0] + row.encode() + b"\r\n" + b"".join(lines[2:]))
+        assert main(["report", "--in", str(runs_dir), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:2: ")
+        assert f"UNI_s1/{name}:2: " in err and message in err
+
     def test_empty_input_dir(self, tmp_path):
         (tmp_path / "runs").mkdir()
         assert main(["report", "--in", str(tmp_path / "runs"),
