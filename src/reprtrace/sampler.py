@@ -114,7 +114,7 @@ class AdaptiveMonitor:
     rate reads and table mutations are single attribute operations.
     """
 
-    def __init__(self, config: SamplerConfig, start_time: float = 0.0) -> None:
+    def __init__(self, config: SamplerConfig) -> None:
         self.config = config
         self.rate: float = config.max_rate
         self.monitoring_enabled: bool = True
@@ -124,7 +124,7 @@ class AdaptiveMonitor:
         self.sample_traces: list[TraceRecord] = []
         self.population_rt_sum: float = 0.0
         self.perf_ref: deque[PerformanceRecord] = deque(maxlen=config.history_capacity)
-        self.cycle_start: float = start_time
+        self.cycle_start: float = 0.0
         self.cycle_index: int = 0
         self.events: list[SamplerEvent] = []
         # Running moments of the sampled response times (Welford), so the

@@ -3,20 +3,24 @@
 A scenario bundles an application model, a workload schedule, sampler
 settings and optionally a strategy and seed.  ``load_scenario`` reports
 JSON syntax errors with line numbers and semantic errors with key paths.
-Numeric keys take only JSON numbers, not strings or bools, and only finite
-ones except ``model.trace_io_capacity``, whose default ``Infinity`` means
-no trace I/O contention.  Integer keys (seeds, user counts) reject a
-fractional part; ``seeds`` must be a list and ``strict`` a bool.  ``model``
-and each workload segment must be objects, ``model.types`` and
-``workload`` lists, and each ``type_id`` a string.  A key that its section
-does not have is rejected, never ignored.
+
+Each section (``model``, a request type, a workload segment, ``sampler``)
+is read by ``_section`` from the fields of its dataclass: a key the class
+lacks is rejected, never ignored, and one with no default is required.
+A value takes the kind its field's annotation names: a ``str`` field a
+string, an ``int`` field a JSON number with no fractional part, any other
+field a finite JSON number (not a string or a bool).  Only
+``model.trace_io_capacity`` may be ``Infinity``, its default, meaning no
+trace I/O contention; an integer too large for a float is not finite.
+At the top level ``seed`` and each of ``seeds`` take an integer, ``seeds``
+a list, ``out`` a string and ``strict`` a bool.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Optional
 
@@ -40,26 +44,9 @@ class Scenario:
     strict: Optional[bool] = None
 
 
-def _field_names(cls: type, *skip: str) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls) if f.name not in skip)
-
-
-# The numeric keys of a request type and of the model, in field order.
-_TYPE_KEYS = _field_names(RequestTypeSpec, "type_id")
-_MODEL_KEYS = _field_names(AppModel, "types")
-
-
-def _require(mapping: dict, key: str, where: str) -> Any:
-    if key not in mapping:
-        raise ScenarioError(f"{where}: missing key {key!r}")
-    return mapping[key]
-
-
-def _known(raw: dict, keys: tuple[str, ...], where: str) -> None:
-    """ScenarioError naming the first key of ``raw`` that is not in ``keys``."""
-    for key in raw:
-        if key not in keys:
-            raise ScenarioError(f"{where}.{key}: unknown key")
+_SCENARIO_KEYS = tuple(f.name for f in fields(Scenario))
+_SEGMENT_CLASSES = {"stationary": Stationary, "seasonal": Seasonal, "burst": Burst}
+_SEGMENT_KINDS = {cls: kind for kind, cls in _SEGMENT_CLASSES.items()}
 
 
 def _unique(values: list, what: str, where: str) -> list:
@@ -83,58 +70,47 @@ def _typed(value: Any, kind: type, where: str) -> Any:
     return value
 
 
-def _is_number(value: Any) -> bool:
-    """Whether ``value`` is a JSON number: an int or a float, not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _number(value: Any, where: str, integer: bool = False, allow_inf: bool = False) -> Any:
+    """``value`` when it is a finite JSON number (``allow_inf`` admits
+    +Infinity), as an int when ``integer`` and it has no fractional part;
+    ScenarioError naming ``where`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{where}: must be {'an integer' if integer else 'a number'}, "
+                            f"got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite and not (allow_inf and value == math.inf):
+        raise ScenarioError(f"{where}: must be finite, got {value!r}")
+    if integer and isinstance(value, float):
+        if not value.is_integer():
+            raise ScenarioError(f"{where}: must be an integer, got {value!r}")
+        return int(value)
+    return value
 
 
-def _integer(value: Any) -> int:
-    """``int(value)``; TypeError for anything but a number without a fractional part."""
-    if not _is_number(value) or isinstance(value, float) and not value.is_integer():
-        raise TypeError(f"must be an integer, got {value!r}")
-    return int(value)
-
-
-def _finite(raw: Any, where: str, keys: Optional[tuple[str, ...]] = None,
-            allow_inf: tuple[str, ...] = ()) -> dict:
-    """The entries of object ``raw`` (only ``keys``, when given), checked to be
-    finite numbers: ScenarioError names the first entry that is not a number,
-    the first NaN, or the first infinity whose key is not in ``allow_inf``."""
+def _section(cls: type, raw: Any, where: str, **given: Any) -> Any:
+    """A ``cls`` read from object ``raw``, whose keys and values must follow
+    ``fields(cls)`` as the module docstring says; the fields in ``given``
+    the caller has read from ``raw`` itself."""
     _typed(raw, dict, where)
-    values = raw if keys is None else {k: raw[k] for k in keys if k in raw}
-    for key, value in values.items():
-        if not _is_number(value):
-            raise ScenarioError(f"{where}.{key}: must be a number, got {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
-            if math.isnan(value) or key not in allow_inf:
-                raise ScenarioError(f"{where}.{key}: must be finite, got {value!r}")
-    return values
-
-
-_SEGMENTS = {
-    "stationary": (Stationary, {"users": _integer, "duration": float}),
-    "seasonal": (Seasonal, {"base_users": _integer, "amplitude": float, "period": float,
-                            "duration": float}),
-    "burst": (Burst, {"base_users": _integer, "peak_users": _integer, "at": float,
-                      "width": float, "duration": float}),
-}
-
-_SEGMENT_KINDS = {cls: kind for kind, (cls, _fields) in _SEGMENTS.items()}
-
-
-def _parse_segment(raw: dict, where: str):
-    kind = _require(raw, "kind", where)
-    if kind not in _SEGMENTS:
-        raise ScenarioError(f"{where}: unknown segment kind {kind!r}")
-    cls, converters = _SEGMENTS[kind]
-    _known(raw, ("kind", *converters), where)
-    _finite(raw, where, tuple(key for key, convert in converters.items() if convert is float))
-    values = {}
-    for key, convert in converters.items():
-        try:
-            values[key] = convert(_require(raw, key, where))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ScenarioError(f"{where}.{key}: {exc}") from exc
+    known = {f.name: f for f in fields(cls)}
+    values = dict(given)
+    for key, value in raw.items():
+        f = known.get(key)
+        if f is None:
+            raise ScenarioError(f"{where}.{key}: unknown key")
+        if key in given:
+            continue
+        if f.type in ("str", str):
+            values[key] = _typed(value, str, f"{where}.{key}")
+        else:
+            values[key] = _number(value, f"{where}.{key}", integer=f.type in ("int", int),
+                                  allow_inf=key == "trace_io_capacity")
+    for f in known.values():
+        if f.name not in raw and f.default is MISSING:
+            raise ScenarioError(f"{where}: missing key {f.name!r}")
     try:
         return cls(**values)
     except ValueError as exc:
@@ -144,45 +120,33 @@ def _parse_segment(raw: dict, where: str):
 def parse_scenario(raw: dict, source: str = "scenario") -> Scenario:
     if not isinstance(raw, dict):
         raise ScenarioError(f"{source}: top level must be an object")
-    _known(raw, _field_names(Scenario), source)
-    model_raw = _typed(_require(raw, "model", source), dict, f"{source}.model")
-    _known(model_raw, _field_names(AppModel), f"{source}.model")
-    types = []
-    types_raw = _typed(_require(model_raw, "types", f"{source}.model"), list,
-                       f"{source}.model.types")
-    for i, type_raw in enumerate(types_raw):
-        where = f"{source}.model.types[{i}]"
-        values = _finite(type_raw, where, _TYPE_KEYS)
-        _known(type_raw, _field_names(RequestTypeSpec), where)
-        type_id = _typed(_require(type_raw, "type_id", where), str, f"{where}.type_id")
-        try:
-            types.append(RequestTypeSpec(type_id=type_id, **values))
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"{where}: {exc}") from exc
-    # An infinite trace I/O capacity is the default: no I/O contention.
-    values = _finite(model_raw, f"{source}.model", _MODEL_KEYS,
-                     allow_inf=("trace_io_capacity",))
-    try:
-        model = AppModel(types=tuple(types), **values)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{source}.model: {exc}") from exc
+    for key in raw:
+        if key not in _SCENARIO_KEYS:
+            raise ScenarioError(f"{source}.{key}: unknown key")
+    for key in ("model", "workload"):
+        if key not in raw:
+            raise ScenarioError(f"{source}: missing key {key!r}")
+    where = f"{source}.model"
+    model_raw = _typed(raw["model"], dict, where)
+    types = _typed(model_raw.get("types", []), list, f"{where}.types")
+    model = _section(AppModel, model_raw, where, types=tuple(
+        _section(RequestTypeSpec, spec, f"{where}.types[{i}]") for i, spec in enumerate(types)))
 
     segments = []
-    for i, seg_raw in enumerate(_typed(_require(raw, "workload", source), list,
-                                       f"{source}.workload")):
+    for i, segment in enumerate(_typed(raw["workload"], list, f"{source}.workload")):
         where = f"{source}.workload[{i}]"
-        segments.append(_parse_segment(_typed(seg_raw, dict, where), where))
+        segment = dict(_typed(segment, dict, where))
+        if "kind" not in segment:
+            raise ScenarioError(f"{where}: missing key 'kind'")
+        kind = segment.pop("kind")
+        if not isinstance(kind, str) or kind not in _SEGMENT_CLASSES:
+            raise ScenarioError(f"{where}: unknown segment kind {kind!r}")
+        segments.append(_section(_SEGMENT_CLASSES[kind], segment, where))
     try:
         workload = WorkloadSpec(segments=tuple(segments))
     except ValueError as exc:
         raise ScenarioError(f"{source}.workload: {exc}") from exc
-
-    sampler_raw = _finite(raw.get("sampler", {}), f"{source}.sampler")
-    _known(sampler_raw, _field_names(SamplerConfig), f"{source}.sampler")
-    try:
-        sampler = SamplerConfig(**sampler_raw)
-    except ValueError as exc:
-        raise ScenarioError(f"{source}.sampler: {exc}") from exc
+    sampler = _section(SamplerConfig, raw.get("sampler", {}), f"{source}.sampler")
 
     strategy = None
     if raw.get("strategy") is not None:
@@ -192,34 +156,22 @@ def parse_scenario(raw: dict, source: str = "scenario") -> Scenario:
             raise ScenarioError(f"{source}.strategy: {exc}") from exc
     seed = raw.get("seed")
     if seed is not None:
-        try:
-            seed = _integer(seed)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ScenarioError(f"{source}.seed: {exc}") from exc
+        seed = _number(seed, f"{source}.seed", integer=True)
     seeds = raw.get("seeds")
     if seeds is not None:
-        _typed(seeds, list, f"{source}.seeds")
-        try:
-            seeds = [_integer(s) for s in seeds]
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ScenarioError(f"{source}.seeds: {exc}") from exc
+        seeds = [_number(s, f"{source}.seeds", integer=True)
+                 for s in _typed(seeds, list, f"{source}.seeds")]
         if not seeds:
             raise ScenarioError(f"{source}.seeds: must be non-empty when given")
         _unique(seeds, "seed", f"{source}.seeds")
     out = raw.get("out")
+    if out is not None:
+        _typed(out, str, f"{source}.out")
     strict = raw.get("strict")
     if strict is not None and not isinstance(strict, bool):
         raise ScenarioError(f"{source}.strict: must be true or false, got {strict!r}")
-    return Scenario(
-        model=model,
-        workload=workload,
-        sampler=sampler,
-        strategy=strategy,
-        seed=seed,
-        seeds=seeds,
-        out=str(out) if out is not None else None,
-        strict=strict,
-    )
+    return Scenario(model=model, workload=workload, sampler=sampler, strategy=strategy,
+                    seed=seed, seeds=seeds, out=out, strict=strict)
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -239,7 +191,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     model = scenario.model
     return {
         "model": {
-            **{key: getattr(model, key) for key in _MODEL_KEYS},
+            **{f.name: getattr(model, f.name) for f in fields(model) if f.name != "types"},
             "types": [asdict(spec) for spec in model.types],
         },
         "workload": [{"kind": _SEGMENT_KINDS[type(seg)], **asdict(seg)}

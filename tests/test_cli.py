@@ -412,7 +412,7 @@ class TestIntegerAndBooleanKeys:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda raw: raw["sampler"].update(history_capacity=2.5),
-         "sampler: history_capacity must be an integer, got 2.5"),
+         "sampler.history_capacity: must be an integer, got 2.5"),
         (lambda raw: raw.update(seed=1.9), "seed: must be an integer, got 1.9"),
         (lambda raw: raw.update(seed=True), "seed: must be an integer, got True"),
         (lambda raw: raw["workload"][0].update(users=8.9),
@@ -450,19 +450,32 @@ class TestIntegerAndBooleanKeys:
          "workload[1].users: unknown key"),
         (lambda raw: raw.update(seeed=3), "seeed: unknown key"),
         (lambda raw: raw["sampler"].update(max_rat=0.4), "sampler.max_rat: unknown key"),
+        (lambda raw: raw.update(out={"a": 1}), "out: must be a string, got {'a': 1}"),
+        (lambda raw: raw["workload"][0].update(kind=["x"]),
+         "workload[0]: unknown segment kind ['x']"),
+        (lambda raw: raw["workload"][0].update(kind={}), "workload[0]: unknown segment kind {}"),
+        (lambda raw: raw["model"]["types"][0].pop("weight"),
+         "model.types[0]: missing key 'weight'"),
+        (lambda raw: raw["model"].pop("capacity_users"), "model: missing key 'capacity_users'"),
+        (lambda raw: raw["workload"][0].pop("users"), "workload[0]: missing key 'users'"),
+        (lambda raw: raw["workload"][0].update(duration=10 ** 400),
+         f"workload[0].duration: must be finite, got {10 ** 400}"),
     ], ids=["history_capacity", "seed", "bool_seed", "users", "bool_users", "seeds",
             "strict", "string_seeds", "string_seed", "string_users", "bool_duration",
             "bool_weight", "string_capacity", "bool_baseline_duration", "bool_max_rate",
             "int_type_id", "number_segment", "number_types", "object_workload",
             "list_model", "unknown_model_key", "unknown_type_key", "unknown_segment_key",
-            "unknown_top_level_key", "unknown_sampler_key"])
+            "unknown_top_level_key", "unknown_sampler_key", "object_out", "list_kind",
+            "object_kind", "missing_type_weight", "missing_model_capacity",
+            "missing_segment_users", "huge_integer_duration"])
     def test_rejected_with_key_path(self, tmp_path, capsys, edit, message):
         raw = json.loads(json.dumps(TINY_SCENARIO))
         edit(raw)
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(raw))
         assert main(["validate", "--scenario", str(path)]) == 2
-        assert f"{path}.{message}" in capsys.readouterr().err
+        # The whole message, so a key path printed twice fails too.
+        assert capsys.readouterr().err == f"error: {path}.{message}\n"
         out = tmp_path / "out"
         assert main(["run", "--scenario", str(path), "--strategy", "ADP",
                      "--out", str(out)]) == 2
@@ -472,10 +485,13 @@ class TestIntegerAndBooleanKeys:
         raw = json.loads(json.dumps(TINY_SCENARIO))
         raw.update(seed=3.0, seeds=[2.0, 5], strict=True)
         raw["workload"][0]["users"] = 4.0
+        raw["sampler"]["history_capacity"] = 60.0
         scenario = parse_scenario(raw)
         assert (scenario.seed, scenario.seeds, scenario.strict) == (3, [2, 5], True)
         assert type(scenario.seed) is int
         assert scenario.workload.segments[0].users == 4
+        assert scenario.sampler.history_capacity == 60
+        assert type(scenario.sampler.history_capacity) is int
 
 
 class TestScenarioRoundTrip:

@@ -457,11 +457,15 @@ class TestEvaluateSample:
         assert monitor.evaluate_sample(now=10.0) is None
 
     def test_time_before_the_cycle_start_rejected(self, config):
-        monitor = AdaptiveMonitor(config, start_time=10.0)
+        # A timeout release at max_cycle_length starts the next cycle there.
+        monitor = AdaptiveMonitor(config)
+        start = config.max_cycle_length
+        assert monitor.evaluate_sample(now=start).reason == "timeout"
+        assert monitor.cycle_start == start
         monitor.decide(make_event("/a", start=9000), AlwaysRng())
         with pytest.raises(ParameterError, match="precedes the cycle start"):
-            monitor.evaluate_sample(now=9.5)
-        assert monitor.evaluate_sample(now=10.0) is None
+            monitor.evaluate_sample(now=start - 0.5)
+        assert monitor.evaluate_sample(now=start) is None
 
     def test_released_criteria_recheck_offline(self, config):
         # Every criteria release must satisfy all three criteria when
