@@ -54,6 +54,6 @@ from .stats import (
     one_sample_t_test,
     paired_t_test,
 )
-from .strategies import Strategy, StrategyKind, make_strategy
+from .strategies import RateStrategy, Strategy, StrategyKind, make_strategy
 
 __version__ = "0.1.0"

@@ -21,17 +21,26 @@ memory values), which each run reads through a fresh ``zip``, bit-identical
 to the stream as drawn.  The tape is memoized per process, one entry keyed
 by the value of (model, workload, seed), so runs on one seed draw it once;
 the last tape (about 22 bytes a request, 2.1 MB on the default scenario)
-stays alive after its runs.  Runs are yielded one at a time, and only the
-yielded run and the packed stream stay alive between them.
+stays alive after its runs, and so does any tape a kept run was served.
+Runs are yielded one at a time, and only the yielded run and the packed
+stream stay alive between them.
+
+A run keeps its traces, not its completed requests.  ``RunResult.events``
+is a ``ServedEvents`` view that rebuilds each event from the offered rows
+the run was served, the per-second slowdown and the positions of the
+traced requests, bit for bit as ``step`` served it.  A ``RateStrategy``
+(INV, UNI, FUM, NOM) is served inline, one draw at its rate per request,
+and ``step`` builds a ``RequestEvent`` only for a traced request; any other
+strategy is asked ``decide`` with a ``RequestEvent`` per request.
 
 ``Simulation.run`` serves its stream with CPython's cyclic garbage
 collector paused and restores the caller's setting afterwards, also when a
-strategy raises.  A run allocates hundreds of thousands of events and trace
-records that all stay alive until the run is read, so the collector would
-otherwise scan them over and over and find nothing: the simulator, the
-sampler and the built-in strategies make no reference cycles, and reference
-counting alone frees a dropped run.  A custom strategy that does make
-cycles keeps them until its run ends and the collector runs again.
+strategy raises.  A run allocates tens of thousands of trace records (and,
+for ADP, an event per request) that the collector would otherwise scan
+over and over and find nothing: the simulator, the sampler and the
+built-in strategies make no reference cycles, and reference counting alone
+frees a dropped run.  A custom strategy that does make cycles keeps them
+until its run ends and the collector runs again.
 """
 
 from __future__ import annotations
@@ -39,11 +48,13 @@ from __future__ import annotations
 import math
 import random
 from array import array
-from bisect import bisect_right
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import accumulate
-from math import exp, log
+from math import exp, inf, log
+from operator import eq
 from random import NV_MAGICCONST
 from typing import Iterable, Iterator, Optional
 
@@ -57,7 +68,7 @@ from .model import (
     collector_paused,
 )
 from .sampler import SamplerEvent
-from .strategies import Strategy, StrategyKind, make_strategy
+from .strategies import RateStrategy, Strategy, StrategyKind, make_strategy
 
 __all__ = [
     "RequestTypeSpec",
@@ -68,12 +79,21 @@ __all__ = [
     "AppModel",
     "SecondStats",
     "RunResult",
+    "ServedEvents",
     "users_at",
     "offered_stream",
     "Simulation",
     "run_scenario",
     "run_matrix",
 ]
+
+
+def _check_finite(spec, but: str = "") -> None:
+    """Reject NaN and the infinities in every float field of ``spec`` but ``but``."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if f.type in ("float", float) and f.name != but and not -inf < value < inf:
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -90,6 +110,7 @@ class RequestTypeSpec:
     def __post_init__(self) -> None:
         if not self.type_id:
             raise ValueError("type_id must be non-empty")
+        _check_finite(self)
         if self.weight <= 0:
             raise ValueError(f"weight must be positive, got {self.weight}")
         if self.base_rt <= 0:
@@ -116,6 +137,7 @@ class Stationary:
 
     def __post_init__(self) -> None:
         _check_users("users", self.users)
+        _check_finite(self)
         if self.duration <= 0:
             raise ValueError("duration must be positive")
 
@@ -129,6 +151,7 @@ class Seasonal:
 
     def __post_init__(self) -> None:
         _check_users("base_users", self.base_users)
+        _check_finite(self)
         if self.amplitude < 0:
             raise ValueError("amplitude must be >= 0")
         if self.period <= 0:
@@ -148,6 +171,7 @@ class Burst:
     def __post_init__(self) -> None:
         _check_users("base_users", self.base_users)
         _check_users("peak_users", self.peak_users)
+        _check_finite(self)
         if self.duration <= 0:
             raise ValueError("duration must be positive")
         if self.width <= 0:
@@ -244,6 +268,8 @@ class AppModel:
         object.__setattr__(self, "types", tuple(self.types))
         if not self.types:
             raise ValueError("model needs at least one request type")
+        # +inf, the default, leaves the trace I/O path without a limit.
+        _check_finite(self, but="trace_io_capacity")
         if self.capacity_users < 1:
             raise ValueError("capacity_users must be >= 1")
         if self.contention_gamma < 0:
@@ -252,8 +278,8 @@ class AppModel:
             raise ValueError("trace_cost must be >= 0")
         if not 0 <= self.gc_negative_prob < 1:
             raise ValueError("gc_negative_prob must be in [0, 1)")
-        if self.trace_io_capacity <= 0:
-            raise ValueError("trace_io_capacity must be positive")
+        if not self.trace_io_capacity > 0:
+            raise ValueError(f"trace_io_capacity must be positive, got {self.trace_io_capacity}")
         if self.trace_contention < 0:
             raise ValueError("trace_contention must be >= 0")
         if self.mem_load_gain < 0:
@@ -281,14 +307,96 @@ class RunResult:
     strategy: StrategyKind
     seed: int
     seconds: list[SecondStats]
-    events: list[RequestEvent]
+    events: Sequence[RequestEvent]
     traces: list[TraceRecord]
     releases: list[ReleasedSample]
     sampler_events: list[SamplerEvent]
     config: SamplerConfig
 
 
+class ServedEvents(Sequence):
+    """A run's completed requests in the order served, rebuilt on each read.
+
+    Per second it keeps what ``Simulation.step`` read to serve it (the
+    offered rows, where the served prefix ends, the start, the budget and
+    the slowdown) and per trace its position.  An event is rebuilt as
+    ``step`` computed it: the response time is ``base_rt * slowdown``, and
+    the start replays the second's spent time, ``trace_cost`` added at
+    each traced position.  A traced position yields its trace's own
+    ``event``.  ``len`` is O(1); reading a second costs that second's rows.
+    The view holds no reference to its ``Simulation``.
+    """
+
+    __slots__ = ("_type_ids", "_trace_cost", "_traces", "_ends", "_seconds", "_traced")
+
+    def __init__(self, type_ids: list[str], trace_cost: float,
+                 traces: list[TraceRecord]) -> None:
+        self._type_ids = type_ids
+        self._trace_cost = trace_cost
+        self._traces = traces
+        self._ends = array("q")    # per second: the position after its last event
+        self._seconds: list[tuple] = []   # per second: (rows, start ms, budget, slowdown)
+        self._traced = array("q")  # per trace: its event's position
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            positions = range(*index.indices(len(self)))
+            if positions.step == 1:
+                return list(self._between(positions.start, positions.stop))
+            return [self[i] for i in positions]
+        size = len(self)
+        position = index + size if index < 0 else index
+        if not 0 <= position < size:
+            raise IndexError("event index out of range")
+        return next(self._between(position, position + 1))
+
+    def __iter__(self) -> Iterator[RequestEvent]:
+        return self._between(0, len(self))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (ServedEvents, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None
+
+    def _between(self, lo: int, hi: int) -> Iterator[RequestEvent]:
+        """The events at positions ``lo`` to ``hi - 1``."""
+        ends, traced, traces = self._ends, self._traced, self._traces
+        type_ids, trace_cost = self._type_ids, self._trace_cost
+        second = bisect_right(ends, lo)
+        position = ends[second - 1] if second else 0
+        k = bisect_left(traced, position)
+        next_traced = traced[k] if k < len(traced) else -1
+        while position < hi:
+            rows, second_ms, budget, slowdown = self._seconds[second]
+            end = ends[second]
+            spent = 0.0
+            for position, (idx, base_rt, mem) in zip(range(position, min(end, hi)), rows):
+                response_time = base_rt * slowdown
+                if position == next_traced:
+                    if position >= lo:
+                        yield traces[k].event
+                    spent += response_time
+                    spent += trace_cost
+                    k += 1
+                    next_traced = traced[k] if k < len(traced) else -1
+                    continue
+                if position >= lo:
+                    offset_ms = int(1000.0 * spent / budget)
+                    start = second_ms + (offset_ms if offset_ms < 999 else 999)
+                    yield RequestEvent(type_ids[idx], start, response_time, mem)
+                spent += response_time
+            position = end
+            second += 1
+
+
 # One second of an offered stream: (users, [(type index, base rt, memory), ...]).
+# ``step`` reads the rows again when a run's events are read, so a one-shot
+# iterator of rows is first stored as a list.
 OfferedSecond = tuple[int, Iterable[tuple[int, float, float]]]
 
 
@@ -372,12 +480,14 @@ class Simulation:
         self._last_tick = 0.0
         self._next_tick = config.adaptation_frequency
         self.seconds: list[SecondStats] = []
-        self.events: list[RequestEvent] = []
         self.traces: list[TraceRecord] = []
+        self.events = ServedEvents(self._type_ids, model.trace_cost, self.traces)
 
     def step(self, second: int, offered: OfferedSecond) -> SecondStats:
         """Serve one second of an offered stream; returns the per-second outcome."""
         users, requests = offered
+        if iter(requests) is requests:
+            requests = list(requests)
         model = self.model
         strategy = self.strategy
         rate_in_effect = strategy.rate
@@ -394,39 +504,77 @@ class Simulation:
         )
         budget = users * 1000.0
 
-        # The strategy completes a prefix of the offered stream.
+        # The strategy completes a prefix of the offered stream.  Both loops
+        # below and ServedEvents._between compute a start the same way.
         spent = 0.0
         traced_ms = 0.0
         second_ms = second * 1000
         trace_cost = model.trace_cost
         type_ids = self._type_ids
-        decide = strategy.decide
         decision_rng = self.decision_rng
         rt_sum = self._tick_rt_sum
         rt_count = self._tick_rt_count
         events = self.events
-        completed_before = len(events)
-        append_event = events.append
+        first = len(events)
+        served_before = sum(rt_count)
         append_trace = self.traces.append
-        for idx, base_rt, mem in requests:
-            if spent >= budget:
-                break
-            offset_ms = int(1000.0 * spent / budget)
-            start = second_ms + (offset_ms if offset_ms < 999 else 999)
-            type_id = type_ids[idx]
-            response_time = base_rt * slowdown
-            event = RequestEvent(type_id, start, response_time, mem)
-            trace = decide(event, start / 1000.0, decision_rng)
-            spent += response_time
-            if trace is not None:
-                spent += trace_cost
-                traced_ms += trace_cost
-                append_trace(trace)
-            append_event(event)
-            rt_sum[idx] += response_time
-            rt_count[idx] += 1
+        append_traced = events._traced.append
+        if isinstance(strategy, RateStrategy):
+            rate = rate_in_effect
+            if not 0.0 <= rate <= 1.0:
+                raise ParameterError(f"probability must be in [0, 1], got {rate}")
+            draw = decision_rng.random
+            untraced_mem = 0.0
+            for position, (idx, base_rt, mem) in enumerate(requests, first):
+                if spent >= budget:
+                    break
+                response_time = base_rt * slowdown
+                if draw() < rate:
+                    offset_ms = int(1000.0 * spent / budget)
+                    start = second_ms + (offset_ms if offset_ms < 999 else 999)
+                    event = RequestEvent(type_ids[idx], start, response_time, mem)
+                    append_trace(TraceRecord(event, 0))
+                    append_traced(position)
+                    spent += response_time
+                    spent += trace_cost
+                    traced_ms += trace_cost
+                else:
+                    spent += response_time
+                    untraced_mem += mem
+                rt_sum[idx] += response_time
+                rt_count[idx] += 1
+            # An untraced request builds no RequestEvent to check its values,
+            # so a NaN or an infinity among them is caught once per second.
+            if not -inf < untraced_mem < inf:
+                raise ParameterError(
+                    f"second {second}: memory values must be finite, sum to {untraced_mem}")
+        else:
+            decide = strategy.decide
+            for position, (idx, base_rt, mem) in enumerate(requests, first):
+                if spent >= budget:
+                    break
+                offset_ms = int(1000.0 * spent / budget)
+                start = second_ms + (offset_ms if offset_ms < 999 else 999)
+                response_time = base_rt * slowdown
+                trace = decide(RequestEvent(type_ids[idx], start, response_time, mem),
+                               start / 1000.0, decision_rng)
+                spent += response_time
+                if trace is not None:
+                    spent += trace_cost
+                    traced_ms += trace_cost
+                    append_trace(trace)
+                    append_traced(position)
+                rt_sum[idx] += response_time
+                rt_count[idx] += 1
+        # Nothing else checks an untraced request's response time: a NaN, an
+        # infinity or a negative total fails the second here.
+        if not 0.0 <= spent < inf:
+            raise ParameterError(
+                f"second {second}: served time must be finite and >= 0, got {spent}")
 
-        completed = len(events) - completed_before
+        completed = sum(rt_count) - served_before
+        events._ends.append(first + completed)
+        events._seconds.append((requests, second_ms, budget, slowdown))
         self._traced_ms_prev = traced_ms
         now = float(second + 1)
         if now + 1e-9 >= self._next_tick:
@@ -501,9 +649,8 @@ def run_matrix(
     config = config if config is not None else SamplerConfig()
     kinds = [StrategyKind(kind) for kind in kinds]
     for kind in kinds:
-        tape = _tape(model, workload, seed)
-        stream = ((users, zip(ids, rts, mems)) for users, ids, rts, mems in tape)
-        run = Simulation(model, make_strategy(kind, config), config, seed).run(stream)
+        run = Simulation(model, make_strategy(kind, config), config, seed).run(
+            _tape(model, workload, seed))
         yield run
         del run
 
@@ -511,10 +658,23 @@ def run_matrix(
 # Typed, as the seeds 1, 1.0 and True name different streams.
 @lru_cache(maxsize=1, typed=True)
 def _tape(model: AppModel, workload: WorkloadSpec, seed: int) -> tuple:
-    """``seed``'s offered stream as (users, type indices, base service times,
-    memory values) per second; a second is never empty, since users >= 1."""
+    """``seed``'s offered stream as (users, ``_Columns``) per second; a second
+    is never empty, since users >= 1."""
     tape = []
     for users, requests in offered_stream(model, workload, random.Random(f"{seed}:workload")):
         ids, rts, mems = zip(*requests)
-        tape.append((users, array("I", ids), array("d", rts), array("d", mems)))
+        tape.append((users, _Columns(array("I", ids), array("d", rts), array("d", mems))))
     return tuple(tape)
+
+
+class _Columns:
+    """One tape second's type indices, base service times and memory values;
+    each iteration zips them into (type index, base rt, memory) rows anew."""
+
+    __slots__ = ("ids", "rts", "mems")
+
+    def __init__(self, ids: array, rts: array, mems: array) -> None:
+        self.ids, self.rts, self.mems = ids, rts, mems
+
+    def __iter__(self) -> Iterator[tuple[int, float, float]]:
+        return zip(self.ids, self.rts, self.mems)

@@ -2,6 +2,8 @@
 
 ADP is the adaptive engine; INV follows the inverse-throughput heuristic;
 UNI samples uniformly at 50%; FUM traces everything; NOM traces nothing.
+The last four are ``RateStrategy`` kinds: each traces a request on one
+draw at its ``rate``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .stats import bernoulli
 __all__ = [
     "StrategyKind",
     "Strategy",
+    "RateStrategy",
     "AdaptiveStrategy",
     "InverseThroughputStrategy",
     "UniformStrategy",
@@ -62,6 +65,19 @@ class Strategy:
         return []
 
 
+class RateStrategy(Strategy):
+    """A strategy that traces each request on one draw at its ``rate``.
+
+    ``Simulation.step`` serves a rate strategy inline: it reads ``rate``
+    once per second (``ParameterError`` outside [0, 1]), draws
+    ``rng.random() < rate`` for each request and builds the request's
+    ``RequestEvent`` and a ``TraceRecord(event, 0)`` only on a passing
+    draw.  It never calls ``decide``, so a subclass's ``decide`` override
+    is not served; ``decide`` gives the same verdicts to a caller that
+    drives the strategy one request at a time.
+    """
+
+
 class AdaptiveStrategy(Strategy):
     kind = StrategyKind.ADP
 
@@ -102,7 +118,7 @@ class AdaptiveStrategy(Strategy):
         return self.monitor.drain_events()
 
 
-class InverseThroughputStrategy(Strategy):
+class InverseThroughputStrategy(RateStrategy):
     """Sampling rate inversely proportional to the observed throughput.
 
     The proportionality constant is anchored so the rate equals max_rate
@@ -137,7 +153,7 @@ class InverseThroughputStrategy(Strategy):
         self.update(record.rps)
 
 
-class UniformStrategy(Strategy):
+class UniformStrategy(RateStrategy):
     kind = StrategyKind.UNI
     rate = UNIFORM_RATE
 
@@ -145,7 +161,7 @@ class UniformStrategy(Strategy):
         return TraceRecord(request, 0) if bernoulli(UNIFORM_RATE, rng) else None
 
 
-class FullMonitoringStrategy(Strategy):
+class FullMonitoringStrategy(RateStrategy):
     kind = StrategyKind.FUM
     rate = 1.0
 
@@ -153,7 +169,7 @@ class FullMonitoringStrategy(Strategy):
         return TraceRecord(request, 0)
 
 
-class NoMonitoringStrategy(Strategy):
+class NoMonitoringStrategy(RateStrategy):
     kind = StrategyKind.NOM
     rate = 0.0
     monitoring_enabled = False

@@ -1,0 +1,100 @@
+"""A plain reference for ``reprtrace.simulator``: the same model, written
+without any of the simulator's speed-ups.
+
+It draws each request with ``random.Random.choices`` and
+``random.Random.lognormvariate``, builds a ``RequestEvent`` for every
+completed request, asks every strategy's ``decide`` (the rate kinds
+included), keeps the events in a list, and times ticks as whole multiples
+of the adaptation period.  No tape, memo, array or inlined draw: a
+disagreement with ``run_scenario`` points at the simulator's fast paths.
+The schedule comes from ``users_at``, which has tests of its own.
+"""
+
+from __future__ import annotations
+
+import random
+from itertools import accumulate
+
+from reprtrace.model import PerformanceRecord, RequestEvent, SamplerConfig
+from reprtrace.simulator import AppModel, RunResult, SecondStats, WorkloadSpec, users_at
+from reprtrace.strategies import StrategyKind, make_strategy
+
+
+def offered_second(model: AppModel, users: int, rng: random.Random) -> list:
+    """One second's offered requests as (type spec, base service time, memory)."""
+    capacity = model.capacity_users
+    stress = max(0.0, users / capacity - 1.0)
+    mem_level = 1.0 + model.mem_load_gain * min(1.0, users / capacity)
+    neg_prob = min(0.9, model.gc_negative_prob * (1.0 + model.gc_negative_gain * stress))
+    jitter_prob = min(0.85, model.mem_noise_gain * stress)
+    cum_weights = list(accumulate(spec.weight for spec in model.types))
+    offered, offered_ms = [], 0.0
+    while offered_ms < users * 1000.0:
+        spec = rng.choices(model.types, cum_weights=cum_weights)[0]
+        base_rt = spec.base_rt * rng.lognormvariate(0.0, spec.rt_dispersion)
+        sigma = spec.mem_dispersion
+        mem = spec.base_mem * mem_level * rng.lognormvariate(-0.5 * sigma * sigma, sigma)
+        # Measurement jitter: 2x with probability 1/3, else 0.5x; one draw
+        # is spent either way.
+        jittered = rng.random() < jitter_prob
+        factor = rng.random()
+        if jittered:
+            mem *= 2.0 if factor < 1.0 / 3.0 else 0.5
+        if rng.random() < neg_prob:
+            mem = -mem
+        offered.append((spec, base_rt, mem))
+        offered_ms += base_rt
+    return offered
+
+
+def reference_run(model: AppModel, workload: WorkloadSpec, kind: str, seed: int,
+                  config: SamplerConfig) -> RunResult:
+    """The run ``run_scenario(model, workload, kind, seed, config)`` should give."""
+    strategy = make_strategy(kind, config)
+    stream_rng = random.Random(f"{seed}:workload")
+    decision_rng = random.Random(f"{seed}:decide:{StrategyKind(kind).value}")
+    seconds, events, traces = [], [], []
+    traced_ms_before = 0.0
+    tick_sums: dict[str, float] = {}
+    tick_counts: dict[str, int] = {}
+    ticks, last_tick = 0, 0.0
+    for second in range(int(workload.total_duration)):
+        users = users_at(workload, float(second))
+        offered = offered_second(model, users, stream_rng)
+        rate, monitoring = strategy.rate, strategy.monitoring_enabled
+        load = traced_ms_before / 1000.0
+        overload = max(0.0, users + load - model.capacity_users) / model.capacity_users
+        io_excess = max(0.0, load - model.trace_io_capacity)
+        slowdown = (1.0 + model.contention_gamma * overload
+                    + model.trace_contention * io_excess / model.capacity_users)
+        budget = users * 1000.0
+        spent = traced_ms = 0.0
+        completed = 0
+        for spec, base_rt, mem in offered:
+            if spent >= budget:
+                break
+            start = second * 1000 + min(int(1000.0 * spent / budget), 999)
+            event = RequestEvent(spec.type_id, start, base_rt * slowdown, mem)
+            trace = strategy.decide(event, start / 1000.0, decision_rng)
+            spent += event.response_time
+            if trace is not None:
+                spent += model.trace_cost
+                traced_ms += model.trace_cost
+                traces.append(trace)
+            events.append(event)
+            tick_sums[spec.type_id] = tick_sums.get(spec.type_id, 0.0) + event.response_time
+            tick_counts[spec.type_id] = tick_counts.get(spec.type_id, 0) + 1
+            completed += 1
+        traced_ms_before = traced_ms
+        now = float(second + 1)
+        if now + 1e-9 >= (ticks + 1) * config.adaptation_frequency:
+            mean_rt = {spec.type_id: tick_sums[spec.type_id] / tick_counts[spec.type_id]
+                       for spec in model.types if spec.type_id in tick_counts}
+            strategy.on_tick(PerformanceRecord(sum(tick_counts.values()) / (now - last_tick),
+                                               mean_rt, monitoring), now)
+            tick_sums, tick_counts = {}, {}
+            ticks, last_tick = ticks + 1, now
+        seconds.append(SecondStats(second, users, completed, rate, monitoring))
+    return RunResult(strategy=StrategyKind(kind), seed=seed, seconds=seconds, events=events,
+                     traces=traces, releases=strategy.drain_releases(),
+                     sampler_events=strategy.drain_events(), config=config)

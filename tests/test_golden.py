@@ -60,9 +60,9 @@ GOLDEN = {
 }
 
 
-def run_digest(result) -> str:
-    h = hashlib.sha256()
-    parts = (
+def run_parts(result) -> tuple:
+    """The digested outputs of a run, each as a list of plain tuples."""
+    return (
         [(s.second, s.users, s.throughput, s.sampling_rate, s.monitoring_enabled)
          for s in result.seconds],
         [(e.type_id, e.start, e.response_time, e.memory_delta) for e in result.events],
@@ -74,7 +74,11 @@ def run_digest(result) -> str:
          for r in result.releases],
         [(e.kind, e.time, sorted(e.data.items())) for e in result.sampler_events],
     )
-    for part in parts:
+
+
+def run_digest(result) -> str:
+    h = hashlib.sha256()
+    for part in run_parts(result):
         h.update(repr(part).encode())
         h.update(b"\n")
     return h.hexdigest()

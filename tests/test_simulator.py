@@ -6,8 +6,9 @@ from dataclasses import replace
 
 import pytest
 
+from reprtrace import simulator
 from reprtrace.errors import ParameterError
-from reprtrace.model import PerformanceRecord, SamplerConfig
+from reprtrace.model import PerformanceRecord, RequestEvent, SamplerConfig
 from reprtrace.scenario import default_scenario
 from reprtrace.simulator import (
     AppModel,
@@ -18,10 +19,11 @@ from reprtrace.simulator import (
     Stationary,
     WorkloadSpec,
     offered_stream,
+    run_matrix,
     run_scenario,
     users_at,
 )
-from reprtrace.strategies import Strategy, StrategyKind
+from reprtrace.strategies import NoMonitoringStrategy, Strategy, StrategyKind, make_strategy
 
 
 def small_model(**overrides):
@@ -292,3 +294,110 @@ class TestModelValidation:
 
     def test_io_capacity_default_is_inert(self):
         assert math.isinf(small_model().trace_io_capacity)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_fields_rejected(self, bad):
+        spec = small_model().types[0]
+        for name in ("weight", "base_rt", "rt_dispersion", "base_mem", "mem_dispersion"):
+            with pytest.raises(ValueError, match=f"{name} must be"):
+                replace(spec, **{name: bad})
+        base = small_model()
+        for name in ("capacity_users", "contention_gamma", "trace_cost", "gc_negative_prob",
+                     "trace_contention", "mem_load_gain", "mem_noise_gain", "gc_negative_gain"):
+            with pytest.raises(ValueError, match=f"{name} must be"):
+                replace(base, **{name: bad})
+        if bad != math.inf:
+            with pytest.raises(ValueError, match="trace_io_capacity must be"):
+                replace(base, trace_io_capacity=bad)
+        segments = (Stationary(users=4, duration=10),
+                    Seasonal(base_users=4, amplitude=2, period=5, duration=10),
+                    Burst(base_users=4, peak_users=8, at=5, width=2, duration=10))
+        fields = {Stationary: ("duration",), Seasonal: ("amplitude", "period", "duration"),
+                  Burst: ("at", "width", "duration")}
+        for segment in segments:
+            for name in fields[type(segment)]:
+                with pytest.raises(ValueError, match=f"{name} must be"):
+                    replace(segment, **{name: bad})
+
+
+class TestServedTime:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", ["base time", "memory"])
+    def test_nonfinite_value_rejected_in_its_second(self, column, bad):
+        # NOM builds no event for an untraced request, so step itself must
+        # refuse the second.
+        row = (1, bad, 300.0) if column == "base time" else (1, 60.0, bad)
+        stream = [(4, [(0, 40.0, 100.0)] * 200), (4, [(0, 40.0, 100.0), row] * 100)]
+        sim = Simulation(small_model(), NoMonitoringStrategy(), SamplerConfig(), seed=1)
+        message = "served time must be" if column == "base time" else "memory values must be"
+        with pytest.raises(ParameterError, match=f"second 1: {message} finite"):
+            sim.run(stream)
+        assert len(sim.seconds) == 1
+
+    def test_rate_strategy_served_by_its_rate(self):
+        class EveryRequest(NoMonitoringStrategy):
+            rate = 1.0
+
+            def decide(self, request, now, rng):
+                raise AssertionError("step asked a rate strategy's decide")
+
+        sim = Simulation(small_model(), EveryRequest(), SamplerConfig(), seed=1)
+        run = sim.run(offered_stream(small_model(), small_workload(duration=5),
+                                     random.Random(1)))
+        assert len(run.traces) == len(run.events) > 0
+
+    def test_rate_outside_unit_interval_rejected(self):
+        strategy = NoMonitoringStrategy()
+        strategy.rate = 1.5
+        sim = Simulation(small_model(), strategy, SamplerConfig(), seed=1)
+        with pytest.raises(ParameterError, match=r"probability must be in \[0, 1\], got 1.5"):
+            sim.step(0, (4, [(0, 40.0, 100.0)]))
+
+
+class TestServedEvents:
+    @pytest.mark.parametrize("kind", [k.value for k in StrategyKind])
+    def test_events_built_per_run(self, monkeypatch, kind):
+        # A rate kind builds an event only for a traced request; ADP, served
+        # through decide, builds one per completed request.
+        built = []
+
+        class CountingEvent(RequestEvent):
+            __slots__ = ()
+
+            def __post_init__(self):
+                built.append(1)
+                RequestEvent.__post_init__(self)
+
+        monkeypatch.setattr(simulator, "RequestEvent", CountingEvent)
+        run = run_scenario(small_model(), small_workload(), kind, seed=1)
+        expected = {"ADP": len(run.events), "NOM": 0}.get(kind, len(run.traces))
+        assert len(built) == expected
+        assert expected > 0 or kind == "NOM"
+
+    def test_reads_agree_with_iteration(self):
+        run = run_scenario(small_model(), small_workload(), "UNI", seed=5)
+        events = list(run.events)
+        size = len(run.events)
+        assert size == len(events) > 500
+        for i in (0, 1, 137, size - 1, -1, -size):
+            assert run.events[i] == events[i]
+        for window in (slice(None), slice(100, 400), slice(3, 600, 7), slice(None, None, -3),
+                       slice(-50, None), slice(400, 100)):
+            assert run.events[window] == events[window]
+        for i in (size, -size - 1):
+            with pytest.raises(IndexError):
+                run.events[i]
+        assert run.events == events and events == run.events
+        assert run.events != events[:-1]
+        assert events[40] in run.events
+
+    def test_one_shot_rows_served_like_lists(self):
+        model, workload = small_model(), small_workload()
+        drawn = list(offered_stream(model, workload, random.Random("3:workload")))
+        runs = []
+        for stream in (drawn, [(users, iter(requests)) for users, requests in drawn]):
+            sim = Simulation(model, make_strategy("INV", SamplerConfig()),
+                             SamplerConfig(), seed=3)
+            runs.append(sim.run(stream))
+        matrix_run = next(run_matrix(model, workload, ["INV"], 3))
+        assert runs[0].events == runs[1].events == matrix_run.events
