@@ -51,7 +51,6 @@ from .stats import (
     cochran_sample_size,
     decayed_confidence,
     normal_quantile,
-    one_sample_t_test,
     paired_t_test,
 )
 from .strategies import RateStrategy, Strategy, StrategyKind, make_strategy

@@ -22,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .errors import ParameterError, ScenarioError
+from .errors import ScenarioError
 from .report import (ComparisonReport, RunSummary, load_run, save_run, summarize_run,
                      write_report)
 from .scenario import (Scenario, _unique, default_scenario, load_scenario, parse_scenario,
@@ -235,10 +235,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, ParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ScenarioError and ParameterError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary

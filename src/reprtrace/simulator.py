@@ -13,7 +13,8 @@ The offered stream is defined by the draw inlined in ``offered_stream``:
 the Kinderman-Monahan loop of ``random.Random.normalvariate`` followed by
 ``exp``.  Its values equal ``random.Random.lognormvariate`` on CPython
 3.10-3.13, whose ``normalvariate`` source is the same in all four versions;
-the tests check the equality on the running interpreter.
+the tests check the equality on the running interpreter, and CI runs them
+on all four.
 
 ``run_matrix`` serves every run from the seed's tape: the offered stream
 packed into one ``array`` per column (type indices, base service times,
@@ -28,10 +29,11 @@ stream stay alive between them.
 A run keeps its traces, not its completed requests.  ``RunResult.events``
 is a ``ServedEvents`` view that rebuilds each event from the offered rows
 the run was served, the per-second slowdown and the positions of the
-traced requests, bit for bit as ``step`` served it.  A ``RateStrategy``
-(INV, UNI, FUM, NOM) is served inline, one draw at its rate per request,
-and ``step`` builds a ``RequestEvent`` only for a traced request; any other
-strategy is asked ``decide`` with a ``RequestEvent`` per request.
+traced requests, bit for bit as ``step`` served it.  ``step`` serves
+every strategy in one loop.  A ``RateStrategy`` (INV, UNI, FUM, NOM) gets
+one draw at its rate per request and a ``RequestEvent`` only when traced;
+``step`` checks an untraced one by ``RequestEvent``'s rule itself.  Any
+other strategy is asked ``decide`` with a ``RequestEvent`` per request.
 
 ``Simulation.run`` serves its stream with CPython's cyclic garbage
 collector paused and restores the caller's setting afterwards, also when a
@@ -504,8 +506,8 @@ class Simulation:
         )
         budget = users * 1000.0
 
-        # The strategy completes a prefix of the offered stream.  Both loops
-        # below and ServedEvents._between compute a start the same way.
+        # The strategy completes a prefix of the offered stream.  A start is
+        # computed here and in ServedEvents._between only, the same way.
         spent = 0.0
         traced_ms = 0.0
         second_ms = second * 1000
@@ -519,58 +521,38 @@ class Simulation:
         served_before = sum(rt_count)
         append_trace = self.traces.append
         append_traced = events._traced.append
-        if isinstance(strategy, RateStrategy):
+        decide = None if isinstance(strategy, RateStrategy) else strategy.decide
+        if decide is None:
             rate = rate_in_effect
             if not 0.0 <= rate <= 1.0:
                 raise ParameterError(f"probability must be in [0, 1], got {rate}")
             draw = decision_rng.random
-            untraced_mem = 0.0
-            for position, (idx, base_rt, mem) in enumerate(requests, first):
-                if spent >= budget:
-                    break
-                response_time = base_rt * slowdown
-                if draw() < rate:
-                    offset_ms = int(1000.0 * spent / budget)
-                    start = second_ms + (offset_ms if offset_ms < 999 else 999)
-                    event = RequestEvent(type_ids[idx], start, response_time, mem)
-                    append_trace(TraceRecord(event, 0))
-                    append_traced(position)
-                    spent += response_time
-                    spent += trace_cost
-                    traced_ms += trace_cost
-                else:
-                    spent += response_time
-                    untraced_mem += mem
-                rt_sum[idx] += response_time
-                rt_count[idx] += 1
-            # An untraced request builds no RequestEvent to check its values,
-            # so a NaN or an infinity among them is caught once per second.
-            if not -inf < untraced_mem < inf:
-                raise ParameterError(
-                    f"second {second}: memory values must be finite, sum to {untraced_mem}")
-        else:
-            decide = strategy.decide
-            for position, (idx, base_rt, mem) in enumerate(requests, first):
-                if spent >= budget:
-                    break
+        for position, (idx, base_rt, mem) in enumerate(requests, first):
+            if spent >= budget:
+                break
+            response_time = base_rt * slowdown
+            if decide is None and draw() >= rate:
+                # An untraced rate request builds no RequestEvent, so it is
+                # checked here by RequestEvent's rule.
+                if not (0.0 <= response_time < inf and -inf < mem < inf):
+                    raise ParameterError(
+                        f"second {second}: a request needs a finite response time >= 0"
+                        f" and finite memory, got {response_time} and {mem}")
+                trace = None
+            else:
                 offset_ms = int(1000.0 * spent / budget)
                 start = second_ms + (offset_ms if offset_ms < 999 else 999)
-                response_time = base_rt * slowdown
-                trace = decide(RequestEvent(type_ids[idx], start, response_time, mem),
-                               start / 1000.0, decision_rng)
-                spent += response_time
-                if trace is not None:
-                    spent += trace_cost
-                    traced_ms += trace_cost
-                    append_trace(trace)
-                    append_traced(position)
-                rt_sum[idx] += response_time
-                rt_count[idx] += 1
-        # Nothing else checks an untraced request's response time: a NaN, an
-        # infinity or a negative total fails the second here.
-        if not 0.0 <= spent < inf:
-            raise ParameterError(
-                f"second {second}: served time must be finite and >= 0, got {spent}")
+                event = RequestEvent(type_ids[idx], start, response_time, mem)
+                trace = (TraceRecord(event, 0) if decide is None
+                         else decide(event, start / 1000.0, decision_rng))
+            spent += response_time
+            if trace is not None:
+                spent += trace_cost
+                traced_ms += trace_cost
+                append_trace(trace)
+                append_traced(position)
+            rt_sum[idx] += response_time
+            rt_count[idx] += 1
 
         completed = sum(rt_count) - served_before
         events._ends.append(first + completed)

@@ -33,9 +33,7 @@ __all__ = [
     "bernoulli",
     "paired_t_p_value",
     "paired_t_test",
-    "one_sample_t_p_value",
     "one_sample_t_p_value_from_stats",
-    "one_sample_t_test",
     "normal_quantile",
     "cochran_sample_size",
     "sample_size",
@@ -205,8 +203,7 @@ def one_sample_t_p_value_from_stats(n: int, mean: float, m2: float, mu0: float) 
     """One-sample two-sided p-value from running moments.
 
     ``m2`` is the sum of squared deviations from ``mean`` (Welford's M2),
-    so callers that update moments incrementally get the same verdicts as
-    callers passing full sequences.
+    so a caller can keep the moments incrementally.
     """
     if n < 2:
         raise InsufficientDataError(f"need at least 2 values, got {n}")
@@ -215,21 +212,6 @@ def one_sample_t_p_value_from_stats(n: int, mean: float, m2: float, mu0: float) 
     var = m2 / (n - 1)
     t = (mean - mu0) / math.sqrt(var / n)
     return student_t_two_sided_p(t, n - 1)
-
-
-def one_sample_t_p_value(values: Sequence[float], mu0: float) -> float:
-    n = len(values)
-    if n < 2:
-        raise InsufficientDataError(f"need at least 2 values, got {n}")
-    mean = math.fsum(values) / n
-    m2 = math.fsum((v - mean) ** 2 for v in values)
-    return one_sample_t_p_value_from_stats(n, mean, m2, mu0)
-
-
-def one_sample_t_test(values: Sequence[float], mu0: float, alpha: float) -> bool:
-    """True when the sample mean is statistically "equal" to ``mu0``."""
-    _check_alpha(alpha)
-    return one_sample_t_p_value(values, mu0) > alpha
 
 
 # --- Normal quantile ------------------------------------------------------

@@ -68,13 +68,15 @@ class Strategy:
 class RateStrategy(Strategy):
     """A strategy that traces each request on one draw at its ``rate``.
 
-    ``Simulation.step`` serves a rate strategy inline: it reads ``rate``
-    once per second (``ParameterError`` outside [0, 1]), draws
+    ``Simulation.step`` serves a rate strategy in the loop that serves
+    every strategy, but without ``decide``: it reads ``rate`` once per
+    second (``ParameterError`` outside [0, 1]), draws
     ``rng.random() < rate`` for each request and builds the request's
     ``RequestEvent`` and a ``TraceRecord(event, 0)`` only on a passing
-    draw.  It never calls ``decide``, so a subclass's ``decide`` override
-    is not served; ``decide`` gives the same verdicts to a caller that
-    drives the strategy one request at a time.
+    draw.  An untraced request is checked by ``RequestEvent``'s rule all
+    the same, with ``ParameterError`` naming its second.  A subclass's
+    ``decide`` override is not served; ``decide`` gives the same verdicts
+    to a caller that drives the strategy one request at a time.
     """
 
 

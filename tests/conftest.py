@@ -1,11 +1,13 @@
 """Shared test helpers: canned RNGs, event builders and the Hypothesis profiles."""
 
+import math
 import os
 
 import pytest
 from hypothesis import settings
 
 from reprtrace.model import FrequencyTable, RequestEvent, SamplerConfig
+from reprtrace.stats import one_sample_t_p_value_from_stats
 
 # HYPOTHESIS_PROFILE=ci makes every property test replay the same examples on
 # every run; max_examples is at least any test's own, so none runs fewer.
@@ -50,6 +52,15 @@ class ScriptRng:
 
 def make_event(type_id="/home", start=0, rt=100.0, mem=50.0):
     return RequestEvent(type_id=type_id, start=start, response_time=rt, memory_delta=mem)
+
+
+def one_sample_p(values, mu0):
+    """Two-sided one-sample t p-value of ``values`` against ``mu0``, from
+    their count, mean and sum of squared deviations."""
+    n = len(values)
+    mean = math.fsum(values) / n
+    m2 = math.fsum((v - mean) ** 2 for v in values)
+    return one_sample_t_p_value_from_stats(n, mean, m2, mu0)
 
 
 def table_from(counts):

@@ -15,7 +15,7 @@ from statistics import mean
 import pytest
 import scipy.stats as scipy_stats
 
-from conftest import AlwaysRng, make_event, table_from
+from conftest import AlwaysRng, make_event, one_sample_p, table_from
 from oracle import make_tape, run_engine, run_oracle
 from reprtrace.model import PerformanceRecord, SamplerConfig
 from reprtrace.report import (rmse, sampling_rate_stats, summarize_run, throughput_stats,
@@ -28,7 +28,6 @@ from reprtrace.stats import (
     cochran_sample_size,
     decayed_confidence,
     normal_quantile,
-    one_sample_t_p_value,
     paired_t_p_value,
     paired_t_test,
 )
@@ -116,7 +115,7 @@ def test_criterion_3_statistical_oracle():
     for xs, _ys in corpus:
         mu0 = mean(xs) * 1.03
         expected = float(scipy_stats.ttest_1samp(xs, mu0).pvalue)
-        if abs(one_sample_t_p_value(xs, mu0) - expected) > 1e-6:
+        if abs(one_sample_p(xs, mu0) - expected) > 1e-6:
             failures.append("one-sample p-value off corpus vector")
             break
     for conf in [0.01 * k for k in range(1, 100)] + [0.995, 0.999, 0.9999]:
@@ -190,7 +189,7 @@ def test_criterion_4_invariant_suites():
             if not released.sample_stats.total > needed:
                 failures.append(f"released sample below minimum size (case {case})")
             rts = [t.event.response_time for t in released.traces]
-            if not one_sample_t_p_value(rts, released.population_mean_rt) > 0.05 * conf:
+            if not one_sample_p(rts, released.population_mean_rt) > 0.05 * conf:
                 failures.append(f"released sample fails equivalence (case {case})")
             margin = (1 - conf) + config.epsilon
             for type_id in released.population_stats.counts:

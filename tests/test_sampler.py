@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import AlwaysRng, NeverRng, ScriptRng, make_event, table_from
+from conftest import AlwaysRng, NeverRng, ScriptRng, make_event, one_sample_p, table_from
 from reprtrace.errors import InsufficientDataError, ParameterError
 from reprtrace.model import (
     PerformanceRecord,
@@ -15,7 +15,7 @@ from reprtrace.model import (
     FrequencyTable,
 )
 from reprtrace.sampler import AdaptiveMonitor, perf_diff, select_normal_behavior
-from reprtrace.stats import cochran_sample_size, decayed_confidence, one_sample_t_p_value
+from reprtrace.stats import cochran_sample_size, decayed_confidence
 
 POPULATION = {"/home": 105, "/vets": 43, "/pets": 62, "/owners": 10}
 SAMPLE = {"/home": 53, "/vets": 22, "/pets": 31, "/owners": 5}
@@ -500,7 +500,7 @@ class TestEvaluateSample:
                 population.total)
             assert sample.total > needed
             rts = [trace.event.response_time for trace in released.traces]
-            p_value = one_sample_t_p_value(rts, released.population_mean_rt)
+            p_value = one_sample_p(rts, released.population_mean_rt)
             assert p_value > 0.05 * conf
             margin = (1 - conf) + config.epsilon
             for type_id in population.counts:

@@ -8,7 +8,7 @@ import pytest
 
 from reprtrace import simulator
 from reprtrace.errors import ParameterError
-from reprtrace.model import PerformanceRecord, RequestEvent, SamplerConfig
+from reprtrace.model import PerformanceRecord, RequestEvent, SamplerConfig, TraceRecord
 from reprtrace.scenario import default_scenario
 from reprtrace.simulator import (
     AppModel,
@@ -329,10 +329,17 @@ class TestServedTime:
         row = (1, bad, 300.0) if column == "base time" else (1, 60.0, bad)
         stream = [(4, [(0, 40.0, 100.0)] * 200), (4, [(0, 40.0, 100.0), row] * 100)]
         sim = Simulation(small_model(), NoMonitoringStrategy(), SamplerConfig(), seed=1)
-        message = "served time must be" if column == "base time" else "memory values must be"
-        with pytest.raises(ParameterError, match=f"second 1: {message} finite"):
+        with pytest.raises(ParameterError, match="second 1: a request needs a finite"):
             sim.run(stream)
         assert len(sim.seconds) == 1
+
+    def test_negative_base_time_rejected_in_its_second(self):
+        # Each -40 ms row cancels the row before it, so the second's served
+        # time never goes negative: only a check per request catches them.
+        sim = Simulation(small_model(), NoMonitoringStrategy(), SamplerConfig(), seed=1)
+        with pytest.raises(ParameterError, match="second 0: a request needs a finite"):
+            sim.step(0, (4, [(0, 40.0, 100.0), (0, -40.0, 100.0)] * 50))
+        assert sim.seconds == []
 
     def test_rate_strategy_served_by_its_rate(self):
         class EveryRequest(NoMonitoringStrategy):
@@ -373,6 +380,30 @@ class TestServedEvents:
         expected = {"ADP": len(run.events), "NOM": 0}.get(kind, len(run.traces))
         assert len(built) == expected
         assert expected > 0 or kind == "NOM"
+
+    def test_starts_add_spent_one_term_at_a_time(self):
+        # After four traces spent is 34.3 + 24 + 12.6 + 24 + 63.0 + 24 + 10.1
+        # + 24, which is 215.99999999999997 added one term at a time, the fifth
+        # start 53 ms; adding each response time and trace cost together first
+        # gives 216.0 and 54 ms.  FUM builds the fifth event in step, and the
+        # strategy served through decide leaves it to ServedEvents to rebuild.
+        class FirstFour(Strategy):
+            kind = StrategyKind.ADP
+            rate = 1.0
+
+            def __init__(self):
+                self.decided = 0
+
+            def decide(self, request, now, rng):
+                self.decided += 1
+                return TraceRecord(request, 0) if self.decided <= 4 else None
+
+        rows = [(0, base_rt, 100.0) for base_rt in (34.3, 12.6, 63.0, 10.1, 34.15)]
+        for strategy, traced in ((make_strategy("FUM", SamplerConfig()), 5), (FirstFour(), 4)):
+            sim = Simulation(small_model(trace_cost=24.0), strategy, SamplerConfig(), seed=1)
+            sim.step(0, (4, rows))
+            assert [event.start for event in sim.events] == [0, 14, 23, 45, 53]
+            assert len(sim.traces) == traced
 
     def test_reads_agree_with_iteration(self):
         run = run_scenario(small_model(), small_workload(), "UNI", seed=5)
