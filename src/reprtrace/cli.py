@@ -30,8 +30,7 @@ from .scenario import (Scenario, _unique, default_scenario, load_scenario, parse
 from .simulator import run_matrix, run_scenario
 from .strategies import StrategyKind
 
-_ALL_STRATEGIES = [k.value for k in (StrategyKind.ADP, StrategyKind.INV, StrategyKind.UNI,
-                                     StrategyKind.FUM, StrategyKind.NOM)]
+_ALL_STRATEGIES = [k.value for k in StrategyKind]
 
 
 def _parse_seeds(text: str) -> list[int]:

@@ -6,7 +6,7 @@ import csv
 import gc
 import io
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import inf
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -22,6 +22,14 @@ __all__ = [
     "read_trace_file",
     "collector_paused",
 ]
+
+
+def _check_finite(spec, but: str = "") -> None:
+    """Reject NaN and the infinities in every float field of ``spec`` but ``but``."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if f.type in ("float", float) and f.name != but and not -inf < value < inf:
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(slots=True)
@@ -122,7 +130,8 @@ class SamplerConfig:
 
     Defaults: adaptation every 1 s, 3 s performance baselines, rates in
     [1%, 50%], 180 s cycle timeout, 60-record performance history,
-    conservative variability p = 0.5 and margin of error e = 0.05.
+    conservative variability p = 0.5 and margin of error e = 0.05.  Every
+    float must be finite: NaN or an infinity is rejected.
     """
 
     max_rate: float = 0.5
@@ -136,6 +145,7 @@ class SamplerConfig:
     margin_e: float = 0.05
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if not 0.0 < self.min_rate <= self.max_rate <= 1.0:
             raise ValueError(
                 f"rates must satisfy 0 < min_rate <= max_rate <= 1, "

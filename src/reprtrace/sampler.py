@@ -36,6 +36,7 @@ from .stats import (
     normal_quantile,
     one_sample_t_p_value_from_stats,
     paired_t_test,
+    sample_size,
     student_t_log_p_bound,
 )
 
@@ -119,26 +120,29 @@ class AdaptiveMonitor:
         self.rate: float = config.max_rate
         self.monitoring_enabled: bool = True
         self.baseline_until: Optional[float] = None
+        self.perf_ref: deque[PerformanceRecord] = deque(maxlen=config.history_capacity)
+        self.events: list[SamplerEvent] = []
+        self._last_tick: float = -math.inf
+        # Cycle ages [start, end] of the current size-check window and the z
+        # of each end of it; empty until the first evaluation opens one.
+        self._window_start: float = math.inf
+        self._window_end: float = -math.inf
+        self._z_high: float = 0.0
+        self._z_low: float = 0.0
+        self._start_cycle(0, 0.0)
+
+    def _start_cycle(self, index: int, start: float) -> None:
+        """Begin cycle ``index`` at ``start`` with fresh tables, traces and sums."""
         self.population = FrequencyTable()
         self.sample = FrequencyTable()
         self.sample_traces: list[TraceRecord] = []
         self.population_rt_sum: float = 0.0
-        self.perf_ref: deque[PerformanceRecord] = deque(maxlen=config.history_capacity)
-        self.cycle_start: float = 0.0
-        self.cycle_index: int = 0
-        self.events: list[SamplerEvent] = []
         # Running moments of the sampled response times (Welford), so the
         # per-accept evaluation stays O(#types).
         self._sample_rt_mean: float = 0.0
         self._sample_rt_m2: float = 0.0
-        self._last_tick: float = -math.inf
-        # Cycle ages [start, end] of the current size-check window and the
-        # uncorrected Cochran size n_inf at the z of each end of it; empty
-        # until the first evaluation opens one.
-        self._window_start: float = math.inf
-        self._window_end: float = -math.inf
-        self._n_inf_high: float = 0.0
-        self._n_inf_low: float = 0.0
+        self.cycle_index = index
+        self.cycle_start = start
 
     # --- activity 1: sampling decision ------------------------------------
 
@@ -189,9 +193,6 @@ class AdaptiveMonitor:
 
     # --- activity 2: rate adaptation ---------------------------------------
 
-    def record_performance(self, current: PerformanceRecord) -> None:
-        self.perf_ref.append(current)
-
     def adapt_rate(self, current: PerformanceRecord, now: float) -> float:
         """One adaptation step; returns the (possibly updated) rate.
 
@@ -203,7 +204,7 @@ class AdaptiveMonitor:
         down (floored at min_rate) when the slowdown persists even without
         monitoring, i.e. it is workload-induced.
         """
-        self.record_performance(current)
+        self.perf_ref.append(current)
         normal = select_normal_behavior(self.perf_ref, current.monitoring_enabled)
         if normal is None:
             return self.rate
@@ -264,9 +265,8 @@ class AdaptiveMonitor:
           the p-value, so when it lies below the threshold the sample
           certainly fails.
 
-        The size bracket is read from ``config`` when a window opens: the z
-        of each end, and from it n_inf with ``variability_p`` and
-        ``margin_e``.  ``now`` must not precede the cycle start.
+        The z of each window end is read from ``config`` when the window
+        opens; ``now`` must not precede the cycle start.
         """
         age = now - self.cycle_start
         if age < 0.0:
@@ -309,21 +309,12 @@ class AdaptiveMonitor:
         window's bracket when it is certain."""
         if not self._window_start <= age <= self._window_end:
             self._open_window(age)
-        # Each bracket end is sample_size's formula on its window's n_inf.
-        try:
-            n_inf = self._n_inf_low
-            if n < n_inf / (1.0 + (n_inf - 1.0) / population_size) * _SIZE_BELOW:
-                return False
-            n_inf = self._n_inf_high
-            if n > n_inf / (1.0 + (n_inf - 1.0) / population_size) * _SIZE_ABOVE:
-                return True
-        except ZeroDivisionError:
-            # Where sample_size falls back to its limit of 1 (N = 1, n_inf
-            # below 1e-16, as with a variability_p near 0); the exact check
-            # below then decides.
-            pass
         cfg = self.config
         p, e = cfg.variability_p, cfg.margin_e
+        if n < sample_size(self._z_low, p, e, population_size) * _SIZE_BELOW:
+            return False
+        if n > sample_size(self._z_high, p, e, population_size) * _SIZE_ABOVE:
+            return True
         conf = decayed_confidence(age, cfg.max_cycle_length)
         return n > cochran_sample_size(min(conf, _CONF_CAP), p, e, population_size)
 
@@ -333,15 +324,12 @@ class AdaptiveMonitor:
         # evaluations from that age on release on timeout, and far past it the
         # confidence underflows to 0, which normal_quantile rejects.
         cfg = self.config
-        end = min(age + cfg.adaptation_frequency, max(age, cfg.max_cycle_length))
+        length = cfg.max_cycle_length
+        end = min(age + cfg.adaptation_frequency, max(age, length))
         self._window_start = age
         self._window_end = end
-        z_high = normal_quantile(min(decayed_confidence(age, cfg.max_cycle_length), _CONF_CAP))
-        z_low = normal_quantile(min(decayed_confidence(end, cfg.max_cycle_length), _CONF_CAP))
-        # n_inf exactly as sample_size forms it, operation for operation.
-        p, e = cfg.variability_p, cfg.margin_e
-        self._n_inf_high = z_high * z_high * p * (1.0 - p) / (e * e)
-        self._n_inf_low = z_low * z_low * p * (1.0 - p) / (e * e)
+        self._z_high = normal_quantile(min(decayed_confidence(age, length), _CONF_CAP))
+        self._z_low = normal_quantile(min(decayed_confidence(end, length), _CONF_CAP))
 
     def _release(self, now: float, reason: str, conf: float) -> ReleasedSample:
         total = self.population.total
@@ -370,14 +358,7 @@ class AdaptiveMonitor:
         )
         # Wholesale swap: the released sample keeps the old tables, the new
         # cycle starts with fresh ones.
-        self.population = FrequencyTable()
-        self.sample = FrequencyTable()
-        self.sample_traces = []
-        self.population_rt_sum = 0.0
-        self._sample_rt_mean = 0.0
-        self._sample_rt_m2 = 0.0
-        self.cycle_index += 1
-        self.cycle_start = now
+        self._start_cycle(self.cycle_index + 1, now)
         return released
 
     # --- periodic driver -----------------------------------------------------

@@ -31,9 +31,10 @@ is a ``ServedEvents`` view that rebuilds each event from the offered rows
 the run was served, the per-second slowdown and the positions of the
 traced requests, bit for bit as ``step`` served it.  ``step`` serves
 every strategy in one loop.  A ``RateStrategy`` (INV, UNI, FUM, NOM) gets
-one draw at its rate per request and a ``RequestEvent`` only when traced;
-``step`` checks an untraced one by ``RequestEvent``'s rule itself.  Any
-other strategy is asked ``decide`` with a ``RequestEvent`` per request.
+one draw at its rate per request and a ``RequestEvent`` only when traced.
+Any other strategy is asked ``decide`` with a ``RequestEvent`` per request.
+Every request is first checked by ``RequestEvent``'s rule, so a bad row
+raises a ``ParameterError`` naming its second under every strategy.
 
 ``Simulation.run`` serves its stream with CPython's cyclic garbage
 collector paused and restores the caller's setting afterwards, also when a
@@ -52,7 +53,7 @@ import random
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from math import exp, inf, log
@@ -67,6 +68,7 @@ from .model import (
     ReleasedSample,
     SamplerConfig,
     TraceRecord,
+    _check_finite,
     collector_paused,
 )
 from .sampler import SamplerEvent
@@ -88,14 +90,6 @@ __all__ = [
     "run_scenario",
     "run_matrix",
 ]
-
-
-def _check_finite(spec, but: str = "") -> None:
-    """Reject NaN and the infinities in every float field of ``spec`` but ``but``."""
-    for f in fields(spec):
-        value = getattr(spec, f.name)
-        if f.type in ("float", float) and f.name != but and not -inf < value < inf:
-            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -531,13 +525,12 @@ class Simulation:
             if spent >= budget:
                 break
             response_time = base_rt * slowdown
+            # RequestEvent's rule, for every request, traced or not.
+            if not (0.0 <= response_time < inf and -inf < mem < inf):
+                raise ParameterError(
+                    f"second {second}: a request needs a finite response time >= 0"
+                    f" and finite memory, got {response_time} and {mem}")
             if decide is None and draw() >= rate:
-                # An untraced rate request builds no RequestEvent, so it is
-                # checked here by RequestEvent's rule.
-                if not (0.0 <= response_time < inf and -inf < mem < inf):
-                    raise ParameterError(
-                        f"second {second}: a request needs a finite response time >= 0"
-                        f" and finite memory, got {response_time} and {mem}")
                 trace = None
             else:
                 offset_ms = int(1000.0 * spent / budget)

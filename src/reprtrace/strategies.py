@@ -73,10 +73,10 @@ class RateStrategy(Strategy):
     second (``ParameterError`` outside [0, 1]), draws
     ``rng.random() < rate`` for each request and builds the request's
     ``RequestEvent`` and a ``TraceRecord(event, 0)`` only on a passing
-    draw.  An untraced request is checked by ``RequestEvent``'s rule all
-    the same, with ``ParameterError`` naming its second.  A subclass's
-    ``decide`` override is not served; ``decide`` gives the same verdicts
-    to a caller that drives the strategy one request at a time.
+    draw.  As for every strategy, ``step`` first checks each request by
+    ``RequestEvent``'s rule, traced or not.  A subclass's ``decide``
+    override is not served; ``decide`` gives the same verdicts to a caller
+    that drives the strategy one request at a time.
     """
 
 
@@ -134,12 +134,6 @@ class InverseThroughputStrategy(RateStrategy):
         self._config = config
         self.rate = config.max_rate
         self.throughput_history: deque[float] = deque(maxlen=config.history_capacity)
-
-    @property
-    def reference_throughput(self) -> Optional[float]:
-        if not self.throughput_history:
-            return None
-        return median(self.throughput_history)
 
     def decide(self, request: RequestEvent, now: float, rng) -> Optional[TraceRecord]:
         return TraceRecord(request, 0) if bernoulli(self.rate, rng) else None

@@ -149,7 +149,7 @@ def test_criterion_4_invariant_suites():
         if not monitor.monitoring_enabled:
             monitor.baseline_until = 1e9
         for _ in range(rng.randint(1, 3)):
-            monitor.record_performance(PerformanceRecord(
+            monitor.perf_ref.append(PerformanceRecord(
                 rps=rng.uniform(1, 1000),
                 mean_rt={t: rng.uniform(10, 400) for t in "abcde"},
                 monitoring_enabled=rng.random() < 0.5))

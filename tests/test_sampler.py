@@ -240,7 +240,7 @@ class TestAdaptRate:
         records = [PerformanceRecord(rps=float(i), mean_rt={}, monitoring_enabled=True)
                    for i in range(5)]
         for rec in records:
-            monitor.record_performance(rec)
+            monitor.perf_ref.append(rec)
         assert len(monitor.perf_ref) == 3
         assert [r.rps for r in monitor.perf_ref] == [2.0, 3.0, 4.0]
 
@@ -248,7 +248,7 @@ class TestAdaptRate:
         monitor = AdaptiveMonitor(config)
         monitor.monitoring_enabled = False
         monitor.baseline_until = 100.0
-        monitor.record_performance(record(
+        monitor.perf_ref.append(record(
             {"/home": 600.0, "/vets": 780.0, "/pets": 1050.0, "/owners": 1100.0},
             rps=2500, me=False))
         current = record(
@@ -263,7 +263,7 @@ class TestAdaptRate:
         monitor = AdaptiveMonitor(config)
         monitor.rate = 0.40
         normal = {"/a": 100.0, "/b": 110.0, "/c": 90.0, "/d": 100.0}
-        monitor.record_performance(record(normal, rps=100))
+        monitor.perf_ref.append(record(normal, rps=100))
         current = record({t: rt * 0.95 for t, rt in normal.items()}, rps=90)
         rate = monitor.adapt_rate(current, now=5.0)
         assert rate == pytest.approx(0.42)
@@ -272,13 +272,13 @@ class TestAdaptRate:
     def test_increase_clamped_at_max(self):
         monitor = AdaptiveMonitor(SamplerConfig(max_rate=0.5))
         monitor.rate = 0.49
-        monitor.record_performance(record(TIGHT, rps=100))
+        monitor.perf_ref.append(record(TIGHT, rps=100))
         current = record({t: rt * 0.7 for t, rt in TIGHT.items()}, rps=90)
         assert monitor.adapt_rate(current, now=5.0) == 0.5
 
     def test_significant_slowdown_starts_baseline(self, config):
         monitor = AdaptiveMonitor(config)
-        monitor.record_performance(record(TIGHT, rps=100))
+        monitor.perf_ref.append(record(TIGHT, rps=100))
         current = record({t: rt * 1.3 for t, rt in TIGHT.items()}, rps=80)
         rate = monitor.adapt_rate(current, now=7.0)
         assert rate == 0.5
@@ -290,7 +290,7 @@ class TestAdaptRate:
         monitor = AdaptiveMonitor(config)
         monitor.monitoring_enabled = False
         monitor.baseline_until = 20.0
-        monitor.record_performance(record(TIGHT, rps=100, me=False))
+        monitor.perf_ref.append(record(TIGHT, rps=100, me=False))
         current = record({t: rt * 1.3 for t, rt in TIGHT.items()}, rps=80, me=False)
         rate = monitor.adapt_rate(current, now=8.0)
         assert rate == pytest.approx(max(0.5 - 0.5 * 0.3, config.min_rate), abs=1e-9)
@@ -299,7 +299,7 @@ class TestAdaptRate:
         monitor = AdaptiveMonitor(config)
         monitor.monitoring_enabled = False
         monitor.baseline_until = 20.0
-        monitor.record_performance(record(TIGHT, rps=100, me=False))
+        monitor.perf_ref.append(record(TIGHT, rps=100, me=False))
         current = record({t: rt * 1.001 for t, rt in TIGHT.items()}, rps=99, me=False)
         assert monitor.adapt_rate(current, now=8.0) == 0.5
 
@@ -307,7 +307,7 @@ class TestAdaptRate:
         monitor = AdaptiveMonitor(config)
         monitor.monitoring_enabled = False
         monitor.baseline_until = 20.0
-        monitor.record_performance(record(TIGHT, rps=100, me=False))
+        monitor.perf_ref.append(record(TIGHT, rps=100, me=False))
         current = record({t: rt * 0.7 for t, rt in TIGHT.items()}, rps=130, me=False)
         assert monitor.adapt_rate(current, now=8.0) == 0.5
 
@@ -317,7 +317,7 @@ class TestAdaptRate:
         monitor.monitoring_enabled = False
         monitor.baseline_until = 20.0
         monitor.rate = 0.25
-        monitor.record_performance(record(TIGHT, rps=100, me=False))
+        monitor.perf_ref.append(record(TIGHT, rps=100, me=False))
         current = record({t: rt * 2.0 for t, rt in TIGHT.items()}, rps=50, me=False)
         assert monitor.adapt_rate(current, now=8.0) == 0.2
 
@@ -329,7 +329,7 @@ class TestAdaptRate:
 
     def test_fewer_than_two_common_types_keeps_rate(self, config):
         monitor = AdaptiveMonitor(config)
-        monitor.record_performance(record({"/a": 100.0, "/b": 100.0}, rps=100))
+        monitor.perf_ref.append(record({"/a": 100.0, "/b": 100.0}, rps=100))
         current = record({"/a": 400.0, "/z": 1.0}, rps=100)
         assert monitor.adapt_rate(current, now=2.0) == 0.5
         assert monitor.monitoring_enabled is True
@@ -347,7 +347,7 @@ class TestAdaptRate:
                 monitor.baseline_until = 1e9
             for _ in range(rng.randint(1, 4)):
                 mean_rt = {t: rng.uniform(20, 300) for t in "abcdef"}
-                monitor.record_performance(
+                monitor.perf_ref.append(
                     record(mean_rt, rps=rng.uniform(10, 1000),
                            me=rng.random() < 0.5)
                 )
@@ -384,6 +384,26 @@ class TestEvaluateSample:
         assert monitor.cycle_index == 1
         assert monitor.cycle_start == 5.0
         assert monitor.events[-1].kind == "sample-released"
+
+    @pytest.mark.parametrize("reason", ["criteria", "timeout"])
+    def test_release_starts_a_fresh_cycle(self, config, reason):
+        # Apart from its index and start, the next cycle is a new monitor's
+        # first; the state that outlives a cycle is left out of the check.
+        outlives_a_cycle = {"rate", "monitoring_enabled", "baseline_until", "perf_ref",
+                            "events", "_last_tick", "_window_start", "_window_end",
+                            "_z_high", "_z_low"}
+
+        def cycle_state(monitor):
+            return {name: (value.counts, value.total) if isinstance(value, FrequencyTable)
+                    else value
+                    for name, value in vars(monitor).items() if name not in outlives_a_cycle}
+
+        monitor = AdaptiveMonitor(config)
+        self._fill_identical(monitor)
+        now = 5.0 if reason == "criteria" else config.max_cycle_length
+        assert monitor.evaluate_sample(now).reason == reason
+        fresh = cycle_state(AdaptiveMonitor(config))
+        assert cycle_state(monitor) == {**fresh, "cycle_index": 1, "cycle_start": now}
 
     def test_small_sample_blocked_by_minimum_size(self, config):
         monitor = AdaptiveMonitor(config)

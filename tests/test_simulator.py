@@ -318,28 +318,36 @@ class TestModelValidation:
             for name in fields[type(segment)]:
                 with pytest.raises(ValueError, match=f"{name} must be"):
                     replace(segment, **{name: bad})
+        for name in ("max_rate", "min_rate", "epsilon", "baseline_duration",
+                     "adaptation_frequency", "max_cycle_length", "variability_p", "margin_e"):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                SamplerConfig(**{name: bad})
 
 
 class TestServedTime:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("column", ["base time", "memory"])
     def test_nonfinite_value_rejected_in_its_second(self, column, bad):
-        # NOM builds no event for an untraced request, so step itself must
-        # refuse the second.
+        # Traced or not, built into an event or not, the same row fails the
+        # same way under every kind.
         row = (1, bad, 300.0) if column == "base time" else (1, 60.0, bad)
         stream = [(4, [(0, 40.0, 100.0)] * 200), (4, [(0, 40.0, 100.0), row] * 100)]
-        sim = Simulation(small_model(), NoMonitoringStrategy(), SamplerConfig(), seed=1)
-        with pytest.raises(ParameterError, match="second 1: a request needs a finite"):
-            sim.run(stream)
-        assert len(sim.seconds) == 1
+        for kind in StrategyKind:
+            config = SamplerConfig()
+            sim = Simulation(small_model(), make_strategy(kind, config), config, seed=1)
+            with pytest.raises(ParameterError, match="second 1: a request needs a finite"):
+                sim.run(stream)
+            assert len(sim.seconds) == 1
 
     def test_negative_base_time_rejected_in_its_second(self):
         # Each -40 ms row cancels the row before it, so the second's served
         # time never goes negative: only a check per request catches them.
-        sim = Simulation(small_model(), NoMonitoringStrategy(), SamplerConfig(), seed=1)
-        with pytest.raises(ParameterError, match="second 0: a request needs a finite"):
-            sim.step(0, (4, [(0, 40.0, 100.0), (0, -40.0, 100.0)] * 50))
-        assert sim.seconds == []
+        for kind in StrategyKind:
+            config = SamplerConfig()
+            sim = Simulation(small_model(), make_strategy(kind, config), config, seed=1)
+            with pytest.raises(ParameterError, match="second 0: a request needs a finite"):
+                sim.step(0, (4, [(0, 40.0, 100.0), (0, -40.0, 100.0)] * 50))
+            assert sim.seconds == []
 
     def test_rate_strategy_served_by_its_rate(self):
         class EveryRequest(NoMonitoringStrategy):

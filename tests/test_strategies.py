@@ -65,7 +65,7 @@ class TestInverseThroughput:
         for _ in range(5):
             strategy.update(100.0)
         assert strategy.rate == config.max_rate
-        assert strategy.reference_throughput == 100.0
+        assert list(strategy.throughput_history) == [100.0] * 5
 
     def test_double_throughput_halves_rate(self, config):
         strategy = InverseThroughputStrategy(config)
@@ -102,8 +102,7 @@ class TestInverseThroughput:
         strategy = InverseThroughputStrategy(config)
         for value in range(100):
             strategy.update(float(value + 1))
-        assert len(strategy.throughput_history) == 5
-        assert strategy.reference_throughput == 98.0
+        assert list(strategy.throughput_history) == [96.0, 97.0, 98.0, 99.0, 100.0]
 
     def test_zero_throughput_guard(self, config):
         strategy = InverseThroughputStrategy(config)
