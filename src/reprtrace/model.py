@@ -5,15 +5,19 @@ from __future__ import annotations
 import csv
 import gc
 import io
+from array import array
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from math import inf
+from operator import eq
 from pathlib import Path
 from typing import Iterable, Iterator
 
 __all__ = [
     "RequestEvent",
     "TraceRecord",
+    "TraceColumns",
     "FrequencyTable",
     "PerformanceRecord",
     "SamplerConfig",
@@ -69,6 +73,82 @@ class TraceRecord:
     def __post_init__(self) -> None:
         if self.cycle_index < 0:
             raise ValueError(f"cycle_index must be >= 0, got {self.cycle_index}")
+
+
+class _RebuiltSequence(Sequence):
+    """A read-only sequence whose items are rebuilt on each read by
+    ``_between(lo, hi)``, which yields the items at positions ``lo`` to
+    ``hi - 1``.  ``len`` is the subclass's; int, negative and slice
+    indexing, iteration and ``==`` (with a view of the same class or a
+    list) work as on a list."""
+
+    __slots__ = ()
+
+    def _between(self, lo: int, hi: int) -> Iterator:
+        raise NotImplementedError
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            positions = range(*index.indices(len(self)))
+            if positions.step == 1:
+                return list(self._between(positions.start, positions.stop))
+            return [self[i] for i in positions]
+        size = len(self)
+        position = index + size if index < 0 else index
+        if not 0 <= position < size:
+            raise IndexError(f"{type(self).__name__} index out of range")
+        return next(self._between(position, position + 1))
+
+    def __iter__(self) -> Iterator:
+        return self._between(0, len(self))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (type(self), list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None
+
+
+class TraceColumns(_RebuiltSequence):
+    """A run's traces stored as typed columns, each record rebuilt on read.
+
+    ``Simulation.step`` appends one entry per trace to every column: the
+    position of its request among the run's completed requests, its start,
+    cycle index, type index (into ``type_ids``), response time and memory.
+    Nothing else writes them.  A read rebuilds
+    ``TraceRecord(RequestEvent(...), cycle_index)`` bit for bit as ``step``
+    recorded it, as a new object on every read; ``len`` is O(1).
+    ``rows``, ``write_trace_file`` and ``summarize_run`` read the columns
+    without building a record.
+    """
+
+    __slots__ = ("type_ids", "positions", "starts", "cycles", "types",
+                 "response_times", "memories")
+
+    def __init__(self, type_ids: list[str]) -> None:
+        self.type_ids = type_ids
+        self.positions = array("q")
+        self.starts = array("q")
+        self.cycles = array("q")
+        self.types = array("I")
+        self.response_times = array("d")
+        self.memories = array("d")
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    def rows(self, lo: int = 0, hi: int | None = None
+             ) -> Iterator[tuple[int, str, int, float, float]]:
+        """Per trace from ``lo`` to ``hi - 1``: (cycle index, type id, start,
+        response time, memory), the fields of a ``traces.txt`` line."""
+        part = slice(lo, hi)
+        return zip(self.cycles[part], map(self.type_ids.__getitem__, self.types[part]),
+                   self.starts[part], self.response_times[part], self.memories[part])
+
+    def _between(self, lo: int, hi: int) -> Iterator[TraceRecord]:
+        for cycle_index, type_id, start, response_time, memory in self.rows(lo, hi):
+            yield TraceRecord(RequestEvent(type_id, start, response_time, memory), cycle_index)
 
 
 class FrequencyTable:
@@ -224,19 +304,23 @@ def write_trace_file(path: str | Path, records: Iterable[TraceRecord]) -> None:
     Field order: cycle_index, type_id, start, response_time, memory_delta.
     The bytes are those of ``csv.writer`` with the floats as ``repr``: only
     the type id can need quoting, so each one is quoted once by the csv
-    module and the lines are formatted directly.
+    module and the lines are formatted directly.  ``records`` is any
+    iterable of records; a ``TraceColumns`` is written from its columns,
+    with no record built.
     """
+    if isinstance(records, TraceColumns):
+        rows = records.rows()
+    else:
+        rows = ((record.cycle_index, record.event.type_id, record.event.start,
+                 record.event.response_time, record.event.memory_delta) for record in records)
     quoted: dict[str, str] = {}
     with open(path, "w", newline="") as handle:
         write = handle.write
-        for record in records:
-            event = record.event
-            type_id = event.type_id
+        for cycle_index, type_id, start, response_time, memory_delta in rows:
             type_q = quoted.get(type_id)
             if type_q is None:
                 type_q = quoted[type_id] = _csv_field(type_id)
-            write(f"{record.cycle_index},{type_q},{event.start},"
-                  f"{event.response_time!r},{event.memory_delta!r}\r\n")
+            write(f"{cycle_index},{type_q},{start},{response_time!r},{memory_delta!r}\r\n")
 
 
 def read_trace_file(path: str | Path) -> list[TraceRecord]:

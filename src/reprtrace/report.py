@@ -13,11 +13,12 @@ Output files (format version 1, stable field order):
 
 The report reads each run as a ``RunSummary``: the per-second series,
 per-type memory means and trace counts, and the release rows.
-``summarize_run`` reduces a run in memory; ``reprtrace compare`` calls it
-in the process that simulated each run, so only these small records reach
-the report.  ``load_run`` makes the same reduction from a saved run
-directory: it parses ``series.csv``, tallies ``traces.txt`` and takes the
-release rows from ``run.json``.
+``summarize_run`` reduces a run in memory, straight from a simulated run's
+trace columns; ``reprtrace compare`` calls it in the process that simulated
+each run, so only these small records reach the report.  ``load_run``
+makes the same reduction from a saved run directory: it parses
+``series.csv``, tallies ``traces.txt`` and takes the release rows from
+``run.json``.
 
 ``write_report`` reads every run before it writes: a duplicate run, an
 empty series, an empty FUM ground truth or no runs at all raise with no
@@ -41,7 +42,7 @@ from statistics import mean, stdev
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .errors import InsufficientDataError, MissingTypeError, ParameterError
-from .model import RequestEvent, read_trace_file, write_trace_file
+from .model import RequestEvent, TraceColumns, TraceRecord, read_trace_file, write_trace_file
 from .simulator import RunResult, SecondStats
 from .strategies import StrategyKind
 
@@ -113,6 +114,26 @@ def _type_tallies(events: Iterable[RequestEvent]) -> tuple[dict[str, float], dic
         sums[tid] = sums.get(tid, 0.0) + event.memory_delta
         valid[tid] = valid.get(tid, 0) + 1
     return {t: sums[t] / valid[t] for t in sums}, counts
+
+
+def _trace_tallies(traces: Iterable[TraceRecord]) -> tuple[dict[str, float], dict[str, int]]:
+    """``_type_tallies`` of traces; a ``TraceColumns`` is tallied straight
+    from its type and memory columns, in the same order, with no record
+    built."""
+    if not isinstance(traces, TraceColumns):
+        return _type_tallies(t.event for t in traces)
+    type_ids = traces.type_ids
+    sums = [0.0] * len(type_ids)
+    valid = [0] * len(type_ids)
+    counts = [0] * len(type_ids)
+    for idx, memory in zip(traces.types, traces.memories):
+        counts[idx] += 1
+        if memory < 0:
+            continue
+        sums[idx] += memory
+        valid[idx] += 1
+    return ({tid: sums[i] / valid[i] for i, tid in enumerate(type_ids) if valid[i]},
+            {tid: counts[i] for i, tid in enumerate(type_ids) if counts[i]})
 
 
 def type_memory_means(events: Iterable[RequestEvent]) -> dict[str, float]:
@@ -245,10 +266,11 @@ def load_run(run_dir: str | Path) -> RunSummary:
 
 
 def summarize_run(run: Union[RunResult, RunSummary]) -> RunSummary:
-    """Reduce a run to what ``write_report`` needs, in one pass over its traces."""
+    """Reduce a run to what ``write_report`` needs, in one pass over its traces
+    (over their columns for a simulated run)."""
     if isinstance(run, RunSummary):
         return run
-    memory_means, type_counts = _type_tallies(t.event for t in run.traces)
+    memory_means, type_counts = _trace_tallies(run.traces)
     return RunSummary(
         strategy=run.strategy,
         seed=run.seed,

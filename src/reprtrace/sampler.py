@@ -32,11 +32,12 @@ from .model import (
 )
 from .stats import (
     cochran_sample_size,
+    corrected_sample_size,
     decayed_confidence,
+    infinite_sample_size,
     normal_quantile,
     one_sample_t_p_value_from_stats,
     paired_t_test,
-    sample_size,
     student_t_log_p_bound,
 )
 
@@ -123,12 +124,13 @@ class AdaptiveMonitor:
         self.perf_ref: deque[PerformanceRecord] = deque(maxlen=config.history_capacity)
         self.events: list[SamplerEvent] = []
         self._last_tick: float = -math.inf
-        # Cycle ages [start, end] of the current size-check window and the z
-        # of each end of it; empty until the first evaluation opens one.
+        # Cycle ages [start, end] of the current size-check window and the
+        # n_inf at the z of each end of it; empty until the first evaluation
+        # opens one.
         self._window_start: float = math.inf
         self._window_end: float = -math.inf
-        self._z_high: float = 0.0
-        self._z_low: float = 0.0
+        self._n_inf_high: float = 0.0
+        self._n_inf_low: float = 0.0
         self._start_cycle(0, 0.0)
 
     def _start_cycle(self, index: int, start: float) -> None:
@@ -265,8 +267,9 @@ class AdaptiveMonitor:
           the p-value, so when it lies below the threshold the sample
           certainly fails.
 
-        The z of each window end is read from ``config`` when the window
-        opens; ``now`` must not precede the cycle start.
+        The n_inf at the z of each window end is computed once, from
+        ``config``, when the window opens; ``now`` must not precede the
+        cycle start.
         """
         age = now - self.cycle_start
         if age < 0.0:
@@ -309,14 +312,14 @@ class AdaptiveMonitor:
         window's bracket when it is certain."""
         if not self._window_start <= age <= self._window_end:
             self._open_window(age)
-        cfg = self.config
-        p, e = cfg.variability_p, cfg.margin_e
-        if n < sample_size(self._z_low, p, e, population_size) * _SIZE_BELOW:
+        if n < corrected_sample_size(self._n_inf_low, population_size) * _SIZE_BELOW:
             return False
-        if n > sample_size(self._z_high, p, e, population_size) * _SIZE_ABOVE:
+        if n > corrected_sample_size(self._n_inf_high, population_size) * _SIZE_ABOVE:
             return True
+        cfg = self.config
         conf = decayed_confidence(age, cfg.max_cycle_length)
-        return n > cochran_sample_size(min(conf, _CONF_CAP), p, e, population_size)
+        return n > cochran_sample_size(min(conf, _CONF_CAP), cfg.variability_p, cfg.margin_e,
+                                       population_size)
 
     def _open_window(self, age: float) -> None:
         # z depends on the age alone, so a window stays valid across releases.
@@ -328,8 +331,11 @@ class AdaptiveMonitor:
         end = min(age + cfg.adaptation_frequency, max(age, length))
         self._window_start = age
         self._window_end = end
-        self._z_high = normal_quantile(min(decayed_confidence(age, length), _CONF_CAP))
-        self._z_low = normal_quantile(min(decayed_confidence(end, length), _CONF_CAP))
+        p, e = cfg.variability_p, cfg.margin_e
+        z_high = normal_quantile(min(decayed_confidence(age, length), _CONF_CAP))
+        z_low = normal_quantile(min(decayed_confidence(end, length), _CONF_CAP))
+        self._n_inf_high = infinite_sample_size(z_high, p, e)
+        self._n_inf_low = infinite_sample_size(z_low, p, e)
 
     def _release(self, now: float, reason: str, conf: float) -> ReleasedSample:
         total = self.population.total

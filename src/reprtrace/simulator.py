@@ -26,21 +26,25 @@ stays alive after its runs, and so does any tape a kept run was served.
 Runs are yielded one at a time, and only the yielded run and the packed
 stream stay alive between them.
 
-A run keeps its traces, not its completed requests.  ``RunResult.events``
+A run keeps neither its completed requests nor its traces as objects.
+``step`` serves every strategy in one loop and appends each trace to the
+run's ``TraceColumns``: position, start, cycle index, type index, response
+time and memory.  A ``RateStrategy`` (INV, UNI, FUM, NOM) gets one draw at
+its rate per request and builds no object at all.  Any other strategy is
+asked ``decide`` with a ``RequestEvent`` per request, and the record it
+returns must hold that very event.  ``RunResult.traces`` rebuilds each
+``TraceRecord`` from the columns when it is read, and ``RunResult.events``
 is a ``ServedEvents`` view that rebuilds each event from the offered rows
-the run was served, the per-second slowdown and the positions of the
-traced requests, bit for bit as ``step`` served it.  ``step`` serves
-every strategy in one loop.  A ``RateStrategy`` (INV, UNI, FUM, NOM) gets
-one draw at its rate per request and a ``RequestEvent`` only when traced.
-Any other strategy is asked ``decide`` with a ``RequestEvent`` per request.
-Every request is first checked by ``RequestEvent``'s rule, so a bad row
-raises a ``ParameterError`` naming its second under every strategy.
+the run was served, the per-second slowdown and the traced positions; both
+are bit for bit what ``step`` served.  Every request is first checked by
+``RequestEvent``'s rule, so a bad row raises a ``ParameterError`` naming
+its second under every strategy.
 
 ``Simulation.run`` serves its stream with CPython's cyclic garbage
 collector paused and restores the caller's setting afterwards, also when a
-strategy raises.  A run allocates tens of thousands of trace records (and,
-for ADP, an event per request) that the collector would otherwise scan
-over and over and find nothing: the simulator, the sampler and the
+strategy raises.  An ADP run allocates an event per request and tens of
+thousands of trace records that the collector would otherwise scan over
+and over and find nothing: the simulator, the sampler and the
 built-in strategies make no reference cycles, and reference counting alone
 frees a dropped run.  A custom strategy that does make cycles keeps them
 until its run ends and the collector runs again.
@@ -57,7 +61,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from math import exp, inf, log
-from operator import eq
 from random import NV_MAGICCONST
 from typing import Iterable, Iterator, Optional
 
@@ -67,8 +70,10 @@ from .model import (
     RequestEvent,
     ReleasedSample,
     SamplerConfig,
+    TraceColumns,
     TraceRecord,
     _check_finite,
+    _RebuiltSequence,
     collector_paused,
 )
 from .sampler import SamplerEvent
@@ -298,70 +303,51 @@ class SecondStats:
 
 @dataclass
 class RunResult:
-    """Everything one simulation run produced."""
+    """Everything one simulation run produced.
+
+    A simulated run's ``events`` is a ``ServedEvents`` view and its
+    ``traces`` a ``TraceColumns`` view, each rebuilt on read; a
+    ``RunResult`` built by hand may hold plain lists instead.
+    """
 
     strategy: StrategyKind
     seed: int
     seconds: list[SecondStats]
     events: Sequence[RequestEvent]
-    traces: list[TraceRecord]
+    traces: Sequence[TraceRecord]
     releases: list[ReleasedSample]
     sampler_events: list[SamplerEvent]
     config: SamplerConfig
 
 
-class ServedEvents(Sequence):
+class ServedEvents(_RebuiltSequence):
     """A run's completed requests in the order served, rebuilt on each read.
 
     Per second it keeps what ``Simulation.step`` read to serve it (the
     offered rows, where the served prefix ends, the start, the budget and
-    the slowdown) and per trace its position.  An event is rebuilt as
-    ``step`` computed it: the response time is ``base_rt * slowdown``, and
-    the start replays the second's spent time, ``trace_cost`` added at
-    each traced position.  A traced position yields its trace's own
-    ``event``.  ``len`` is O(1); reading a second costs that second's rows.
-    The view holds no reference to its ``Simulation``.
+    the slowdown) and per trace its position, shared with the run's
+    ``TraceColumns``.  An event is rebuilt as ``step`` computed it: the
+    response time is ``base_rt * slowdown``, and the start replays the
+    second's spent time, ``trace_cost`` added after each traced position.
+    ``len`` is O(1); reading a second costs that second's rows.  The view
+    holds no reference to its ``Simulation``.
     """
 
-    __slots__ = ("_type_ids", "_trace_cost", "_traces", "_ends", "_seconds", "_traced")
+    __slots__ = ("_type_ids", "_trace_cost", "_ends", "_seconds", "_traced")
 
-    def __init__(self, type_ids: list[str], trace_cost: float,
-                 traces: list[TraceRecord]) -> None:
+    def __init__(self, type_ids: list[str], trace_cost: float, traced: array) -> None:
         self._type_ids = type_ids
         self._trace_cost = trace_cost
-        self._traces = traces
         self._ends = array("q")    # per second: the position after its last event
         self._seconds: list[tuple] = []   # per second: (rows, start ms, budget, slowdown)
-        self._traced = array("q")  # per trace: its event's position
+        self._traced = traced      # per trace: its event's position
 
     def __len__(self) -> int:
         return self._ends[-1] if self._ends else 0
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            positions = range(*index.indices(len(self)))
-            if positions.step == 1:
-                return list(self._between(positions.start, positions.stop))
-            return [self[i] for i in positions]
-        size = len(self)
-        position = index + size if index < 0 else index
-        if not 0 <= position < size:
-            raise IndexError("event index out of range")
-        return next(self._between(position, position + 1))
-
-    def __iter__(self) -> Iterator[RequestEvent]:
-        return self._between(0, len(self))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (ServedEvents, list)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
-
-    __hash__ = None
-
     def _between(self, lo: int, hi: int) -> Iterator[RequestEvent]:
         """The events at positions ``lo`` to ``hi - 1``."""
-        ends, traced, traces = self._ends, self._traced, self._traces
+        ends, traced = self._ends, self._traced
         type_ids, trace_cost = self._type_ids, self._trace_cost
         second = bisect_right(ends, lo)
         position = ends[second - 1] if second else 0
@@ -373,19 +359,15 @@ class ServedEvents(Sequence):
             spent = 0.0
             for position, (idx, base_rt, mem) in zip(range(position, min(end, hi)), rows):
                 response_time = base_rt * slowdown
-                if position == next_traced:
-                    if position >= lo:
-                        yield traces[k].event
-                    spent += response_time
-                    spent += trace_cost
-                    k += 1
-                    next_traced = traced[k] if k < len(traced) else -1
-                    continue
                 if position >= lo:
                     offset_ms = int(1000.0 * spent / budget)
                     start = second_ms + (offset_ms if offset_ms < 999 else 999)
                     yield RequestEvent(type_ids[idx], start, response_time, mem)
                 spent += response_time
+                if position == next_traced:
+                    spent += trace_cost
+                    k += 1
+                    next_traced = traced[k] if k < len(traced) else -1
             position = end
             second += 1
 
@@ -476,8 +458,8 @@ class Simulation:
         self._last_tick = 0.0
         self._next_tick = config.adaptation_frequency
         self.seconds: list[SecondStats] = []
-        self.traces: list[TraceRecord] = []
-        self.events = ServedEvents(self._type_ids, model.trace_cost, self.traces)
+        self.traces = TraceColumns(self._type_ids)
+        self.events = ServedEvents(self._type_ids, model.trace_cost, self.traces.positions)
 
     def step(self, second: int, offered: OfferedSecond) -> SecondStats:
         """Serve one second of an offered stream; returns the per-second outcome."""
@@ -513,8 +495,13 @@ class Simulation:
         events = self.events
         first = len(events)
         served_before = sum(rt_count)
-        append_trace = self.traces.append
-        append_traced = events._traced.append
+        traces = self.traces
+        append_position = traces.positions.append
+        append_start = traces.starts.append
+        append_cycle = traces.cycles.append
+        append_type = traces.types.append
+        append_rt = traces.response_times.append
+        append_memory = traces.memories.append
         decide = None if isinstance(strategy, RateStrategy) else strategy.decide
         if decide is None:
             rate = rate_in_effect
@@ -530,20 +517,34 @@ class Simulation:
                 raise ParameterError(
                     f"second {second}: a request needs a finite response time >= 0"
                     f" and finite memory, got {response_time} and {mem}")
+            # The traced request's cycle index, or None when it is not traced.
             if decide is None and draw() >= rate:
-                trace = None
+                cycle_index = None
             else:
                 offset_ms = int(1000.0 * spent / budget)
                 start = second_ms + (offset_ms if offset_ms < 999 else 999)
-                event = RequestEvent(type_ids[idx], start, response_time, mem)
-                trace = (TraceRecord(event, 0) if decide is None
-                         else decide(event, start / 1000.0, decision_rng))
+                if decide is None:
+                    cycle_index = 0
+                else:
+                    event = RequestEvent(type_ids[idx], start, response_time, mem)
+                    record = decide(event, start / 1000.0, decision_rng)
+                    if record is None:
+                        cycle_index = None
+                    elif record.event is not event:
+                        raise ParameterError(
+                            f"second {second}: decide returned a record of another request")
+                    else:
+                        cycle_index = record.cycle_index
             spent += response_time
-            if trace is not None:
+            if cycle_index is not None:
                 spent += trace_cost
                 traced_ms += trace_cost
-                append_trace(trace)
-                append_traced(position)
+                append_position(position)
+                append_start(start)
+                append_cycle(cycle_index)
+                append_type(idx)
+                append_rt(response_time)
+                append_memory(mem)
             rt_sum[idx] += response_time
             rt_count[idx] += 1
 

@@ -37,6 +37,8 @@ __all__ = [
     "normal_quantile",
     "cochran_sample_size",
     "sample_size",
+    "infinite_sample_size",
+    "corrected_sample_size",
     "decayed_confidence",
     "student_t_two_sided_p",
     "student_t_log_p_bound",
@@ -254,7 +256,18 @@ def sample_size(
 
     Non-decreasing in z > 0 for every ``population_size`` >= 1.
     """
-    n_inf = z * z * variability_p * (1.0 - variability_p) / (margin_e * margin_e)
+    return corrected_sample_size(
+        infinite_sample_size(z, variability_p, margin_e), population_size)
+
+
+def infinite_sample_size(z: float, variability_p: float, margin_e: float) -> float:
+    """Cochran's n_inf = z^2 p (1-p) / e^2, unchecked."""
+    return z * z * variability_p * (1.0 - variability_p) / (margin_e * margin_e)
+
+
+def corrected_sample_size(n_inf: float, population_size: float) -> float:
+    """``n_inf`` with finite population correction, n_inf / (1 + (n_inf - 1) / N),
+    unchecked."""
     try:
         return n_inf / (1.0 + (n_inf - 1.0) / population_size)
     except ZeroDivisionError:

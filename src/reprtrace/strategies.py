@@ -45,7 +45,9 @@ class Strategy:
     """Per-request decision plus a periodic tick, selected by kind.
 
     ``decide`` returns the ``TraceRecord`` it records for a traced request,
-    or ``None``; only ADP stamps a monitoring cycle other than 0.
+    which must hold that very request (``Simulation.step`` raises
+    ``ParameterError`` otherwise), or ``None``; only ADP stamps a monitoring
+    cycle other than 0.
     """
 
     kind: StrategyKind
@@ -71,9 +73,9 @@ class RateStrategy(Strategy):
     ``Simulation.step`` serves a rate strategy in the loop that serves
     every strategy, but without ``decide``: it reads ``rate`` once per
     second (``ParameterError`` outside [0, 1]), draws
-    ``rng.random() < rate`` for each request and builds the request's
-    ``RequestEvent`` and a ``TraceRecord(event, 0)`` only on a passing
-    draw.  As for every strategy, ``step`` first checks each request by
+    ``rng.random() < rate`` for each request and, on a passing draw,
+    appends the request to the run's trace columns with cycle 0, building
+    no object.  As for every strategy, ``step`` first checks each request by
     ``RequestEvent``'s rule, traced or not.  A subclass's ``decide``
     override is not served; ``decide`` gives the same verdicts to a caller
     that drives the strategy one request at a time.

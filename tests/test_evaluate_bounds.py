@@ -98,30 +98,35 @@ def test_bracket_matches_exact_at_the_threshold_in_population(window_start, offs
     margin_e=st.floats(0.01, 0.5),
 )
 def test_window_ends_hold_their_z(window_start, variability_p, margin_e):
-    # The bracket is sample_size at the z of each window end, so the z must
-    # be the one cochran_sample_size takes at that age, bit for bit.
+    # The bracket is the size at the z of each window end, so the n_inf kept
+    # for each end must be the one cochran_sample_size forms at that age, bit
+    # for bit, from the z it takes there.
     config = SamplerConfig(variability_p=variability_p, margin_e=margin_e)
     monitor = AdaptiveMonitor(config)
     monitor._open_window(window_start)
     assert monitor._window_end == min(window_start + config.adaptation_frequency,
                                       config.max_cycle_length)
-    ends = ((window_start, monitor._z_high), (monitor._window_end, monitor._z_low))
-    for age, z in ends:
-        assert z == stats.normal_quantile(
+    ends = ((window_start, monitor._n_inf_high), (monitor._window_end, monitor._n_inf_low))
+    for age, n_inf in ends:
+        z = stats.normal_quantile(
             min(stats.decayed_confidence(age, config.max_cycle_length), CONF_CAP))
+        assert n_inf == stats.infinite_sample_size(z, variability_p, margin_e)
+        for population_size in (1.0, 7.0, 1e6, math.inf):
+            assert (stats.corrected_sample_size(n_inf, population_size)
+                    == stats.sample_size(z, variability_p, margin_e, population_size))
 
 
 @pytest.mark.parametrize("age", [0.0, 90.0, 179.0])
 def test_bracket_at_the_size_formulas_limit(age):
     # A variability_p near 0 puts n_inf below 1e-16 at both window ends, where
-    # the size formula divides by zero at N = 1 and sample_size gives its limit.
+    # the size formula divides by zero at N = 1 and corrected_sample_size gives
+    # its limit.
     config = SamplerConfig(variability_p=1e-30)
     monitor = AdaptiveMonitor(config)
     monitor._open_window(age)
-    p, e = config.variability_p, config.margin_e
-    for z in (monitor._z_low, monitor._z_high):
-        assert stats.sample_size(z, p, e, math.inf) < 1e-16
-        assert stats.sample_size(z, p, e, 1.0) == 1.0
+    for n_inf in (monitor._n_inf_low, monitor._n_inf_high):
+        assert stats.corrected_sample_size(n_inf, math.inf) < 1e-16
+        assert stats.corrected_sample_size(n_inf, 1.0) == 1.0
     assert monitor._exceeds_min_size(1, 1.0, age) == (1 > exact_needed(age, 1.0, config))
 
 

@@ -1,7 +1,9 @@
 """Golden outputs: every strategy's run on the small scenarios, pinned by digest.
 
 Each digest covers a run's per-second stats, every completed request, the
-traces with their cycle index, the releases and the sampler events.
+traces with their cycle index, the releases and the sampler events.  The
+report of each scenario's ten runs (five kinds, two seeds) is pinned by the
+sha256 of each report file.
 Floats enter through ``repr``, which round-trips exactly, so a digest
 matches only when the run is bit-identical to the one recorded.  A change
 that means to alter simulated outputs re-records the table below and says
@@ -12,6 +14,7 @@ import hashlib
 
 import pytest
 
+from reprtrace.report import write_report
 from reprtrace.simulator import Burst, WorkloadSpec, run_scenario
 from reprtrace.strategies import StrategyKind
 from test_simulator import small_model, small_workload
@@ -91,3 +94,25 @@ def test_run_matches_golden_digest(scenario, kind, seed):
     model, workload = SCENARIOS[scenario]()
     result = run_scenario(model, workload, kind, seed)
     assert run_digest(result) == GOLDEN[(scenario, kind, seed)]
+
+
+REPORT_GOLDEN = {
+    ("loaded", "summary.csv"): "6047b603bd0c3864d38e0f9f821eedb45a2d610b3e67a07521de44ad2867fc68",
+    ("loaded", "cycles.csv"): "83f41cb6b5cda400c09899325fc101cc527cc5400ae4f004730c687eed588ecd",
+    ("loaded", "distribution.csv"):
+        "45f4d1af507e07fff4f5f5c62662a72662792aa28ef46ac3573c11f87782b7ab",
+    ("small", "summary.csv"): "89260b2f4c8868f9c7f29c16c8ab15ff70f25fe2e6f0175f7ebaa0082a722b29",
+    ("small", "cycles.csv"): "af2d12b7cdedd8cdec66fbbfd33efc1b7b0b3ba4e693199b64502689f06b6321",
+    ("small", "distribution.csv"):
+        "2f54d42c2a7cc3e27977be10a134ebd8b8e2f7f2b6919d7cc7e83e75c2020ee9",
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_report_matches_golden_digest(scenario, tmp_path):
+    model, workload = SCENARIOS[scenario]()
+    write_report((run_scenario(model, workload, kind, seed)
+                  for seed in SEEDS for kind in StrategyKind), tmp_path)
+    for name in ("summary.csv", "cycles.csv", "distribution.csv"):
+        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest == REPORT_GOLDEN[(scenario, name)], name

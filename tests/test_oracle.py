@@ -78,8 +78,9 @@ def test_live_adp_stream_replays_through_engine_and_oracle(seed):
         events_before, traces_before = len(sim.events), len(sim.traces)
         stats = sim.step(second, offered)
         events = sim.events[events_before:]
-        traced = {id(trace.event) for trace in sim.traces[traces_before:]}
-        live_accepts += [id(event) in traced for event in events]
+        traced = set(sim.traces.positions[traces_before:])
+        live_accepts += [position in traced
+                         for position in range(events_before, len(sim.events))]
         live_rates.append(sim.strategy.rate)
         seconds.append((float(second),
                         [(e.start / 1000.0, e.type_id, e.response_time) for e in events],

@@ -3,6 +3,7 @@
 import csv
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -21,8 +22,9 @@ from reprtrace.report import (
     type_memory_means,
     write_report,
 )
-from reprtrace.simulator import RunResult, SecondStats
+from reprtrace.simulator import RunResult, SecondStats, run_scenario
 from reprtrace.strategies import StrategyKind
+from test_golden import SCENARIOS, SEEDS
 
 
 class TestRmse:
@@ -151,6 +153,25 @@ class TestSummarizeRun:
         assert summarize_run(summary) is summary
         save_run(run, tmp_path / "UNI_s3")
         assert summarize_run(load_run(tmp_path / "UNI_s3")) == summary
+
+
+class TestTraceColumns:
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("kind", [k.value for k in StrategyKind])
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_columns_reduce_and_save_like_a_list(self, scenario, kind, seed, tmp_path):
+        # summarize_run and save_run read a simulated run's trace columns; a
+        # copy of the run holding its traces as a list must give the same.
+        model, workload = SCENARIOS[scenario]()
+        run = run_scenario(model, workload, kind, seed)
+        listed = replace(run, traces=list(run.traces))
+        assert summarize_run(run) == summarize_run(listed)
+        save_run(run, tmp_path / "columns")
+        save_run(listed, tmp_path / "list")
+        for name in ("traces.txt", "series.csv", "run.json"):
+            assert (tmp_path / "columns" / name).read_bytes() == (
+                tmp_path / "list" / name).read_bytes()
+        assert len((tmp_path / "list" / "traces.txt").read_bytes().splitlines()) == len(run.traces)
 
 
 def _comparison_runs(include_fum=True):

@@ -391,7 +391,7 @@ class TestEvaluateSample:
         # first; the state that outlives a cycle is left out of the check.
         outlives_a_cycle = {"rate", "monitoring_enabled", "baseline_until", "perf_ref",
                             "events", "_last_tick", "_window_start", "_window_end",
-                            "_z_high", "_z_low"}
+                            "_n_inf_high", "_n_inf_low"}
 
         def cycle_state(monitor):
             return {name: (value.counts, value.total) if isinstance(value, FrequencyTable)

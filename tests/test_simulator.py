@@ -6,9 +6,10 @@ from dataclasses import replace
 
 import pytest
 
-from reprtrace import simulator
+from reprtrace import model as model_module
+from reprtrace import sampler, simulator, strategies
 from reprtrace.errors import ParameterError
-from reprtrace.model import PerformanceRecord, RequestEvent, SamplerConfig, TraceRecord
+from reprtrace.model import RequestEvent, SamplerConfig, TraceRecord
 from reprtrace.scenario import default_scenario
 from reprtrace.simulator import (
     AppModel,
@@ -172,10 +173,14 @@ class TestConservation:
         assert len(run.events) == sum(s.throughput for s in run.seconds)
 
     def test_traces_reference_ground_truth(self):
-        run = run_scenario(small_model(), small_workload(), "UNI", seed=9)
-        ground = set(map(id, run.events))
-        assert all(id(trace.event) in ground for trace in run.traces)
-        assert len({id(t.event) for t in run.traces}) == len(run.traces)
+        # Each trace's event is the completed request at its position, and no
+        # two traces share a position.
+        for kind in ("UNI", "ADP"):
+            run = run_scenario(small_model(), small_workload(), kind, seed=9)
+            events = list(run.events)
+            positions = list(run.traces.positions)
+            assert positions == sorted(set(positions))
+            assert [t.event for t in run.traces] == [events[p] for p in positions]
 
     def test_nom_and_fum_trace_counts(self):
         nom = run_scenario(small_model(), small_workload(), "NOM", seed=4)
@@ -184,14 +189,16 @@ class TestConservation:
         assert len(fum.traces) == len(fum.events)
 
     def test_one_record_per_trace(self):
-        # An ADP release holds the very records of the run's traces, in order,
-        # and every fixed-rate trace belongs to cycle 0.
+        # Each ADP release holds the records of the run's next traces, in
+        # order, and every fixed-rate trace belongs to cycle 0.
         run = run_scenario(small_model(), small_workload(duration=60), "ADP", seed=3)
         assert run.releases
-        released = [trace for release in run.releases for trace in release.traces]
-        assert all(a is b for a, b in zip(released, run.traces[:len(released)], strict=True))
+        offset = 0
         for release in run.releases:
+            size = len(release.traces)
+            assert release.traces == run.traces[offset:offset + size]
             assert all(t.cycle_index == release.cycle_index for t in release.traces)
+            offset += size
         for kind in ("INV", "UNI", "FUM"):
             run = run_scenario(small_model(), small_workload(), kind, seed=3)
             assert run.traces
@@ -372,22 +379,34 @@ class TestServedTime:
 class TestServedEvents:
     @pytest.mark.parametrize("kind", [k.value for k in StrategyKind])
     def test_events_built_per_run(self, monkeypatch, kind):
-        # A rate kind builds an event only for a traced request; ADP, served
-        # through decide, builds one per completed request.
-        built = []
+        # A rate kind builds no object while it runs: its traces go to the
+        # columns.  ADP, served through decide, builds an event per completed
+        # request, and its monitor a record per accept.
+        built = {RequestEvent: 0, TraceRecord: 0}
 
         class CountingEvent(RequestEvent):
             __slots__ = ()
 
             def __post_init__(self):
-                built.append(1)
+                built[RequestEvent] += 1
                 RequestEvent.__post_init__(self)
 
-        monkeypatch.setattr(simulator, "RequestEvent", CountingEvent)
+        class CountingRecord(TraceRecord):
+            __slots__ = ()
+
+            def __post_init__(self):
+                built[TraceRecord] += 1
+                TraceRecord.__post_init__(self)
+
+        for module in (model_module, simulator, sampler, strategies):
+            monkeypatch.setattr(module, "RequestEvent", CountingEvent)
+            monkeypatch.setattr(module, "TraceRecord", CountingRecord)
         run = run_scenario(small_model(), small_workload(), kind, seed=1)
-        expected = {"ADP": len(run.events), "NOM": 0}.get(kind, len(run.traces))
-        assert len(built) == expected
-        assert expected > 0 or kind == "NOM"
+        assert len(run.traces) > 0 or kind == "NOM"
+        if kind == "ADP":
+            assert built == {RequestEvent: len(run.events), TraceRecord: len(run.traces)}
+        else:
+            assert built == {RequestEvent: 0, TraceRecord: 0}
 
     def test_starts_add_spent_one_term_at_a_time(self):
         # After four traces spent is 34.3 + 24 + 12.6 + 24 + 63.0 + 24 + 10.1
@@ -440,3 +459,78 @@ class TestServedEvents:
             runs.append(sim.run(stream))
         matrix_run = next(run_matrix(model, workload, ["INV"], 3))
         assert runs[0].events == runs[1].events == matrix_run.events
+
+
+class TestTraceColumns:
+    def test_reads_agree_with_iteration(self):
+        run = run_scenario(small_model(), small_workload(), "UNI", seed=5)
+        traces = list(run.traces)
+        size = len(run.traces)
+        assert size == len(traces) > 300
+        assert all(type(t) is TraceRecord for t in traces)
+        for i in (0, 1, 137, size - 1, -1, -size):
+            assert run.traces[i] == traces[i]
+        for window in (slice(None), slice(100, 250), slice(3, 300, 7), slice(None, None, -3),
+                       slice(-50, None), slice(250, 100)):
+            assert run.traces[window] == traces[window]
+        for i in (size, -size - 1):
+            with pytest.raises(IndexError):
+                run.traces[i]
+        assert run.traces == traces and traces == run.traces
+        assert run.traces != traces[:-1]
+        assert traces[40] in run.traces
+        assert run.traces == run_scenario(small_model(), small_workload(), "UNI", seed=5).traces
+        assert run.traces != run_scenario(small_model(), small_workload(), "UNI", seed=6).traces
+
+    def test_each_read_builds_a_new_record(self):
+        run = run_scenario(small_model(), small_workload(), "FUM", seed=5)
+        assert run.traces[3] == run.traces[3] and run.traces[3] is not run.traces[3]
+
+    @pytest.mark.parametrize("kind", [k.value for k in StrategyKind])
+    def test_columns_hold_what_decide_recorded(self, kind):
+        # Served through decide, every kind records the same traces as the
+        # view rebuilds: the record decide returned, field for field.
+        class Recorded(Strategy):
+            def __init__(self, inner):
+                self.inner = inner
+                self.kind = inner.kind
+                self.records = []
+
+            def decide(self, request, now, rng):
+                record = self.inner.decide(request, now, rng)
+                if record is not None:
+                    self.records.append(record)
+                return record
+
+            def on_tick(self, record, now):
+                self.inner.on_tick(record, now)
+
+            @property
+            def rate(self):
+                return self.inner.rate
+
+            @property
+            def monitoring_enabled(self):
+                return self.inner.monitoring_enabled
+
+        config = SamplerConfig()
+        strategy = Recorded(make_strategy(kind, config))
+        sim = Simulation(small_model(), strategy, config, seed=2)
+        run = sim.run(offered_stream(small_model(), small_workload(), random.Random(2)))
+        assert run.traces == strategy.records
+        assert len(run.traces) > 0 or kind == "NOM"
+
+    def test_decide_must_return_a_record_of_its_request(self):
+        class Impostor(Strategy):
+            kind = StrategyKind.ADP
+            rate = 1.0
+
+            def decide(self, request, now, rng):
+                copy = RequestEvent(request.type_id, request.start, request.response_time,
+                                    request.memory_delta)
+                return TraceRecord(copy, 0)
+
+        sim = Simulation(small_model(), Impostor(), SamplerConfig(), seed=1)
+        with pytest.raises(ParameterError, match="second 0: decide returned a record of another"):
+            sim.step(0, (4, [(0, 40.0, 100.0)] * 10))
+        assert sim.seconds == [] and len(sim.traces) == 0
