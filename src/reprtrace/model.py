@@ -120,7 +120,8 @@ class TraceColumns(_RebuiltSequence):
     ``TraceRecord(RequestEvent(...), cycle_index)`` bit for bit as ``step``
     recorded it, as a new object on every read; ``len`` is O(1).
     ``rows``, ``write_trace_file`` and ``summarize_run`` read the columns
-    without building a record.
+    without building a record; ``view`` is a range of rows, rebuilt the
+    same way.
     """
 
     __slots__ = ("type_ids", "positions", "starts", "cycles", "types",
@@ -149,6 +150,39 @@ class TraceColumns(_RebuiltSequence):
     def _between(self, lo: int, hi: int) -> Iterator[TraceRecord]:
         for cycle_index, type_id, start, response_time, memory in self.rows(lo, hi):
             yield TraceRecord(RequestEvent(type_id, start, response_time, memory), cycle_index)
+
+    def view(self, lo: int, hi: int) -> _TraceRows:
+        """Rows ``lo`` to ``hi - 1`` as a read-only view; ``IndexError``
+        unless 0 <= lo <= hi <= len(self)."""
+        if not 0 <= lo <= hi <= len(self):
+            raise IndexError(f"rows {lo} to {hi} are not within {len(self)} traces")
+        return _TraceRows(self, lo, hi)
+
+    def truncate(self, size: int) -> None:
+        """Drop every row from ``size`` on, from every column."""
+        for column in (self.positions, self.starts, self.cycles, self.types,
+                       self.response_times, self.memories):
+            del column[size:]
+
+
+class _TraceRows(_RebuiltSequence):
+    """A fixed range of a ``TraceColumns``'s rows, each record rebuilt on
+    read.  Reading it after its rows were truncated away raises
+    ``IndexError``."""
+
+    __slots__ = ("_columns", "_lo", "_hi")
+
+    def __init__(self, columns: TraceColumns, lo: int, hi: int) -> None:
+        self._columns, self._lo, self._hi = columns, lo, hi
+
+    def __len__(self) -> int:
+        return self._hi - self._lo
+
+    def _between(self, lo: int, hi: int) -> Iterator[TraceRecord]:
+        columns = self._columns
+        if self._hi > len(columns):
+            raise IndexError(f"rows {self._lo} to {self._hi} were truncated away")
+        return columns._between(self._lo + lo, self._lo + hi)
 
 
 class FrequencyTable:
@@ -261,10 +295,12 @@ class ReleasedSample:
     ``reason`` is ``"criteria"`` when all representativeness criteria
     held, ``"timeout"`` when the cycle hit its maximum length.  The stored
     statistics are the cycle's own tables (handed over wholesale on
-    release), so the criteria can be re-checked offline.
+    release), so the criteria can be re-checked offline.  ``traces`` holds
+    the cycle's records: a list, or, for a cycle served by
+    ``Simulation.step``, a view of its rows of the run's ``TraceColumns``.
     """
 
-    traces: list[TraceRecord]
+    traces: Sequence[TraceRecord]
     population_stats: FrequencyTable
     sample_stats: FrequencyTable
     cycle_length: float

@@ -28,6 +28,7 @@ from .model import (
     ReleasedSample,
     RequestEvent,
     SamplerConfig,
+    TraceColumns,
     TraceRecord,
 )
 from .stats import (
@@ -118,6 +119,7 @@ class AdaptiveMonitor:
 
     def __init__(self, config: SamplerConfig) -> None:
         self.config = config
+        self._traces: Optional[TraceColumns] = None
         self.rate: float = config.max_rate
         self.monitoring_enabled: bool = True
         self.baseline_until: Optional[float] = None
@@ -146,6 +148,19 @@ class AdaptiveMonitor:
         self.cycle_index = index
         self.cycle_start = start
 
+    def bind_traces(self, traces: TraceColumns) -> None:
+        """Keep this monitor's accepts in ``traces`` instead of in records.
+
+        From now on ``decide`` keeps no reference to its request: the caller
+        appends a row for each accept, stamped with ``cycle_index``, before
+        it calls ``evaluate_sample``, and a release's ``traces`` is a view of
+        the last ``sample.total`` rows.  ``ParameterError`` for a monitor
+        that is bound already, or has counted a request or released a cycle.
+        """
+        if self._traces is not None or self.cycle_index or self.population.total:
+            raise ParameterError("only a monitor that has not been used can be bound to traces")
+        self._traces = traces
+
     # --- activity 1: sampling decision ------------------------------------
 
     def decide(self, request: RequestEvent, rng) -> bool:
@@ -158,6 +173,10 @@ class AdaptiveMonitor:
         traced unless its type is already over-represented in the sample:
         its population share before this request is below its sample share
         minus epsilon.  An empty sample accepts anything.
+
+        Only ``request.type_id`` and ``request.response_time`` are read; an
+        accept is kept as ``TraceRecord(request, cycle_index)`` in
+        ``sample_traces`` unless the monitor is bound (``bind_traces``).
         """
         type_id = request.type_id
         population = self.population
@@ -186,7 +205,8 @@ class AdaptiveMonitor:
             if pop_prop < samp_prop - self.config.epsilon:
                 return False
         sample.add(type_id)
-        self.sample_traces.append(TraceRecord(request, self.cycle_index))
+        if self._traces is None:
+            self.sample_traces.append(TraceRecord(request, self.cycle_index))
         n = sample_total + 1
         delta = response_time - self._sample_rt_mean
         self._sample_rt_mean += delta / n
@@ -340,8 +360,14 @@ class AdaptiveMonitor:
     def _release(self, now: float, reason: str, conf: float) -> ReleasedSample:
         total = self.population.total
         population_mean = self.population_rt_sum / total if total else 0.0
+        traces = self._traces
+        if traces is None:
+            traces = self.sample_traces
+        else:
+            rows = len(traces)
+            traces = traces.view(rows - self.sample.total, rows)
         released = ReleasedSample(
-            traces=self.sample_traces,
+            traces=traces,
             population_stats=self.population,
             sample_stats=self.sample,
             cycle_length=now - self.cycle_start,

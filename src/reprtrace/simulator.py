@@ -30,7 +30,11 @@ A run keeps neither its completed requests nor its traces as objects.
 ``step`` serves every strategy in one loop and appends each trace to the
 run's ``TraceColumns``: position, start, cycle index, type index, response
 time and memory.  A ``RateStrategy`` (INV, UNI, FUM, NOM) gets one draw at
-its rate per request and builds no object at all.  Any other strategy is
+its rate per request and builds no object at all.  Neither does an
+``AdaptiveStrategy`` (ADP; the class itself, not a subclass): its monitor,
+bound to the run's columns, is asked ``AdaptiveMonitor.decide`` with one
+reused holder of the request's type id and response time, and each released
+cycle's ``traces`` is a view of that cycle's rows.  Any other strategy is
 asked ``decide`` with a ``RequestEvent`` per request, and the record it
 returns must hold that very event.  ``RunResult.traces`` rebuilds each
 ``TraceRecord`` from the columns when it is read, and ``RunResult.events``
@@ -42,9 +46,9 @@ its second under every strategy.
 
 ``Simulation.run`` serves its stream with CPython's cyclic garbage
 collector paused and restores the caller's setting afterwards, also when a
-strategy raises.  An ADP run allocates an event per request and tens of
-thousands of trace records that the collector would otherwise scan over
-and over and find nothing: the simulator, the sampler and the
+strategy raises.  A strategy served through ``decide`` allocates an event
+per request and a record per trace, which the collector would otherwise
+scan over and over and find nothing: the simulator, the sampler and the
 built-in strategies make no reference cycles, and reference counting alone
 frees a dropped run.  A custom strategy that does make cycles keeps them
 until its run ends and the collector runs again.
@@ -77,7 +81,7 @@ from .model import (
     collector_paused,
 )
 from .sampler import SamplerEvent
-from .strategies import RateStrategy, Strategy, StrategyKind, make_strategy
+from .strategies import AdaptiveStrategy, RateStrategy, Strategy, StrategyKind, make_strategy
 
 __all__ = [
     "RequestTypeSpec",
@@ -439,8 +443,21 @@ def offered_stream(model: AppModel, workload: WorkloadSpec,
         yield users, offered
 
 
+class _Request:
+    """The two fields of a request that ``AdaptiveMonitor.decide`` reads;
+    ``Simulation.step`` reuses one holder for every request it serves ADP."""
+
+    __slots__ = ("type_id", "response_time")
+
+
 class Simulation:
-    """One strategy served an offered stream; its decisions are seeded."""
+    """One strategy served an offered stream; its decisions are seeded.
+
+    A second that raises (a bad row, or a strategy that raises) leaves none
+    of its traces or events behind, and every later ``step`` or ``run``
+    raises ``ParameterError``: the strategy has already counted part of
+    that second.
+    """
 
     def __init__(self, model: AppModel, strategy: Strategy, config: SamplerConfig,
                  seed: int) -> None:
@@ -457,12 +474,34 @@ class Simulation:
         self._tick_rt_count = [0] * len(model.types)
         self._last_tick = 0.0
         self._next_tick = config.adaptation_frequency
+        self._failed_second: Optional[int] = None
         self.seconds: list[SecondStats] = []
         self.traces = TraceColumns(self._type_ids)
         self.events = ServedEvents(self._type_ids, model.trace_cost, self.traces.positions)
+        self._request = _Request()
+        if type(strategy) is AdaptiveStrategy:
+            strategy.monitor.bind_traces(self.traces)
+
+    def _refuse_after_failure(self) -> None:
+        if self._failed_second is not None:
+            raise ParameterError(
+                f"second {self._failed_second} failed, so this simulation cannot go on")
 
     def step(self, second: int, offered: OfferedSecond) -> SecondStats:
-        """Serve one second of an offered stream; returns the per-second outcome."""
+        """Serve one second of an offered stream; returns the per-second
+        outcome.  A second that raises is undone (see the class docstring)."""
+        self._refuse_after_failure()
+        traces, events = self.traces, self.events
+        rows, served = len(traces), len(events._ends)
+        try:
+            return self._serve(second, offered)
+        except BaseException:
+            traces.truncate(rows)
+            del events._ends[served:], events._seconds[served:]
+            self._failed_second = second
+            raise
+
+    def _serve(self, second: int, offered: OfferedSecond) -> SecondStats:
         users, requests = offered
         if iter(requests) is requests:
             requests = list(requests)
@@ -502,12 +541,21 @@ class Simulation:
         append_type = traces.types.append
         append_rt = traces.response_times.append
         append_memory = traces.memories.append
-        decide = None if isinstance(strategy, RateStrategy) else strategy.decide
-        if decide is None:
+        # One of three ways to decide: a rate kind draws at its rate, a plain
+        # AdaptiveStrategy's monitor is asked with the reused holder, and any
+        # other strategy is asked decide with an event, its start included.
+        draw = monitor = decide = None
+        if isinstance(strategy, RateStrategy):
             rate = rate_in_effect
             if not 0.0 <= rate <= 1.0:
                 raise ParameterError(f"probability must be in [0, 1], got {rate}")
             draw = decision_rng.random
+        elif type(strategy) is AdaptiveStrategy:
+            monitor = strategy.monitor
+            monitor_decide, evaluate = monitor.decide, monitor.evaluate_sample
+            request = self._request
+        else:
+            decide = strategy.decide
         for position, (idx, base_rt, mem) in enumerate(requests, first):
             if spent >= budget:
                 break
@@ -517,26 +565,33 @@ class Simulation:
                 raise ParameterError(
                     f"second {second}: a request needs a finite response time >= 0"
                     f" and finite memory, got {response_time} and {mem}")
-            # The traced request's cycle index, or None when it is not traced.
-            if decide is None and draw() >= rate:
-                cycle_index = None
+            if draw is not None:
+                traced = draw() < rate
+            elif monitor is not None:
+                request.type_id = type_ids[idx]
+                request.response_time = response_time
+                traced = monitor_decide(request, decision_rng)
             else:
+                traced = True   # until decide says otherwise, below
+            if traced:
                 offset_ms = int(1000.0 * spent / budget)
                 start = second_ms + (offset_ms if offset_ms < 999 else 999)
-                if decide is None:
+                if draw is not None:
                     cycle_index = 0
+                elif monitor is not None:
+                    cycle_index = monitor.cycle_index
                 else:
                     event = RequestEvent(type_ids[idx], start, response_time, mem)
                     record = decide(event, start / 1000.0, decision_rng)
                     if record is None:
-                        cycle_index = None
+                        traced = False
                     elif record.event is not event:
                         raise ParameterError(
                             f"second {second}: decide returned a record of another request")
                     else:
                         cycle_index = record.cycle_index
             spent += response_time
-            if cycle_index is not None:
+            if traced:
                 spent += trace_cost
                 traced_ms += trace_cost
                 append_position(position)
@@ -545,6 +600,11 @@ class Simulation:
                 append_type(idx)
                 append_rt(response_time)
                 append_memory(mem)
+                # The monitor releases the cycle's rows, this one included.
+                if monitor is not None:
+                    released = evaluate(start / 1000.0)
+                    if released is not None:
+                        strategy.add_release(released)
             rt_sum[idx] += response_time
             rt_count[idx] += 1
 
@@ -583,6 +643,7 @@ class Simulation:
     def run(self, stream: Iterable[OfferedSecond]) -> RunResult:
         """Serve every second of ``stream``, numbered from 0, with the cyclic
         collector paused (see the module docstring)."""
+        self._refuse_after_failure()
         with collector_paused():
             for second, offered in enumerate(stream):
                 self.step(second, offered)

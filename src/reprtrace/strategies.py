@@ -83,6 +83,19 @@ class RateStrategy(Strategy):
 
 
 class AdaptiveStrategy(Strategy):
+    """The adaptive engine, ``monitor``, behind the strategy interface.
+
+    ``decide`` asks the monitor, and on an accept returns the monitor's own
+    record of the request and evaluates the cycle at ``now``.
+    ``Simulation.step`` serves an ``AdaptiveStrategy`` (the class itself, not
+    a subclass) without ``decide`` or any per-request object: it binds the
+    monitor to the run's trace columns, asks ``monitor.decide`` with one
+    reused holder of the request's type id and response time, appends an
+    accept to the columns, evaluates the cycle and hands a release to
+    ``add_release``.  Both give the same verdicts, draws and releases; a
+    monitor bound to a run serves no ``decide``.
+    """
+
     kind = StrategyKind.ADP
 
     def __init__(self, config: SamplerConfig) -> None:
@@ -97,13 +110,17 @@ class AdaptiveStrategy(Strategy):
         trace = monitor.sample_traces[-1]
         released = monitor.evaluate_sample(now)
         if released is not None:
-            self._releases.append(released)
+            self.add_release(released)
         return trace
+
+    def add_release(self, released: ReleasedSample) -> None:
+        """Keep a release of ``monitor`` until the next ``drain_releases``."""
+        self._releases.append(released)
 
     def on_tick(self, record: PerformanceRecord, now: float) -> None:
         released = self.monitor.on_tick(now, record)
         if released is not None:
-            self._releases.append(released)
+            self.add_release(released)
 
     @property
     def rate(self) -> float:

@@ -13,6 +13,7 @@ from reprtrace.model import (
     PerformanceRecord,
     SamplerConfig,
     FrequencyTable,
+    TraceColumns,
 )
 from reprtrace.sampler import AdaptiveMonitor, perf_diff, select_normal_behavior
 from reprtrace.stats import cochran_sample_size, decayed_confidence
@@ -636,3 +637,26 @@ class TestMonitorInvariants:
                 assert table.total == sum(table.counts.values())
             assert all(t.cycle_index == monitor.cycle_index for t in monitor.sample_traces)
             assert len(monitor.perf_ref) <= history_capacity
+
+
+class TestBindTraces:
+    def test_only_an_unused_monitor_binds(self):
+        config = SamplerConfig()
+        bound = AdaptiveMonitor(config)
+        bound.bind_traces(TraceColumns(["/a"]))
+        decided = AdaptiveMonitor(config)
+        assert not decided.decide(make_event("/a"), NeverRng())
+        released = AdaptiveMonitor(config)
+        assert released.on_tick(config.max_cycle_length,
+                                PerformanceRecord(10.0, {"/a": 50.0}, True)) is not None
+        # A release resets the population, but the cycle index tells.
+        assert released.population.total == 0 and released.cycle_index == 1
+        for used in (bound, decided, released):
+            with pytest.raises(ParameterError, match="only a monitor that has not been used"):
+                used.bind_traces(TraceColumns(["/a"]))
+
+    def test_bound_monitor_keeps_no_record(self):
+        monitor = AdaptiveMonitor(SamplerConfig())
+        monitor.bind_traces(TraceColumns(["/a"]))
+        assert monitor.decide(make_event("/a"), AlwaysRng())
+        assert monitor.sample.total == 1 and monitor.sample_traces == []

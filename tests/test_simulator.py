@@ -24,7 +24,8 @@ from reprtrace.simulator import (
     run_scenario,
     users_at,
 )
-from reprtrace.strategies import NoMonitoringStrategy, Strategy, StrategyKind, make_strategy
+from reprtrace.strategies import (AdaptiveStrategy, NoMonitoringStrategy, Strategy,
+                                  StrategyKind, make_strategy)
 
 
 def small_model(**overrides):
@@ -196,6 +197,9 @@ class TestConservation:
         offset = 0
         for release in run.releases:
             size = len(release.traces)
+            # A view of the run's rows, rebuilt on read, not a list of records.
+            assert not isinstance(release.traces, list)
+            assert release.traces[0] is not release.traces[0]
             assert release.traces == run.traces[offset:offset + size]
             assert all(t.cycle_index == release.cycle_index for t in release.traces)
             offset += size
@@ -379,9 +383,8 @@ class TestServedTime:
 class TestServedEvents:
     @pytest.mark.parametrize("kind", [k.value for k in StrategyKind])
     def test_events_built_per_run(self, monkeypatch, kind):
-        # A rate kind builds no object while it runs: its traces go to the
-        # columns.  ADP, served through decide, builds an event per completed
-        # request, and its monitor a record per accept.
+        # No built-in kind builds an object while it runs: its traces go to
+        # the columns, and ADP's releases are views of them.
         built = {RequestEvent: 0, TraceRecord: 0}
 
         class CountingEvent(RequestEvent):
@@ -404,9 +407,11 @@ class TestServedEvents:
         run = run_scenario(small_model(), small_workload(), kind, seed=1)
         assert len(run.traces) > 0 or kind == "NOM"
         if kind == "ADP":
-            assert built == {RequestEvent: len(run.events), TraceRecord: len(run.traces)}
-        else:
-            assert built == {RequestEvent: 0, TraceRecord: 0}
+            scenario = default_scenario()
+            run = run_scenario(scenario.model, scenario.workload, kind, seed=1,
+                               config=scenario.sampler)
+            assert len(run.traces) > 20000 and len(run.releases) > 3
+        assert built == {RequestEvent: 0, TraceRecord: 0}
 
     def test_starts_add_spent_one_term_at_a_time(self):
         # After four traces spent is 34.3 + 24 + 12.6 + 24 + 63.0 + 24 + 10.1
@@ -461,6 +466,38 @@ class TestServedEvents:
         assert runs[0].events == runs[1].events == matrix_run.events
 
 
+class Recorded(Strategy):
+    """``inner`` served through ``decide``, keeping each record it returns."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.kind = inner.kind
+        self.records = []
+
+    def decide(self, request, now, rng):
+        record = self.inner.decide(request, now, rng)
+        if record is not None:
+            self.records.append(record)
+        return record
+
+    def on_tick(self, record, now):
+        self.inner.on_tick(record, now)
+
+    @property
+    def rate(self):
+        return self.inner.rate
+
+    @property
+    def monitoring_enabled(self):
+        return self.inner.monitoring_enabled
+
+    def drain_releases(self):
+        return self.inner.drain_releases()
+
+    def drain_events(self):
+        return self.inner.drain_events()
+
+
 class TestTraceColumns:
     def test_reads_agree_with_iteration(self):
         run = run_scenario(small_model(), small_workload(), "UNI", seed=5)
@@ -490,29 +527,6 @@ class TestTraceColumns:
     def test_columns_hold_what_decide_recorded(self, kind):
         # Served through decide, every kind records the same traces as the
         # view rebuilds: the record decide returned, field for field.
-        class Recorded(Strategy):
-            def __init__(self, inner):
-                self.inner = inner
-                self.kind = inner.kind
-                self.records = []
-
-            def decide(self, request, now, rng):
-                record = self.inner.decide(request, now, rng)
-                if record is not None:
-                    self.records.append(record)
-                return record
-
-            def on_tick(self, record, now):
-                self.inner.on_tick(record, now)
-
-            @property
-            def rate(self):
-                return self.inner.rate
-
-            @property
-            def monitoring_enabled(self):
-                return self.inner.monitoring_enabled
-
         config = SamplerConfig()
         strategy = Recorded(make_strategy(kind, config))
         sim = Simulation(small_model(), strategy, config, seed=2)
@@ -534,3 +548,89 @@ class TestTraceColumns:
         with pytest.raises(ParameterError, match="second 0: decide returned a record of another"):
             sim.step(0, (4, [(0, 40.0, 100.0)] * 10))
         assert sim.seconds == [] and len(sim.traces) == 0
+
+
+def _release_fields(release):
+    # Every field of a release but its traces, both tables in full.
+    return (release.cycle_index, release.released_at, release.reason,
+            release.confidence_at_release, release.cycle_length, release.population_mean_rt,
+            list(release.sample_stats.counts.items()), release.sample_stats.total,
+            list(release.population_stats.counts.items()), release.population_stats.total)
+
+
+class TestDirectAdaptive:
+    @pytest.mark.parametrize("scenario, seed",
+                             [("small", 1), ("small", 2), ("small", 3), ("default", 1)])
+    def test_direct_equals_decide(self, scenario, seed):
+        # ADP served by its monitor, with no per-request object, gives the run
+        # that ADP served through decide gives, draw for draw.
+        if scenario == "small":
+            model, workload, config = small_model(), small_workload(duration=60), SamplerConfig()
+        else:
+            default = default_scenario()
+            model, workload, config = default.model, default.workload, default.sampler
+        sims, runs = [], []
+        for strategy in (AdaptiveStrategy(config), Recorded(AdaptiveStrategy(config))):
+            sims.append(Simulation(model, strategy, config, seed))
+            runs.append(sims[-1].run(offered_stream(model, workload,
+                                                    random.Random(f"{seed}:workload"))))
+        direct, served = runs
+        assert sims[0].decision_rng.getstate() == sims[1].decision_rng.getstate()
+        assert direct.seconds == served.seconds
+        assert direct.traces == served.traces
+        assert direct.sampler_events == served.sampler_events
+        assert len(direct.releases) == len(served.releases) > 0
+        assert ([_release_fields(r) for r in direct.releases]
+                == [_release_fields(r) for r in served.releases])
+        for mine, theirs in zip(direct.releases, served.releases):
+            assert not isinstance(mine.traces, list) and isinstance(theirs.traces, list)
+            assert list(mine.traces) == theirs.traces
+
+    def test_only_an_unused_strategy_is_served(self):
+        config = SamplerConfig()
+        bound = AdaptiveStrategy(config)
+        Simulation(small_model(), bound, config, seed=1)
+        used = AdaptiveStrategy(config)
+        used.decide(RequestEvent("/a", 0, 40.0, 100.0), 0.0, random.Random(1))
+        for strategy in (bound, used):
+            with pytest.raises(ParameterError, match="only a monitor that has not been used"):
+                Simulation(small_model(), strategy, config, seed=1)
+
+
+class TestFailedSecond:
+    @pytest.mark.parametrize("kind", ["FUM", "ADP"])
+    def test_leaves_nothing_behind_and_stops_the_simulation(self, kind):
+        # Five rows are served, and traced or counted, before the sixth raises.
+        config = SamplerConfig()
+        sim = Simulation(small_model(), make_strategy(kind, config), config, seed=2)
+        with pytest.raises(ParameterError, match="second 0: a request needs a finite"):
+            sim.step(0, (4, [(0, 40.0, 100.0)] * 5 + [(0, 40.0, math.nan)]))
+        if kind == "ADP":
+            monitor = sim.strategy.monitor
+            assert monitor.population.total == 5 and monitor.sample.total > 0
+        assert len(sim.traces) == len(sim.events) == 0 and sim.seconds == []
+        for later in (lambda: sim.step(1, (4, [(0, 40.0, 100.0)] * 200)),
+                      lambda: sim.run([(4, [(0, 40.0, 100.0)] * 200)])):
+            with pytest.raises(ParameterError, match="second 0 failed, so this simulation"):
+                later()
+        assert len(sim.traces) == len(sim.events) == 0 and sim.seconds == []
+
+    def test_earlier_seconds_stay_and_the_failed_seconds_releases_are_unreadable(self):
+        # With 0.5 s cycles, both seconds release cycles before the NaN row
+        # at the end of second 1 truncates that second's rows away.
+        config = SamplerConfig(max_cycle_length=0.5)
+        sim = Simulation(small_model(), make_strategy("ADP", config), config, seed=1)
+        sim.step(0, (8, [(0, 40.0, 100.0)] * 300))
+        kept = sim.strategy.drain_releases()
+        traces, events = list(sim.traces), list(sim.events)
+        with pytest.raises(ParameterError, match="second 1: a request needs a finite"):
+            sim.step(1, (8, [(0, 40.0, 100.0)] * 150 + [(0, 40.0, math.nan)]))
+        assert list(sim.traces) == traces and list(sim.events) == events
+        assert len(sim.seconds) == 1
+        lost = sim.strategy.drain_releases()
+        assert kept and lost
+        kept_rows = sum(len(release.traces) for release in kept)
+        assert [t for release in kept for t in release.traces] == traces[:kept_rows]
+        for release in lost:
+            with pytest.raises(IndexError, match="truncated away"):
+                list(release.traces)

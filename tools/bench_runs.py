@@ -1,0 +1,153 @@
+"""Time one ``run_scenario`` per strategy kind, before and after a change.
+
+    python3 tools/bench_runs.py --before DIR [--pairs 10] [--seed 1]
+        [--before-commit REV] [--out BENCH_runs.json]
+
+``DIR`` holds the code to compare against: a directory with the
+``reprtrace`` package in it, or a checkout whose ``src/`` has it (for
+example a ``git archive`` of the parent commit, unpacked).  The "after"
+side is ``src/`` of the checkout this script lives in.
+
+Each timing is a fresh interpreter that imports one side, draws the default
+scenario's tape for ``--seed`` with an untimed NOM run, and then times three
+``run_scenario`` calls of one kind on that warm tape and reports the fastest.
+A pair times every kind once on each side, and which side goes first
+alternates from pair to pair, so both sides see the same drift of the host.
+
+One entry is appended to ``--out`` (a JSON list, created when missing;
+earlier entries are kept as they are): the checkout's commit and whether
+its tree had uncommitted changes, the before side's commit when known, the
+Python version, the processor count, and per kind the median [Q1, Q3] of
+each side's times in seconds, the after/before ratio of the medians and the
+number of pairs the after side was faster.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from datetime import datetime, timezone
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+AFTER = ROOT / "src"
+KINDS = ("ADP", "INV", "UNI", "FUM", "NOM")
+REPEATS = 3
+
+# Run in the child with the side's package first on sys.path.
+CHILD = """
+import json, sys
+from time import perf_counter
+import reprtrace
+from reprtrace import default_scenario, run_scenario
+kind, seed, repeats = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+scenario = default_scenario()
+args = (scenario.model, scenario.workload)
+run_scenario(*args, "NOM", seed, scenario.sampler)
+best = float("inf")
+for _ in range(repeats):
+    began = perf_counter()
+    run = run_scenario(*args, kind, seed, scenario.sampler)
+    best = min(best, perf_counter() - began)
+    del run
+print(json.dumps({"package": reprtrace.__file__, "seconds": best}))
+"""
+
+
+def package_dir(path: Path) -> Path:
+    """The directory to import ``reprtrace`` from: ``path`` or its ``src/``."""
+    for candidate in (path, path / "src"):
+        if (candidate / "reprtrace" / "__init__.py").is_file():
+            return candidate.resolve()
+    raise SystemExit(f"no reprtrace package in {path} or {path / 'src'}")
+
+
+def time_kind(side: Path, kind: str, seed: int) -> float:
+    env = dict(os.environ, PYTHONPATH=str(side))
+    out = subprocess.run([sys.executable, "-c", CHILD, kind, str(seed), str(REPEATS)],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    result = json.loads(out.splitlines()[-1])
+    # An installed reprtrace must not stand in for the side under test.
+    if not Path(result["package"]).resolve().is_relative_to(side):
+        raise SystemExit(f"imported {result['package']}, not the package in {side}")
+    return result["seconds"]
+
+
+def git(*args: str, cwd: Path) -> str | None:
+    try:
+        done = subprocess.run(["git", *args], cwd=cwd, capture_output=True, text=True)
+    except OSError:
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def spread(values: list[float]) -> dict:
+    """Median and quartiles; with one value all three are that value."""
+    if len(values) == 1:
+        q1 = median = q3 = values[0]
+    else:
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--before", type=Path, required=True)
+    parser.add_argument("--before-commit", default=None)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_runs.json")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+    before, after = package_dir(args.before), package_dir(AFTER)
+    entries = json.loads(args.out.read_text()) if args.out.exists() else []
+    if not isinstance(entries, list):
+        raise SystemExit(f"{args.out} does not hold a JSON list")
+
+    times = {kind: {"before": [], "after": []} for kind in KINDS}
+    for pair in range(args.pairs):
+        sides = [("before", before), ("after", after)]
+        if pair % 2:
+            sides.reverse()
+        for kind in KINDS:
+            for name, side in sides:
+                times[kind][name].append(time_kind(side, kind, args.seed))
+        print(f"pair {pair + 1}/{args.pairs}: " + ", ".join(
+            f"{kind} {times[kind]['before'][-1]:.3f} -> {times[kind]['after'][-1]:.3f} s"
+            for kind in KINDS), file=sys.stderr)
+
+    kinds = {}
+    for kind, sides in times.items():
+        kinds[kind] = {
+            "before_s": spread(sides["before"]),
+            "after_s": spread(sides["after"]),
+            "ratio": statistics.median(sides["after"]) / statistics.median(sides["before"]),
+            "after_faster_pairs": sum(a < b for b, a in zip(sides["before"], sides["after"])),
+        }
+    before_commit = args.before_commit or git("rev-parse", "HEAD", cwd=args.before)
+    entry = {
+        "date": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
+        "commit": git("rev-parse", "HEAD", cwd=ROOT),
+        "uncommitted_changes": bool(git("status", "--porcelain", "--", "src", cwd=ROOT)),
+        "before_commit": before_commit,
+        "python": platform.python_version(),
+        "nproc": os.cpu_count(),
+        "scenario": "default",
+        "seed": args.seed,
+        "pairs": args.pairs,
+        "best_of": REPEATS,
+        "kinds": kinds,
+    }
+    entries.append(entry)
+    args.out.write_text(json.dumps(entries, indent=2) + "\n")
+    print(json.dumps(entry))
+
+
+if __name__ == "__main__":
+    main()
