@@ -144,9 +144,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     scenario = _load(args.scenario)
-    strategies = [StrategyKind(s.strip()).value for s in args.strategies.split(",") if s.strip()]
+    strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     if not strategies:
         raise ScenarioError("no strategies given")
+    for strategy in strategies:
+        if strategy not in _ALL_STRATEGIES:
+            raise ScenarioError(f"--strategies: {strategy!r} is not one of"
+                                f" {', '.join(_ALL_STRATEGIES)}")
     _unique(strategies, "strategy", "--strategies")
     if args.seeds is not None:
         seeds = _parse_seeds(args.seeds)

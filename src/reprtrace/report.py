@@ -232,9 +232,26 @@ class RunSummary(NamedTuple):
 
 
 def load_run(run_dir: str | Path) -> RunSummary:
-    """Reduce a run saved by ``save_run`` to what ``write_report`` needs."""
+    """Reduce a run saved by ``save_run`` to what ``write_report`` needs.
+
+    A file that holds no such run raises ``ValueError`` starting with its
+    path, and with the line for a row of ``series.csv`` or ``traces.txt``.
+    """
     run_dir = Path(run_dir)
-    meta = json.loads((run_dir / "run.json").read_text())
+    meta_path = run_dir / "run.json"
+    try:
+        meta = json.loads(meta_path.read_text())
+    except ValueError as exc:
+        raise ValueError(f"{meta_path}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ValueError(f"{meta_path}: expected a JSON object")
+    kinds = [kind.value for kind in StrategyKind]
+    strategy, seed = meta.get("strategy"), meta.get("seed")
+    if strategy not in kinds:
+        raise ValueError(f"{meta_path}: strategy must be one of {', '.join(kinds)},"
+                         f" got {strategy!r}")
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValueError(f"{meta_path}: seed must be an integer, got {seed!r}")
     seconds: list[SecondStats] = []
     series_path = run_dir / "series.csv"
     with open(series_path, newline="") as handle:
@@ -256,8 +273,8 @@ def load_run(run_dir: str | Path) -> RunSummary:
     traces = read_trace_file(run_dir / "traces.txt")
     memory_means, type_counts = _type_tallies(t.event for t in traces)
     return RunSummary(
-        strategy=StrategyKind(meta["strategy"]),
-        seed=int(meta["seed"]),
+        strategy=StrategyKind(strategy),
+        seed=seed,
         seconds=seconds,
         memory_means=memory_means,
         type_counts=type_counts,

@@ -27,31 +27,22 @@ Runs are yielded one at a time, and only the yielded run and the packed
 stream stay alive between them.
 
 A run keeps neither its completed requests nor its traces as objects.
-``step`` serves every strategy in one loop and appends each trace to the
-run's ``TraceColumns``: position, start, cycle index, type index, response
-time and memory.  A ``RateStrategy`` (INV, UNI, FUM, NOM) gets one draw at
-its rate per request and builds no object at all.  Neither does an
-``AdaptiveStrategy`` (ADP; the class itself, not a subclass): its monitor,
-bound to the run's columns, is asked ``AdaptiveMonitor.decide`` with one
-reused holder of the request's type id and response time, and each released
-cycle's ``traces`` is a view of that cycle's rows.  Any other strategy is
-asked ``decide`` with a ``RequestEvent`` per request, and the record it
-returns must hold that very event.  ``RunResult.traces`` rebuilds each
+``Simulation`` serves two families of strategy, in one loop in ``step``,
+and refuses any other at construction.  A ``RateStrategy`` (INV, UNI, FUM,
+NOM, or a subclass) gets one draw at its ``rate`` per request.  An
+``AdaptiveStrategy`` (ADP, or a subclass) is served by its monitor, bound
+to the run's columns and asked ``AdaptiveMonitor.decide`` with one reused
+holder of the request's type id and response time; each released cycle's
+``traces`` is a view of that cycle's rows.  Neither builds an object per
+request: each trace is appended to the run's ``TraceColumns`` (position,
+start, cycle index, type index, response time and memory), and no
+strategy's ``decide`` is called.  ``RunResult.traces`` rebuilds each
 ``TraceRecord`` from the columns when it is read, and ``RunResult.events``
 is a ``ServedEvents`` view that rebuilds each event from the offered rows
 the run was served, the per-second slowdown and the traced positions; both
 are bit for bit what ``step`` served.  Every request is first checked by
 ``RequestEvent``'s rule, so a bad row raises a ``ParameterError`` naming
 its second under every strategy.
-
-``Simulation.run`` serves its stream with CPython's cyclic garbage
-collector paused and restores the caller's setting afterwards, also when a
-strategy raises.  A strategy served through ``decide`` allocates an event
-per request and a record per trace, which the collector would otherwise
-scan over and over and find nothing: the simulator, the sampler and the
-built-in strategies make no reference cycles, and reference counting alone
-frees a dropped run.  A custom strategy that does make cycles keeps them
-until its run ends and the collector runs again.
 """
 
 from __future__ import annotations
@@ -78,10 +69,9 @@ from .model import (
     TraceRecord,
     _check_finite,
     _RebuiltSequence,
-    collector_paused,
 )
 from .sampler import SamplerEvent
-from .strategies import AdaptiveStrategy, RateStrategy, Strategy, StrategyKind, make_strategy
+from .strategies import AdaptiveStrategy, RateStrategy, StrategyKind, make_strategy
 
 __all__ = [
     "RequestTypeSpec",
@@ -459,8 +449,12 @@ class Simulation:
     that second.
     """
 
-    def __init__(self, model: AppModel, strategy: Strategy, config: SamplerConfig,
-                 seed: int) -> None:
+    def __init__(self, model: AppModel, strategy: RateStrategy | AdaptiveStrategy,
+                 config: SamplerConfig, seed: int) -> None:
+        if not isinstance(strategy, (RateStrategy, AdaptiveStrategy)):
+            raise ParameterError(
+                f"{type(strategy).__name__} is neither a RateStrategy nor an"
+                " AdaptiveStrategy, so a Simulation cannot serve it")
         self.model = model
         self.strategy = strategy
         self.config = config
@@ -479,7 +473,7 @@ class Simulation:
         self.traces = TraceColumns(self._type_ids)
         self.events = ServedEvents(self._type_ids, model.trace_cost, self.traces.positions)
         self._request = _Request()
-        if type(strategy) is AdaptiveStrategy:
+        if isinstance(strategy, AdaptiveStrategy):
             strategy.monitor.bind_traces(self.traces)
 
     def _refuse_after_failure(self) -> None:
@@ -541,21 +535,18 @@ class Simulation:
         append_type = traces.types.append
         append_rt = traces.response_times.append
         append_memory = traces.memories.append
-        # One of three ways to decide: a rate kind draws at its rate, a plain
-        # AdaptiveStrategy's monitor is asked with the reused holder, and any
-        # other strategy is asked decide with an event, its start included.
-        draw = monitor = decide = None
+        # One of two ways to decide: a rate kind draws at its rate, and an
+        # AdaptiveStrategy's monitor is asked with the reused holder.
+        monitor = None
         if isinstance(strategy, RateStrategy):
             rate = rate_in_effect
             if not 0.0 <= rate <= 1.0:
                 raise ParameterError(f"probability must be in [0, 1], got {rate}")
             draw = decision_rng.random
-        elif type(strategy) is AdaptiveStrategy:
+        else:
             monitor = strategy.monitor
             monitor_decide, evaluate = monitor.decide, monitor.evaluate_sample
             request = self._request
-        else:
-            decide = strategy.decide
         for position, (idx, base_rt, mem) in enumerate(requests, first):
             if spent >= budget:
                 break
@@ -565,38 +556,22 @@ class Simulation:
                 raise ParameterError(
                     f"second {second}: a request needs a finite response time >= 0"
                     f" and finite memory, got {response_time} and {mem}")
-            if draw is not None:
+            if monitor is None:
                 traced = draw() < rate
-            elif monitor is not None:
+            else:
                 request.type_id = type_ids[idx]
                 request.response_time = response_time
                 traced = monitor_decide(request, decision_rng)
-            else:
-                traced = True   # until decide says otherwise, below
             if traced:
                 offset_ms = int(1000.0 * spent / budget)
                 start = second_ms + (offset_ms if offset_ms < 999 else 999)
-                if draw is not None:
-                    cycle_index = 0
-                elif monitor is not None:
-                    cycle_index = monitor.cycle_index
-                else:
-                    event = RequestEvent(type_ids[idx], start, response_time, mem)
-                    record = decide(event, start / 1000.0, decision_rng)
-                    if record is None:
-                        traced = False
-                    elif record.event is not event:
-                        raise ParameterError(
-                            f"second {second}: decide returned a record of another request")
-                    else:
-                        cycle_index = record.cycle_index
-            spent += response_time
-            if traced:
+                # One term at a time, in the order ServedEvents._between replays.
+                spent += response_time
                 spent += trace_cost
                 traced_ms += trace_cost
                 append_position(position)
                 append_start(start)
-                append_cycle(cycle_index)
+                append_cycle(0 if monitor is None else monitor.cycle_index)
                 append_type(idx)
                 append_rt(response_time)
                 append_memory(mem)
@@ -605,6 +580,8 @@ class Simulation:
                     released = evaluate(start / 1000.0)
                     if released is not None:
                         strategy.add_release(released)
+            else:
+                spent += response_time
             rt_sum[idx] += response_time
             rt_count[idx] += 1
 
@@ -641,12 +618,10 @@ class Simulation:
         return stats
 
     def run(self, stream: Iterable[OfferedSecond]) -> RunResult:
-        """Serve every second of ``stream``, numbered from 0, with the cyclic
-        collector paused (see the module docstring)."""
+        """Serve every second of ``stream``, numbered from 0."""
         self._refuse_after_failure()
-        with collector_paused():
-            for second, offered in enumerate(stream):
-                self.step(second, offered)
+        for second, offered in enumerate(stream):
+            self.step(second, offered)
         return RunResult(
             strategy=self.strategy.kind,
             seed=self.seed,

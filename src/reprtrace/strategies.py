@@ -2,8 +2,12 @@
 
 ADP is the adaptive engine; INV follows the inverse-throughput heuristic;
 UNI samples uniformly at 50%; FUM traces everything; NOM traces nothing.
-The last four are ``RateStrategy`` kinds: each traces a request on one
-draw at its ``rate``.
+The policies come in two families, the only two ``Simulation`` serves: an
+``AdaptiveStrategy`` (ADP) is served by its monitor, and a ``RateStrategy``
+(the other four) traces a request on one draw at its ``rate``.  A custom
+policy is a ``RateStrategy`` subclass that sets ``rate`` in ``on_tick``, as
+INV does.  Each class also defines ``decide``, which drives it one request
+at a time and gives the verdicts the simulator's serving gives.
 """
 
 from __future__ import annotations
@@ -45,8 +49,7 @@ class Strategy:
     """Per-request decision plus a periodic tick, selected by kind.
 
     ``decide`` returns the ``TraceRecord`` it records for a traced request,
-    which must hold that very request (``Simulation.step`` raises
-    ``ParameterError`` otherwise), or ``None``; only ADP stamps a monitoring
+    holding that very request, or ``None``; only ADP stamps a monitoring
     cycle other than 0.
     """
 
@@ -70,13 +73,12 @@ class Strategy:
 class RateStrategy(Strategy):
     """A strategy that traces each request on one draw at its ``rate``.
 
-    ``Simulation.step`` serves a rate strategy in the loop that serves
-    every strategy, but without ``decide``: it reads ``rate`` once per
-    second (``ParameterError`` outside [0, 1]), draws
-    ``rng.random() < rate`` for each request and, on a passing draw,
-    appends the request to the run's trace columns with cycle 0, building
-    no object.  As for every strategy, ``step`` first checks each request by
-    ``RequestEvent``'s rule, traced or not.  A subclass's ``decide``
+    ``Simulation.step`` serves a rate strategy, a subclass included,
+    without ``decide``: it reads ``rate`` once per second (``ParameterError``
+    outside [0, 1]), draws ``rng.random() < rate`` for each request and, on
+    a passing draw, appends the request to the run's trace columns with
+    cycle 0, building no object.  As for an ``AdaptiveStrategy``, ``step``
+    first checks each request by ``RequestEvent``'s rule, traced or not.  A subclass's ``decide``
     override is not served; ``decide`` gives the same verdicts to a caller
     that drives the strategy one request at a time.
     """
@@ -87,13 +89,13 @@ class AdaptiveStrategy(Strategy):
 
     ``decide`` asks the monitor, and on an accept returns the monitor's own
     record of the request and evaluates the cycle at ``now``.
-    ``Simulation.step`` serves an ``AdaptiveStrategy`` (the class itself, not
-    a subclass) without ``decide`` or any per-request object: it binds the
-    monitor to the run's trace columns, asks ``monitor.decide`` with one
-    reused holder of the request's type id and response time, appends an
-    accept to the columns, evaluates the cycle and hands a release to
-    ``add_release``.  Both give the same verdicts, draws and releases; a
-    monitor bound to a run serves no ``decide``.
+    ``Simulation.step`` serves an ``AdaptiveStrategy``, a subclass included,
+    without ``decide`` or any per-request object: it binds the monitor to
+    the run's trace columns, asks ``monitor.decide`` with one reused holder
+    of the request's type id and response time, appends an accept to the
+    columns, evaluates the cycle and hands a release to ``add_release``.  Both give the same verdicts, draws and releases; a
+    subclass's ``decide`` override is not served, and a monitor bound to a
+    run serves no ``decide``.
     """
 
     kind = StrategyKind.ADP

@@ -8,6 +8,9 @@ included), keeps the events in a list, and times ticks as whole multiples
 of the adaptation period.  No tape, memo, array or inlined draw: a
 disagreement with ``run_scenario`` points at the simulator's fast paths.
 The schedule comes from ``users_at``, which has tests of its own.
+
+``run_parts`` gives a run's outputs as plain tuples: what the golden
+digests hash, and what a run is compared to the reference by.
 """
 
 from __future__ import annotations
@@ -98,3 +101,19 @@ def reference_run(model: AppModel, workload: WorkloadSpec, kind: str, seed: int,
     return RunResult(strategy=StrategyKind(kind), seed=seed, seconds=seconds, events=events,
                      traces=traces, releases=strategy.drain_releases(),
                      sampler_events=strategy.drain_events(), config=config)
+
+
+def run_parts(result) -> tuple:
+    """The digested outputs of a run, each as a list of plain tuples."""
+    return (
+        [(s.second, s.users, s.throughput, s.sampling_rate, s.monitoring_enabled)
+         for s in result.seconds],
+        [(e.type_id, e.start, e.response_time, e.memory_delta) for e in result.events],
+        [(t.cycle_index, t.event.type_id, t.event.start, t.event.response_time,
+          t.event.memory_delta) for t in result.traces],
+        [(r.cycle_index, r.released_at, r.reason, r.confidence_at_release, r.cycle_length,
+          r.population_mean_rt, [(t.cycle_index, t.event.start) for t in r.traces],
+          sorted(r.sample_stats.counts.items()), sorted(r.population_stats.counts.items()))
+         for r in result.releases],
+        [(e.kind, e.time, sorted(e.data.items())) for e in result.sampler_events],
+    )

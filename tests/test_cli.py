@@ -152,6 +152,7 @@ class TestCompare:
         ("1,1", "NOM", "1", "--seeds: duplicate seed 1"),
         ("2,1-3", "NOM", "1", "--seeds: duplicate seed 2"),
         ("1", "UNI,UNI,FUM", "1", "--strategies: duplicate strategy UNI"),
+        ("1", "UNI,XYZ", "1", "--strategies: 'XYZ' is not one of ADP, INV, UNI, FUM, NOM"),
         ("1,x", "NOM", "1", "--seeds: 'x' is not an integer or a range"),
         ("1", "NOM", "two", "REPRTRACE_THREADS: 'two' is not an integer"),
         ("1", "NOM", "0", "REPRTRACE_THREADS: must be >= 1, got 0"),
@@ -347,6 +348,25 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}:2: ")
         assert f"UNI_s1/{name}:2: " in err and message in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("{", "Expecting property name enclosed in double quotes"),
+        ("[]", "expected a JSON object"),
+        ("{}", "strategy must be one of ADP, INV, UNI, FUM, NOM, got None"),
+        ('{"strategy": "XYZ", "seed": 1}', "strategy must be one of ADP, INV, UNI, FUM, NOM,"
+                                           " got 'XYZ'"),
+        ('{"strategy": "UNI"}', "seed must be an integer, got None"),
+        ('{"strategy": "UNI", "seed": "1"}', "seed must be an integer, got '1'"),
+    ])
+    def test_bad_run_json_names_the_file(self, tmp_path, capsys, text, message):
+        runs_dir = tmp_path / "runs"
+        for run in _comparison_runs():
+            save_run(run, runs_dir / f"{run.strategy.value}_s{run.seed}")
+        path = runs_dir / "UNI_s1" / "run.json"
+        path.write_text(text)
+        assert main(["report", "--in", str(runs_dir), "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+        assert not (tmp_path / "r").exists()
 
     def test_empty_input_dir(self, tmp_path):
         (tmp_path / "runs").mkdir()

@@ -1,21 +1,22 @@
-"""The cyclic garbage collector is paused while a run is served and while a
-trace file is read, and the caller's setting comes back afterwards.
+"""The cyclic garbage collector is paused while a trace file is read, and
+the caller's setting comes back afterwards.
 
-The pause is safe only because the simulator, the sampler, the strategies
-and the report make no reference cycles; ``test_runs_leave_no_cyclic_garbage``
-pins that invariant for every kind on both golden scenarios.
+``read_trace_file`` builds two objects per line, which the collector would
+otherwise scan over and over and find nothing.  The pause is safe only
+because the records it builds make no reference cycle;
+``test_runs_leave_no_cyclic_garbage`` pins that no run, reduction or reload
+makes one either, for every kind on both golden scenarios.
 """
 
 import gc
-import random
 
 import pytest
 
 from reprtrace import model as model_module
-from reprtrace.model import SamplerConfig, TraceRecord, read_trace_file, write_trace_file
+from reprtrace.model import TraceRecord, read_trace_file, write_trace_file
 from reprtrace.report import load_run, save_run, summarize_run
-from reprtrace.simulator import Simulation, offered_stream, run_scenario
-from reprtrace.strategies import Strategy, StrategyKind
+from reprtrace.simulator import run_scenario
+from reprtrace.strategies import StrategyKind
 from test_golden import SCENARIOS
 from test_simulator import small_model, small_workload
 
@@ -33,57 +34,10 @@ def caller_setting(request):
     gc.enable()
 
 
-class _RaisingStrategy(Strategy):
-    """Traces nothing and raises on its ``fail_at``-th request."""
-
-    kind = StrategyKind.NOM
-    rate = 0.0
-
-    def __init__(self, fail_at):
-        self.fail_at = fail_at
-        self.calls = 0
-
-    def decide(self, request, now, rng):
-        self.calls += 1
-        if self.calls == self.fail_at:
-            raise RuntimeError("decide failed")
-        return None
-
-
 def _traces_file(tmp_path):
     path = tmp_path / "traces.txt"
     write_trace_file(path, run_scenario(small_model(), small_workload(), "UNI", 1).traces)
     return path
-
-
-class TestSimulationRun:
-    def test_collector_off_in_every_step(self, monkeypatch):
-        assert gc.isenabled()
-        steps = []
-        step = Simulation.step
-
-        def checked_step(self, second, offered):
-            assert not gc.isenabled(), "a second was served with the collector on"
-            steps.append(second)
-            return step(self, second, offered)
-
-        monkeypatch.setattr(Simulation, "step", checked_step)
-        run_scenario(small_model(), small_workload(duration=5), "ADP", 1)
-        assert steps == [0, 1, 2, 3, 4]
-
-    def test_caller_setting_restored(self, caller_setting):
-        run_scenario(small_model(), small_workload(duration=5), "FUM", 1)
-        assert gc.isenabled() is caller_setting
-
-    def test_caller_setting_restored_when_decide_raises(self, caller_setting):
-        strategy = _RaisingStrategy(fail_at=500)
-        sim = Simulation(small_model(), strategy, SamplerConfig(), seed=1)
-        stream = offered_stream(small_model(), small_workload(), random.Random(1))
-        with pytest.raises(RuntimeError, match="decide failed"):
-            sim.run(stream)
-        # Partway through: some seconds were served before the failure.
-        assert sim.seconds and strategy.calls == 500
-        assert gc.isenabled() is caller_setting
 
 
 class TestReadTraceFile:

@@ -17,6 +17,7 @@ import pytest
 from reprtrace.report import write_report
 from reprtrace.simulator import Burst, WorkloadSpec, run_scenario
 from reprtrace.strategies import StrategyKind
+from reference_simulator import run_parts
 from test_simulator import small_model, small_workload
 
 SEEDS = (1, 2)
@@ -61,22 +62,6 @@ GOLDEN = {
     ("small", "NOM", 1): "333cc06e2fb507136576ce569f41cfbc9613bfec4e630ee2506de3523b841a59",
     ("small", "NOM", 2): "928a82a8880cac19dfa092982ff4d4a09482d5ab7edf42cfb4110721463c490c",
 }
-
-
-def run_parts(result) -> tuple:
-    """The digested outputs of a run, each as a list of plain tuples."""
-    return (
-        [(s.second, s.users, s.throughput, s.sampling_rate, s.monitoring_enabled)
-         for s in result.seconds],
-        [(e.type_id, e.start, e.response_time, e.memory_delta) for e in result.events],
-        [(t.cycle_index, t.event.type_id, t.event.start, t.event.response_time,
-          t.event.memory_delta) for t in result.traces],
-        [(r.cycle_index, r.released_at, r.reason, r.confidence_at_release, r.cycle_length,
-          r.population_mean_rt, [(t.cycle_index, t.event.start) for t in r.traces],
-          sorted(r.sample_stats.counts.items()), sorted(r.population_stats.counts.items()))
-         for r in result.releases],
-        [(e.kind, e.time, sorted(e.data.items())) for e in result.sampler_events],
-    )
 
 
 def run_digest(result) -> str:

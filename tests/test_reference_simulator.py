@@ -16,8 +16,7 @@ from reprtrace.model import SamplerConfig
 from reprtrace.simulator import (AppModel, Burst, RequestTypeSpec, Seasonal, Stationary,
                                  WorkloadSpec, run_matrix)
 from reprtrace.strategies import StrategyKind
-from reference_simulator import reference_run
-from test_golden import run_parts
+from reference_simulator import reference_run, run_parts
 
 PARTS = ("seconds", "events", "traces", "releases", "sampler events")
 

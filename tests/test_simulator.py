@@ -24,8 +24,9 @@ from reprtrace.simulator import (
     run_scenario,
     users_at,
 )
-from reprtrace.strategies import (AdaptiveStrategy, NoMonitoringStrategy, Strategy,
-                                  StrategyKind, make_strategy)
+from reprtrace.strategies import (AdaptiveStrategy, NoMonitoringStrategy, RateStrategy,
+                                  Strategy, StrategyKind, make_strategy)
+from reference_simulator import reference_run, run_parts
 
 
 def small_model(**overrides):
@@ -217,21 +218,15 @@ class TestConservation:
         assert all(e.memory_delta >= 0 for e in clean.events)
 
 
-class _CountingStrategy(Strategy):
+class _CountingStrategy(RateStrategy):
     kind = StrategyKind.NOM
+    rate = 0.0
 
     def __init__(self):
         self.ticks = []
 
-    def decide(self, request, now, rng):
-        return None
-
     def on_tick(self, record, now):
         self.ticks.append((now, record.rps))
-
-    @property
-    def rate(self):
-        return 0.0
 
 
 class TestTicks:
@@ -372,6 +367,30 @@ class TestServedTime:
                                      random.Random(1)))
         assert len(run.traces) == len(run.events) > 0
 
+    def test_adaptive_subclass_served_by_its_monitor(self):
+        class Overridden(AdaptiveStrategy):
+            def decide(self, request, now, rng):
+                raise AssertionError("step asked an adaptive strategy's decide")
+
+        config = SamplerConfig()
+        stream = list(offered_stream(small_model(), small_workload(), random.Random(1)))
+        runs = [Simulation(small_model(), strategy, config, seed=1).run(stream)
+                for strategy in (Overridden(config), AdaptiveStrategy(config))]
+        assert run_parts(runs[0]) == run_parts(runs[1])
+        assert len(runs[0].traces) > 0
+
+    def test_strategy_of_neither_family_refused_at_construction(self):
+        class EveryRequest(Strategy):
+            kind = StrategyKind.FUM
+            rate = 1.0
+
+            def decide(self, request, now, rng):
+                return TraceRecord(request, 0)
+
+        with pytest.raises(ParameterError, match="EveryRequest is neither a RateStrategy nor"
+                                                 " an AdaptiveStrategy"):
+            Simulation(small_model(), EveryRequest(), SamplerConfig(), seed=1)
+
     def test_rate_outside_unit_interval_rejected(self):
         strategy = NoMonitoringStrategy()
         strategy.rate = 1.5
@@ -417,25 +436,14 @@ class TestServedEvents:
         # After four traces spent is 34.3 + 24 + 12.6 + 24 + 63.0 + 24 + 10.1
         # + 24, which is 215.99999999999997 added one term at a time, the fifth
         # start 53 ms; adding each response time and trace cost together first
-        # gives 216.0 and 54 ms.  FUM builds the fifth event in step, and the
-        # strategy served through decide leaves it to ServedEvents to rebuild.
-        class FirstFour(Strategy):
-            kind = StrategyKind.ADP
-            rate = 1.0
-
-            def __init__(self):
-                self.decided = 0
-
-            def decide(self, request, now, rng):
-                self.decided += 1
-                return TraceRecord(request, 0) if self.decided <= 4 else None
-
+        # gives 216.0 and 54 ms.  step writes the starts to the columns, and
+        # ServedEvents replays them when the events are read.
         rows = [(0, base_rt, 100.0) for base_rt in (34.3, 12.6, 63.0, 10.1, 34.15)]
-        for strategy, traced in ((make_strategy("FUM", SamplerConfig()), 5), (FirstFour(), 4)):
-            sim = Simulation(small_model(trace_cost=24.0), strategy, SamplerConfig(), seed=1)
-            sim.step(0, (4, rows))
-            assert [event.start for event in sim.events] == [0, 14, 23, 45, 53]
-            assert len(sim.traces) == traced
+        sim = Simulation(small_model(trace_cost=24.0), make_strategy("FUM", SamplerConfig()),
+                         SamplerConfig(), seed=1)
+        sim.step(0, (4, rows))
+        assert list(sim.traces.starts) == [0, 14, 23, 45, 53]
+        assert [event.start for event in sim.events] == [0, 14, 23, 45, 53]
 
     def test_reads_agree_with_iteration(self):
         run = run_scenario(small_model(), small_workload(), "UNI", seed=5)
@@ -466,38 +474,6 @@ class TestServedEvents:
         assert runs[0].events == runs[1].events == matrix_run.events
 
 
-class Recorded(Strategy):
-    """``inner`` served through ``decide``, keeping each record it returns."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.kind = inner.kind
-        self.records = []
-
-    def decide(self, request, now, rng):
-        record = self.inner.decide(request, now, rng)
-        if record is not None:
-            self.records.append(record)
-        return record
-
-    def on_tick(self, record, now):
-        self.inner.on_tick(record, now)
-
-    @property
-    def rate(self):
-        return self.inner.rate
-
-    @property
-    def monitoring_enabled(self):
-        return self.inner.monitoring_enabled
-
-    def drain_releases(self):
-        return self.inner.drain_releases()
-
-    def drain_events(self):
-        return self.inner.drain_events()
-
-
 class TestTraceColumns:
     def test_reads_agree_with_iteration(self):
         run = run_scenario(small_model(), small_workload(), "UNI", seed=5)
@@ -525,37 +501,13 @@ class TestTraceColumns:
 
     @pytest.mark.parametrize("kind", [k.value for k in StrategyKind])
     def test_columns_hold_what_decide_recorded(self, kind):
-        # Served through decide, every kind records the same traces as the
-        # view rebuilds: the record decide returned, field for field.
+        # The reference simulator asks every kind's decide per request and
+        # keeps the records it returns; the columns rebuild them field for field.
         config = SamplerConfig()
-        strategy = Recorded(make_strategy(kind, config))
-        sim = Simulation(small_model(), strategy, config, seed=2)
-        run = sim.run(offered_stream(small_model(), small_workload(), random.Random(2)))
-        assert run.traces == strategy.records
+        run = run_scenario(small_model(), small_workload(), kind, 2, config)
+        reference = reference_run(small_model(), small_workload(), kind, 2, config)
+        assert run.traces == reference.traces
         assert len(run.traces) > 0 or kind == "NOM"
-
-    def test_decide_must_return_a_record_of_its_request(self):
-        class Impostor(Strategy):
-            kind = StrategyKind.ADP
-            rate = 1.0
-
-            def decide(self, request, now, rng):
-                copy = RequestEvent(request.type_id, request.start, request.response_time,
-                                    request.memory_delta)
-                return TraceRecord(copy, 0)
-
-        sim = Simulation(small_model(), Impostor(), SamplerConfig(), seed=1)
-        with pytest.raises(ParameterError, match="second 0: decide returned a record of another"):
-            sim.step(0, (4, [(0, 40.0, 100.0)] * 10))
-        assert sim.seconds == [] and len(sim.traces) == 0
-
-
-def _release_fields(release):
-    # Every field of a release but its traces, both tables in full.
-    return (release.cycle_index, release.released_at, release.reason,
-            release.confidence_at_release, release.cycle_length, release.population_mean_rt,
-            list(release.sample_stats.counts.items()), release.sample_stats.total,
-            list(release.population_stats.counts.items()), release.population_stats.total)
 
 
 class TestDirectAdaptive:
@@ -563,28 +515,16 @@ class TestDirectAdaptive:
                              [("small", 1), ("small", 2), ("small", 3), ("default", 1)])
     def test_direct_equals_decide(self, scenario, seed):
         # ADP served by its monitor, with no per-request object, gives the run
-        # that ADP served through decide gives, draw for draw.
+        # that the reference simulator gives by asking decide per request.
         if scenario == "small":
             model, workload, config = small_model(), small_workload(duration=60), SamplerConfig()
         else:
             default = default_scenario()
             model, workload, config = default.model, default.workload, default.sampler
-        sims, runs = [], []
-        for strategy in (AdaptiveStrategy(config), Recorded(AdaptiveStrategy(config))):
-            sims.append(Simulation(model, strategy, config, seed))
-            runs.append(sims[-1].run(offered_stream(model, workload,
-                                                    random.Random(f"{seed}:workload"))))
-        direct, served = runs
-        assert sims[0].decision_rng.getstate() == sims[1].decision_rng.getstate()
-        assert direct.seconds == served.seconds
-        assert direct.traces == served.traces
-        assert direct.sampler_events == served.sampler_events
-        assert len(direct.releases) == len(served.releases) > 0
-        assert ([_release_fields(r) for r in direct.releases]
-                == [_release_fields(r) for r in served.releases])
-        for mine, theirs in zip(direct.releases, served.releases):
-            assert not isinstance(mine.traces, list) and isinstance(theirs.traces, list)
-            assert list(mine.traces) == theirs.traces
+        direct = run_scenario(model, workload, "ADP", seed, config)
+        assert len(direct.releases) > 0
+        assert all(not isinstance(release.traces, list) for release in direct.releases)
+        assert run_parts(direct) == run_parts(reference_run(model, workload, "ADP", seed, config))
 
     def test_only_an_unused_strategy_is_served(self):
         config = SamplerConfig()
