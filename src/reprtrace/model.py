@@ -1,18 +1,18 @@
-"""Domain types shared by the sampler, strategies, simulator and reporting."""
+"""Domain types shared by the sampler, strategies, simulator and reporting,
+and the ``traces.txt`` format: ``write_trace_file`` writes a run's
+``TraceColumns``, and ``read_trace_file`` reads them back."""
 
 from __future__ import annotations
 
 import csv
-import gc
 import io
 from array import array
 from collections.abc import Sequence
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from math import inf
 from operator import eq
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 __all__ = [
     "RequestEvent",
@@ -24,7 +24,6 @@ __all__ = [
     "ReleasedSample",
     "write_trace_file",
     "read_trace_file",
-    "collector_paused",
 ]
 
 
@@ -113,23 +112,20 @@ class _RebuiltSequence(Sequence):
 class TraceColumns(_RebuiltSequence):
     """A run's traces stored as typed columns, each record rebuilt on read.
 
-    ``Simulation.step`` appends one entry per trace to every column: the
-    position of its request among the run's completed requests, its start,
-    cycle index, type index (into ``type_ids``), response time and memory.
-    Nothing else writes them.  A read rebuilds
-    ``TraceRecord(RequestEvent(...), cycle_index)`` bit for bit as ``step``
-    recorded it, as a new object on every read; ``len`` is O(1).
-    ``rows``, ``write_trace_file`` and ``summarize_run`` read the columns
-    without building a record; ``view`` is a range of rows, rebuilt the
-    same way.
+    Per trace the columns hold the five fields of a ``traces.txt`` line:
+    its cycle index, type index (into ``type_ids``), start, response time
+    and memory.  ``Simulation.step`` appends a simulated run's rows, and
+    ``read_trace_file`` a saved run's.  A read rebuilds
+    ``TraceRecord(RequestEvent(...), cycle_index)`` bit for bit as it was
+    recorded, as a new object on every read; ``len`` is O(1).  ``rows``,
+    ``write_trace_file`` and the report's tallies read the columns without
+    building a record; ``view`` is a range of rows, rebuilt the same way.
     """
 
-    __slots__ = ("type_ids", "positions", "starts", "cycles", "types",
-                 "response_times", "memories")
+    __slots__ = ("type_ids", "starts", "cycles", "types", "response_times", "memories")
 
     def __init__(self, type_ids: list[str]) -> None:
         self.type_ids = type_ids
-        self.positions = array("q")
         self.starts = array("q")
         self.cycles = array("q")
         self.types = array("I")
@@ -137,7 +133,7 @@ class TraceColumns(_RebuiltSequence):
         self.memories = array("d")
 
     def __len__(self) -> int:
-        return len(self.positions)
+        return len(self.starts)
 
     def rows(self, lo: int = 0, hi: int | None = None
              ) -> Iterator[tuple[int, str, int, float, float]]:
@@ -160,8 +156,8 @@ class TraceColumns(_RebuiltSequence):
 
     def truncate(self, size: int) -> None:
         """Drop every row from ``size`` on, from every column."""
-        for column in (self.positions, self.starts, self.cycles, self.types,
-                       self.response_times, self.memories):
+        for column in (self.starts, self.cycles, self.types, self.response_times,
+                       self.memories):
             del column[size:]
 
 
@@ -334,67 +330,59 @@ def _csv_field(text: str) -> str:
     return buffer.getvalue()[:-2]
 
 
-def write_trace_file(path: str | Path, records: Iterable[TraceRecord]) -> None:
-    """Write traces as line-delimited text, one record per line.
+def write_trace_file(path: str | Path, traces: TraceColumns) -> None:
+    """Write traces as line-delimited text, one trace per line.
 
     Field order: cycle_index, type_id, start, response_time, memory_delta.
     The bytes are those of ``csv.writer`` with the floats as ``repr``: only
     the type id can need quoting, so each one is quoted once by the csv
-    module and the lines are formatted directly.  ``records`` is any
-    iterable of records; a ``TraceColumns`` is written from its columns,
-    with no record built.
+    module and the lines are formatted directly from the columns.
     """
-    if isinstance(records, TraceColumns):
-        rows = records.rows()
-    else:
-        rows = ((record.cycle_index, record.event.type_id, record.event.start,
-                 record.event.response_time, record.event.memory_delta) for record in records)
     quoted: dict[str, str] = {}
     with open(path, "w", newline="") as handle:
         write = handle.write
-        for cycle_index, type_id, start, response_time, memory_delta in rows:
+        for cycle_index, type_id, start, response_time, memory_delta in traces.rows():
             type_q = quoted.get(type_id)
             if type_q is None:
                 type_q = quoted[type_id] = _csv_field(type_id)
             write(f"{cycle_index},{type_q},{start},{response_time!r},{memory_delta!r}\r\n")
 
 
-def read_trace_file(path: str | Path) -> list[TraceRecord]:
-    """Read the traces ``write_trace_file`` wrote, in file order.
+def read_trace_file(path: str | Path) -> TraceColumns:
+    """Read the traces ``write_trace_file`` wrote into columns, in file order,
+    with type indices numbered in order of first appearance.
 
-    A malformed row raises ``ValueError`` starting with ``<path>:<line>:``.
-    The records are built with the cyclic collector paused.
+    Every row is checked by the rules of ``RequestEvent`` and
+    ``TraceRecord``, and a cycle index or start must fit in 64 bits.  A
+    malformed row raises ``ValueError`` starting with ``<path>:<line>:``.
     """
-    records: list[TraceRecord] = []
-    with open(path, newline="") as handle, collector_paused():
+    traces = TraceColumns([])
+    index: dict[str, int] = {}
+    with open(path, newline="") as handle:
         reader = csv.reader(handle)
         for row in reader:
             if not row:
                 continue
             try:
                 cycle_index, type_id, start, response_time, memory_delta = row
-                event = RequestEvent(
-                    type_id=type_id,
-                    start=int(start),
-                    response_time=float(response_time),
-                    memory_delta=float(memory_delta),
-                )
-                records.append(TraceRecord(event=event, cycle_index=int(cycle_index)))
+                start = int(start)
+                response_time = float(response_time)
+                memory_delta = float(memory_delta)
+                # RequestEvent's rule; building one raises its error.
+                if not (type_id and 0.0 <= response_time < inf and -inf < memory_delta < inf):
+                    RequestEvent(type_id, start, response_time, memory_delta)
+                cycle_index = int(cycle_index)
+                if cycle_index < 0:
+                    raise ValueError(f"cycle_index must be >= 0, got {cycle_index}")
+                traces.starts.append(start)
+                traces.cycles.append(cycle_index)
+                traces.types.append(index.setdefault(type_id, len(index)))
+                traces.response_times.append(response_time)
+                traces.memories.append(memory_delta)
             except ValueError as exc:
                 raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
-    return records
-
-
-@contextmanager
-def collector_paused() -> Iterator[None]:
-    """Turn CPython's cyclic garbage collector off for the block and restore
-    the caller's setting, also when the block raises.  Only for code that
-    makes no reference cycles: one made in the block outlives it until the
-    next collection."""
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
+            except OverflowError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: cycle_index and start must"
+                                 f" fit in 64 bits, got {cycle_index} and {start}") from exc
+    traces.type_ids.extend(index)
+    return traces

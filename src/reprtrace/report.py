@@ -17,7 +17,8 @@ per-type memory means and trace counts, and the release rows.
 trace columns; ``reprtrace compare`` calls it in the process that simulated
 each run, so only these small records reach the report.  ``load_run``
 makes the same reduction from a saved run directory: it parses
-``series.csv``, tallies ``traces.txt`` and takes the release rows from
+``series.csv``, reads ``traces.txt`` into columns and tallies them as
+``summarize_run`` does, and takes the checked release rows from
 ``run.json``.
 
 ``write_report`` reads every run before it writes: a duplicate run, an
@@ -39,10 +40,12 @@ import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from statistics import mean, stdev
+from sys import float_info
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .errors import InsufficientDataError, MissingTypeError, ParameterError
-from .model import RequestEvent, TraceColumns, TraceRecord, read_trace_file, write_trace_file
+from .model import (RELEASE_CRITERIA, RELEASE_TIMEOUT, RequestEvent, TraceColumns,
+                    read_trace_file, write_trace_file)
 from .simulator import RunResult, SecondStats
 from .strategies import StrategyKind
 
@@ -100,28 +103,10 @@ def rmse(ground: Mapping[str, float], sampled: Mapping[str, float]) -> float:
     return math.sqrt(total / len(ground_types))
 
 
-def _type_tallies(events: Iterable[RequestEvent]) -> tuple[dict[str, float], dict[str, int]]:
-    """Per-type mean memory delta (negative measurements discarded) and
-    per-type event count, in one pass."""
-    sums: dict[str, float] = {}
-    valid: dict[str, int] = {}
-    counts: dict[str, int] = {}
-    for event in events:
-        tid = event.type_id
-        counts[tid] = counts.get(tid, 0) + 1
-        if event.memory_delta < 0:
-            continue
-        sums[tid] = sums.get(tid, 0.0) + event.memory_delta
-        valid[tid] = valid.get(tid, 0) + 1
-    return {t: sums[t] / valid[t] for t in sums}, counts
-
-
-def _trace_tallies(traces: Iterable[TraceRecord]) -> tuple[dict[str, float], dict[str, int]]:
-    """``_type_tallies`` of traces; a ``TraceColumns`` is tallied straight
-    from its type and memory columns, in the same order, with no record
-    built."""
-    if not isinstance(traces, TraceColumns):
-        return _type_tallies(t.event for t in traces)
+def _trace_tallies(traces: TraceColumns) -> tuple[dict[str, float], dict[str, int]]:
+    """Per-type mean memory (negative measurements discarded) and per-type
+    trace count, in one pass over the type and memory columns: a
+    ``RunSummary``'s ``memory_means`` and ``type_counts``."""
     type_ids = traces.type_ids
     sums = [0.0] * len(type_ids)
     valid = [0] * len(type_ids)
@@ -138,7 +123,15 @@ def _trace_tallies(traces: Iterable[TraceRecord]) -> tuple[dict[str, float], dic
 
 def type_memory_means(events: Iterable[RequestEvent]) -> dict[str, float]:
     """Per-type mean memory delta, negative (invalid) measurements discarded."""
-    return _type_tallies(events)[0]
+    sums: dict[str, float] = {}
+    valid: dict[str, int] = {}
+    for event in events:
+        if event.memory_delta < 0:
+            continue
+        tid = event.type_id
+        sums[tid] = sums.get(tid, 0.0) + event.memory_delta
+        valid[tid] = valid.get(tid, 0) + 1
+    return {t: sums[t] / valid[t] for t in sums}
 
 
 def throughput_stats(run: "RunResult | RunSummary") -> float:
@@ -231,11 +224,34 @@ class RunSummary(NamedTuple):
     release_meta: list[dict]
 
 
+def _check_releases(meta_path: Path, releases) -> list[dict]:
+    """``run.json``'s release rows, each checked to hold what ``_release_meta``
+    writes."""
+    if not isinstance(releases, list):
+        raise ValueError(f"{meta_path}: releases must be a list, got {releases!r}")
+    for i, row in enumerate(releases):
+        where = f"{meta_path}: releases[{i}]"
+        if not isinstance(row, dict):
+            raise ValueError(f"{where} must be an object, got {row!r}")
+        for key in ("cycle_index", "size"):
+            if not (type(row.get(key)) is int and row[key] >= 0):
+                raise ValueError(f"{where}.{key} must be an integer >= 0, got {row.get(key)!r}")
+        for key in ("released_at", "length", "confidence"):
+            # Bounding by the largest float rejects NaN, the infinities and an
+            # integer too large to become a float.
+            if not (type(row.get(key)) in (int, float) and abs(row[key]) <= float_info.max):
+                raise ValueError(f"{where}.{key} must be a finite number, got {row.get(key)!r}")
+        if row.get("reason") not in (RELEASE_CRITERIA, RELEASE_TIMEOUT):
+            raise ValueError(f"{where}.reason must be {RELEASE_CRITERIA} or {RELEASE_TIMEOUT},"
+                             f" got {row.get('reason')!r}")
+    return releases
+
+
 def load_run(run_dir: str | Path) -> RunSummary:
     """Reduce a run saved by ``save_run`` to what ``write_report`` needs.
 
     A file that holds no such run raises ``ValueError`` starting with its
-    path, and with the line for a row of ``series.csv`` or ``traces.txt``.
+    path, and with the line number in ``series.csv`` or ``traces.txt``.
     """
     run_dir = Path(run_dir)
     meta_path = run_dir / "run.json"
@@ -252,10 +268,15 @@ def load_run(run_dir: str | Path) -> RunSummary:
                          f" got {strategy!r}")
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ValueError(f"{meta_path}: seed must be an integer, got {seed!r}")
+    releases = _check_releases(meta_path, meta.get("releases"))
     seconds: list[SecondStats] = []
     series_path = run_dir / "series.csv"
     with open(series_path, newline="") as handle:
         reader = csv.DictReader(handle)
+        header = tuple(reader.fieldnames or ())
+        if header != _SERIES_FIELDS:
+            raise ValueError(f"{series_path}:1: the header must be {','.join(_SERIES_FIELDS)},"
+                             f" got {','.join(header)!r}")
         for row in reader:
             try:
                 seconds.append(
@@ -271,31 +292,16 @@ def load_run(run_dir: str | Path) -> RunSummary:
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{series_path}:{reader.line_num}: {exc}") from exc
     traces = read_trace_file(run_dir / "traces.txt")
-    memory_means, type_counts = _type_tallies(t.event for t in traces)
-    return RunSummary(
-        strategy=StrategyKind(strategy),
-        seed=seed,
-        seconds=seconds,
-        memory_means=memory_means,
-        type_counts=type_counts,
-        release_meta=meta.get("releases", []),
-    )
+    return RunSummary(StrategyKind(strategy), seed, seconds, *_trace_tallies(traces), releases)
 
 
 def summarize_run(run: Union[RunResult, RunSummary]) -> RunSummary:
-    """Reduce a run to what ``write_report`` needs, in one pass over its traces
-    (over their columns for a simulated run)."""
+    """Reduce a run to what ``write_report`` needs, in one pass over its trace
+    columns."""
     if isinstance(run, RunSummary):
         return run
-    memory_means, type_counts = _trace_tallies(run.traces)
-    return RunSummary(
-        strategy=run.strategy,
-        seed=run.seed,
-        seconds=run.seconds,
-        memory_means=memory_means,
-        type_counts=type_counts,
-        release_meta=[_release_meta(rel) for rel in run.releases],
-    )
+    return RunSummary(run.strategy, run.seed, run.seconds, *_trace_tallies(run.traces),
+                      [_release_meta(rel) for rel in run.releases])
 
 
 # --- comparison report ------------------------------------------------------

@@ -34,12 +34,13 @@ NOM, or a subclass) gets one draw at its ``rate`` per request.  An
 to the run's columns and asked ``AdaptiveMonitor.decide`` with one reused
 holder of the request's type id and response time; each released cycle's
 ``traces`` is a view of that cycle's rows.  Neither builds an object per
-request: each trace is appended to the run's ``TraceColumns`` (position,
-start, cycle index, type index, response time and memory), and no
-strategy's ``decide`` is called.  ``RunResult.traces`` rebuilds each
-``TraceRecord`` from the columns when it is read, and ``RunResult.events``
-is a ``ServedEvents`` view that rebuilds each event from the offered rows
-the run was served, the per-second slowdown and the traced positions; both
+request: each trace is appended to the run's ``TraceColumns`` (start,
+cycle index, type index, response time and memory) and its request's
+position to ``ServedEvents.traced_positions``, and no strategy's
+``decide`` is called.  ``RunResult.traces`` rebuilds each ``TraceRecord``
+from the columns when it is read, and ``RunResult.events`` is a
+``ServedEvents`` view that rebuilds each event from the offered rows the
+run was served, the per-second slowdown and the traced positions; both
 are bit for bit what ``step`` served.  Every request is first checked by
 ``RequestEvent``'s rule, so a bad row raises a ``ParameterError`` naming
 its second under every strategy.
@@ -66,7 +67,6 @@ from .model import (
     ReleasedSample,
     SamplerConfig,
     TraceColumns,
-    TraceRecord,
     _check_finite,
     _RebuiltSequence,
 )
@@ -299,16 +299,15 @@ class SecondStats:
 class RunResult:
     """Everything one simulation run produced.
 
-    A simulated run's ``events`` is a ``ServedEvents`` view and its
-    ``traces`` a ``TraceColumns`` view, each rebuilt on read; a
-    ``RunResult`` built by hand may hold plain lists instead.
+    ``traces`` is the run's ``TraceColumns``.  A simulated run's ``events``
+    is a ``ServedEvents`` view; both rebuild their objects on read.
     """
 
     strategy: StrategyKind
     seed: int
     seconds: list[SecondStats]
     events: Sequence[RequestEvent]
-    traces: Sequence[TraceRecord]
+    traces: TraceColumns
     releases: list[ReleasedSample]
     sampler_events: list[SamplerEvent]
     config: SamplerConfig
@@ -319,29 +318,30 @@ class ServedEvents(_RebuiltSequence):
 
     Per second it keeps what ``Simulation.step`` read to serve it (the
     offered rows, where the served prefix ends, the start, the budget and
-    the slowdown) and per trace its position, shared with the run's
-    ``TraceColumns``.  An event is rebuilt as ``step`` computed it: the
+    the slowdown), and in ``traced_positions`` the position of each traced
+    request, in the order of the run's ``TraceColumns``; ``step`` appends
+    both.  An event is rebuilt as ``step`` computed it: the
     response time is ``base_rt * slowdown``, and the start replays the
     second's spent time, ``trace_cost`` added after each traced position.
     ``len`` is O(1); reading a second costs that second's rows.  The view
     holds no reference to its ``Simulation``.
     """
 
-    __slots__ = ("_type_ids", "_trace_cost", "_ends", "_seconds", "_traced")
+    __slots__ = ("_type_ids", "_trace_cost", "_ends", "_seconds", "traced_positions")
 
-    def __init__(self, type_ids: list[str], trace_cost: float, traced: array) -> None:
+    def __init__(self, type_ids: list[str], trace_cost: float) -> None:
         self._type_ids = type_ids
         self._trace_cost = trace_cost
         self._ends = array("q")    # per second: the position after its last event
         self._seconds: list[tuple] = []   # per second: (rows, start ms, budget, slowdown)
-        self._traced = traced      # per trace: its event's position
+        self.traced_positions = array("q")
 
     def __len__(self) -> int:
         return self._ends[-1] if self._ends else 0
 
     def _between(self, lo: int, hi: int) -> Iterator[RequestEvent]:
         """The events at positions ``lo`` to ``hi - 1``."""
-        ends, traced = self._ends, self._traced
+        ends, traced = self._ends, self.traced_positions
         type_ids, trace_cost = self._type_ids, self._trace_cost
         second = bisect_right(ends, lo)
         position = ends[second - 1] if second else 0
@@ -471,7 +471,7 @@ class Simulation:
         self._failed_second: Optional[int] = None
         self.seconds: list[SecondStats] = []
         self.traces = TraceColumns(self._type_ids)
-        self.events = ServedEvents(self._type_ids, model.trace_cost, self.traces.positions)
+        self.events = ServedEvents(self._type_ids, model.trace_cost)
         self._request = _Request()
         if isinstance(strategy, AdaptiveStrategy):
             strategy.monitor.bind_traces(self.traces)
@@ -491,7 +491,7 @@ class Simulation:
             return self._serve(second, offered)
         except BaseException:
             traces.truncate(rows)
-            del events._ends[served:], events._seconds[served:]
+            del events._ends[served:], events._seconds[served:], events.traced_positions[rows:]
             self._failed_second = second
             raise
 
@@ -529,7 +529,7 @@ class Simulation:
         first = len(events)
         served_before = sum(rt_count)
         traces = self.traces
-        append_position = traces.positions.append
+        append_position = events.traced_positions.append
         append_start = traces.starts.append
         append_cycle = traces.cycles.append
         append_type = traces.types.append

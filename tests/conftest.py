@@ -1,4 +1,5 @@
-"""Shared test helpers: canned RNGs, event builders and the Hypothesis profiles."""
+"""Shared test helpers: canned RNGs, event and trace builders and the
+Hypothesis profiles."""
 
 import math
 import os
@@ -6,7 +7,7 @@ import os
 import pytest
 from hypothesis import settings
 
-from reprtrace.model import FrequencyTable, RequestEvent, SamplerConfig
+from reprtrace.model import FrequencyTable, RequestEvent, SamplerConfig, TraceColumns
 from reprtrace.stats import one_sample_t_p_value_from_stats
 
 # HYPOTHESIS_PROFILE=ci makes every property test replay the same examples on
@@ -52,6 +53,23 @@ class ScriptRng:
 
 def make_event(type_id="/home", start=0, rt=100.0, mem=50.0):
     return RequestEvent(type_id=type_id, start=start, response_time=rt, memory_delta=mem)
+
+
+def trace_columns(records):
+    """``records`` (``TraceRecord``s) as a ``TraceColumns``, type indices
+    numbered in order of first appearance, as ``read_trace_file`` numbers
+    them: how a run built by hand gets its traces."""
+    columns = TraceColumns([])
+    index = {}
+    for record in records:
+        event = record.event
+        columns.starts.append(event.start)
+        columns.cycles.append(record.cycle_index)
+        columns.types.append(index.setdefault(event.type_id, len(index)))
+        columns.response_times.append(event.response_time)
+        columns.memories.append(event.memory_delta)
+    columns.type_ids.extend(index)
+    return columns
 
 
 def one_sample_p(values, mu0):

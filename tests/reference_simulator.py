@@ -4,8 +4,10 @@ without any of the simulator's speed-ups.
 It draws each request with ``random.Random.choices`` and
 ``random.Random.lognormvariate``, builds a ``RequestEvent`` for every
 completed request, asks every strategy's ``decide`` (the rate kinds
-included), keeps the events in a list, and times ticks as whole multiples
-of the adaptation period.  No tape, memo, array or inlined draw: a
+included), keeps the events and the records ``decide`` returns in lists,
+and times ticks as whole multiples of the adaptation period.  Only the
+finished run's records go into a ``TraceColumns``, through the tests'
+``trace_columns`` helper.  No tape, memo, array or inlined draw: a
 disagreement with ``run_scenario`` points at the simulator's fast paths.
 The schedule comes from ``users_at``, which has tests of its own.
 
@@ -18,6 +20,7 @@ from __future__ import annotations
 import random
 from itertools import accumulate
 
+from conftest import trace_columns
 from reprtrace.model import PerformanceRecord, RequestEvent, SamplerConfig
 from reprtrace.simulator import AppModel, RunResult, SecondStats, WorkloadSpec, users_at
 from reprtrace.strategies import StrategyKind, make_strategy
@@ -99,7 +102,7 @@ def reference_run(model: AppModel, workload: WorkloadSpec, kind: str, seed: int,
             ticks, last_tick = ticks + 1, now
         seconds.append(SecondStats(second, users, completed, rate, monitoring))
     return RunResult(strategy=StrategyKind(kind), seed=seed, seconds=seconds, events=events,
-                     traces=traces, releases=strategy.drain_releases(),
+                     traces=trace_columns(traces), releases=strategy.drain_releases(),
                      sampler_events=strategy.drain_events(), config=config)
 
 

@@ -291,6 +291,21 @@ class TestCompare:
                      "--out", str(out)]) == 0
 
 
+# A release row as save_run writes it, and run.json texts that hold rows.
+_RELEASE = ('{"cycle_index": 0, "released_at": 1.5, "size": 3, "length": 1.5,'
+            ' "reason": "criteria", "confidence": 0.9}')
+
+
+def _releases(*rows):
+    return f'{{"strategy": "UNI", "seed": 1, "releases": [{", ".join(rows)}]}}'
+
+
+def _row(field):
+    """``_RELEASE`` with ``field`` in place of its own value: a key's last
+    occurrence in a JSON object wins."""
+    return f"{_RELEASE[:-1]}, {field}}}"
+
+
 class TestReport:
     def test_regenerates_identical_summary(self, tiny_scenario, tmp_path):
         out = tmp_path / "cmp"
@@ -333,6 +348,10 @@ class TestReport:
         ("traces.txt", "0,/owners,12", "not enough values to unpack"),
         ("traces.txt", "0,/owners,12,nan,1.0", "response_time must be finite"),
         ("traces.txt", "0,/owners,12.5,3.0,1.0", "invalid literal for int()"),
+        ("traces.txt", "9223372036854775808,/owners,12,3.0,1.0",
+         "cycle_index and start must fit in 64 bits"),
+        ("traces.txt", "0,/owners,-9223372036854775809,3.0,1.0",
+         "cycle_index and start must fit in 64 bits"),
         ("series.csv", "2,4,90,0.5", "int() argument must be"),
         ("series.csv", "2,4,90,half,1", "could not convert string to float"),
     ])
@@ -349,6 +368,23 @@ class TestReport:
         assert err.startswith(f"error: {path}:2: ")
         assert f"UNI_s1/{name}:2: " in err and message in err
 
+    @pytest.mark.parametrize("header", [
+        "sec,users,throughput,sampling_rate,monitoring_enabled",
+        "second,users,throughput,sampling_rate",
+    ])
+    def test_bad_series_header_names_file_and_line(self, tmp_path, capsys, header):
+        runs_dir = tmp_path / "runs"
+        for run in _comparison_runs():
+            save_run(run, runs_dir / f"{run.strategy.value}_s{run.seed}")
+        path = runs_dir / "UNI_s1" / "series.csv"
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(header.encode() + b"\r\n" + b"".join(lines[1:]))
+        assert main(["report", "--in", str(runs_dir), "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}:1: the header must be"
+            f" second,users,throughput,sampling_rate,monitoring_enabled, got {header!r}")
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("text, message", [
         ("{", "Expecting property name enclosed in double quotes"),
         ("[]", "expected a JSON object"),
@@ -357,6 +393,25 @@ class TestReport:
                                            " got 'XYZ'"),
         ('{"strategy": "UNI"}', "seed must be an integer, got None"),
         ('{"strategy": "UNI", "seed": "1"}', "seed must be an integer, got '1'"),
+        ('{"strategy": "UNI", "seed": 1}', "releases must be a list, got None"),
+        ('{"strategy": "UNI", "seed": 1, "releases": {}}', "releases must be a list, got {}"),
+        (_releases("7"), "releases[0] must be an object, got 7"),
+        (_releases("{}"), "releases[0].cycle_index must be an integer >= 0, got None"),
+        (_releases(_RELEASE, _row('"size": 2.0')),
+         "releases[1].size must be an integer >= 0, got 2.0"),
+        (_releases(_row('"cycle_index": true')),
+         "releases[0].cycle_index must be an integer >= 0, got True"),
+        (_releases(_row('"size": -1')), "releases[0].size must be an integer >= 0, got -1"),
+        (_releases(_row('"released_at": NaN')),
+         "releases[0].released_at must be a finite number, got nan"),
+        (_releases(_row('"length": "1.5"')),
+         "releases[0].length must be a finite number, got '1.5'"),
+        (_releases(_row('"length": 1' + "0" * 400)),
+         "releases[0].length must be a finite number, got 1000"),
+        (_releases(_row('"confidence": Infinity')),
+         "releases[0].confidence must be a finite number, got inf"),
+        (_releases(_row('"reason": "gave-up"')),
+         "releases[0].reason must be criteria or timeout, got 'gave-up'"),
     ])
     def test_bad_run_json_names_the_file(self, tmp_path, capsys, text, message):
         runs_dir = tmp_path / "runs"

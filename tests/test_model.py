@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import make_event, table_from
+from conftest import make_event, table_from, trace_columns
 from reprtrace.model import (
     FrequencyTable,
     PerformanceRecord,
@@ -199,7 +199,7 @@ class TestTraceFile:
                         cycle_index=4),
         ]
         path = tmp_path / "traces.txt"
-        write_trace_file(path, records)
+        write_trace_file(path, trace_columns(records))
         loaded = read_trace_file(path)
         assert len(loaded) == 3
         for original, parsed in zip(records, loaded):
@@ -213,8 +213,8 @@ class TestTraceFile:
         path = tmp_path / "traces.txt"
         write_trace_file(
             path,
-            [TraceRecord(event=make_event("/x", start=5, rt=7.0, mem=9.0),
-                         cycle_index=2)],
+            trace_columns([TraceRecord(event=make_event("/x", start=5, rt=7.0, mem=9.0),
+                                       cycle_index=2)]),
         )
         line = path.read_text().strip()
         assert line.split(",")[:3] == ["2", "/x", "5"]
@@ -242,7 +242,7 @@ class TestTraceFile:
                 writer.writerow([record.cycle_index, event.type_id, event.start,
                                  repr(event.response_time), repr(event.memory_delta)])
         path = tmp_path / "traces.txt"
-        write_trace_file(path, records)
+        write_trace_file(path, trace_columns(records))
         assert path.read_bytes() == expected.read_bytes()
         loaded = read_trace_file(path)
         assert [(t.cycle_index, t.event) for t in loaded] == [
@@ -250,5 +250,5 @@ class TestTraceFile:
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "traces.txt"
-        write_trace_file(path, [])
+        write_trace_file(path, trace_columns([]))
         assert read_trace_file(path) == []

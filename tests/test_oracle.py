@@ -78,7 +78,7 @@ def test_live_adp_stream_replays_through_engine_and_oracle(seed):
         events_before, traces_before = len(sim.events), len(sim.traces)
         stats = sim.step(second, offered)
         events = sim.events[events_before:]
-        traced = set(sim.traces.positions[traces_before:])
+        traced = set(sim.events.traced_positions[traces_before:])
         live_accepts += [position in traced
                          for position in range(events_before, len(sim.events))]
         live_rates.append(sim.strategy.rate)

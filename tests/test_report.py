@@ -3,14 +3,13 @@
 import csv
 import json
 import random
-from dataclasses import replace
 
 import pytest
 
-from conftest import make_event
+from conftest import make_event, trace_columns
 from reprtrace.cli import main
 from reprtrace.errors import InsufficientDataError, MissingTypeError, ParameterError
-from reprtrace.model import SamplerConfig, TraceRecord
+from reprtrace.model import SamplerConfig, TraceRecord, read_trace_file
 from reprtrace.report import (
     RunSummary,
     load_run,
@@ -90,7 +89,7 @@ def _run(strategy, seed, throughputs, rates, traces=(), releases=()):
         seed=seed,
         seconds=seconds,
         events=[t.event for t in traces],
-        traces=list(traces),
+        traces=trace_columns(traces),
         releases=list(releases),
         sampler_events=[],
         config=SamplerConfig(),
@@ -160,18 +159,27 @@ class TestTraceColumns:
     @pytest.mark.parametrize("kind", [k.value for k in StrategyKind])
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     def test_columns_reduce_and_save_like_a_list(self, scenario, kind, seed, tmp_path):
-        # summarize_run and save_run read a simulated run's trace columns; a
-        # copy of the run holding its traces as a list must give the same.
+        # A saved run reads back as its own trace columns, record for record
+        # (so also as their list), and load_run reduces it as summarize_run
+        # reduces the run in memory.
         model, workload = SCENARIOS[scenario]()
         run = run_scenario(model, workload, kind, seed)
-        listed = replace(run, traces=list(run.traces))
-        assert summarize_run(run) == summarize_run(listed)
-        save_run(run, tmp_path / "columns")
-        save_run(listed, tmp_path / "list")
-        for name in ("traces.txt", "series.csv", "run.json"):
-            assert (tmp_path / "columns" / name).read_bytes() == (
-                tmp_path / "list" / name).read_bytes()
-        assert len((tmp_path / "list" / "traces.txt").read_bytes().splitlines()) == len(run.traces)
+        run_dir = save_run(run, tmp_path / "run")
+        read = read_trace_file(run_dir / "traces.txt")
+        assert read == run.traces and read == list(run.traces)
+        assert read.type_ids == list(dict.fromkeys(t.event.type_id for t in run.traces))
+        assert load_run(run_dir) == summarize_run(run)
+
+    def test_load_run_builds_no_record(self, tmp_path, monkeypatch):
+        run = run_scenario(*SCENARIOS["loaded"](), "FUM", 1)
+        run_dir = save_run(run, tmp_path / "FUM_s1")
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("load_run built a record")
+
+        monkeypatch.setattr("reprtrace.model.RequestEvent", refuse)
+        monkeypatch.setattr("reprtrace.model.TraceRecord", refuse)
+        assert load_run(run_dir) == summarize_run(run)
 
 
 def _comparison_runs(include_fum=True):
@@ -235,7 +243,7 @@ class TestWriteReport:
         # strip /c from one ADP run
         for run in runs:
             if run.strategy is StrategyKind.ADP and run.seed == 1:
-                run.traces = [t for t in run.traces if t.event.type_id != "/c"]
+                run.traces = trace_columns(t for t in run.traces if t.event.type_id != "/c")
         report = write_report(runs, tmp_path)
         adp = next(row for row in report.rows if row.strategy is StrategyKind.ADP)
         assert adp.missing_types == ["/c"]
@@ -245,7 +253,7 @@ class TestWriteReport:
     def test_type_absent_from_ground_truth_is_not_a_warning(self, tmp_path):
         runs = _comparison_runs()
         uni = next(run for run in runs if run.strategy is StrategyKind.UNI and run.seed == 1)
-        uni.traces += _traces([("/d", 70.0)], start=10)
+        uni.traces = trace_columns([*uni.traces, *_traces([("/d", 70.0)], start=10)])
         report = write_report(runs, tmp_path / "report")
         assert report.warnings == []
         row = next(row for row in report.rows if row.strategy is StrategyKind.UNI)
@@ -314,7 +322,7 @@ class TestWriteReport:
         elif case == "empty series":
             runs.append(_run(StrategyKind.INV, 1, [], []))
         elif case == "empty ground truth":
-            runs[0].traces = []
+            runs[0].traces = trace_columns([])
         else:
             runs = []
         out = tmp_path / "report"

@@ -180,7 +180,7 @@ class TestConservation:
         for kind in ("UNI", "ADP"):
             run = run_scenario(small_model(), small_workload(), kind, seed=9)
             events = list(run.events)
-            positions = list(run.traces.positions)
+            positions = list(run.events.traced_positions)
             assert positions == sorted(set(positions))
             assert [t.event for t in run.traces] == [events[p] for p in positions]
 
@@ -422,6 +422,7 @@ class TestServedEvents:
 
         for module in (model_module, simulator, sampler, strategies):
             monkeypatch.setattr(module, "RequestEvent", CountingEvent)
+        for module in (model_module, sampler, strategies):
             monkeypatch.setattr(module, "TraceRecord", CountingRecord)
         run = run_scenario(small_model(), small_workload(), kind, seed=1)
         assert len(run.traces) > 0 or kind == "NOM"
@@ -549,6 +550,7 @@ class TestFailedSecond:
             monitor = sim.strategy.monitor
             assert monitor.population.total == 5 and monitor.sample.total > 0
         assert len(sim.traces) == len(sim.events) == 0 and sim.seconds == []
+        assert len(sim.events.traced_positions) == 0
         for later in (lambda: sim.step(1, (4, [(0, 40.0, 100.0)] * 200)),
                       lambda: sim.run([(4, [(0, 40.0, 100.0)] * 200)])):
             with pytest.raises(ParameterError, match="second 0 failed, so this simulation"):
@@ -563,9 +565,11 @@ class TestFailedSecond:
         sim.step(0, (8, [(0, 40.0, 100.0)] * 300))
         kept = sim.strategy.drain_releases()
         traces, events = list(sim.traces), list(sim.events)
+        positions = list(sim.events.traced_positions)
         with pytest.raises(ParameterError, match="second 1: a request needs a finite"):
             sim.step(1, (8, [(0, 40.0, 100.0)] * 150 + [(0, 40.0, math.nan)]))
         assert list(sim.traces) == traces and list(sim.events) == events
+        assert list(sim.events.traced_positions) == positions
         assert len(sim.seconds) == 1
         lost = sim.strategy.drain_releases()
         assert kept and lost

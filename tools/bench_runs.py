@@ -1,4 +1,5 @@
-"""Time one ``run_scenario`` per strategy kind, before and after a change.
+"""Time one ``run_scenario`` and one ``load_run`` per strategy kind, before
+and after a change.
 
     python3 tools/bench_runs.py --before DIR [--pairs 10] [--seed 1]
         [--before-commit REV] [--out BENCH_runs.json]
@@ -11,15 +12,20 @@ side is ``src/`` of the checkout this script lives in.
 Each timing is a fresh interpreter that imports one side, draws the default
 scenario's tape for ``--seed`` with an untimed NOM run, and then times three
 ``run_scenario`` calls of one kind on that warm tape and reports the fastest.
-A pair times every kind once on each side, and which side goes first
-alternates from pair to pair, so both sides see the same drift of the host.
+It then saves the last run it timed, untimed, to a temporary directory, and
+reports the fastest of three ``load_run`` calls of that directory: the
+persistence layer's read side.  A pair times every kind once on each side,
+and which side goes first alternates from pair to pair, so both sides see
+the same drift of the host.
 
 One entry is appended to ``--out`` (a JSON list, created when missing;
 earlier entries are kept as they are): the checkout's commit and whether
 its tree had uncommitted changes, the before side's commit when known, the
 Python version, the processor count, and per kind the median [Q1, Q3] of
 each side's times in seconds, the after/before ratio of the medians and the
-number of pairs the after side was faster.  Standard library only.
+number of pairs the after side was faster, for the run (``before_s``,
+``after_s``, ``ratio``, ``after_faster_pairs``) and for its ``load_run``
+(the same four keys with a ``load_`` prefix).  Standard library only.
 """
 
 from __future__ import annotations
@@ -38,24 +44,34 @@ ROOT = Path(__file__).resolve().parent.parent
 AFTER = ROOT / "src"
 KINDS = ("ADP", "INV", "UNI", "FUM", "NOM")
 REPEATS = 3
+# The timed calls, as the prefixes of their keys: the run, and its load_run.
+CALLS = ("", "load_")
 
 # Run in the child with the side's package first on sys.path.
 CHILD = """
-import json, sys
+import json, sys, tempfile
 from time import perf_counter
 import reprtrace
-from reprtrace import default_scenario, run_scenario
+from reprtrace import default_scenario, load_run, run_scenario, save_run
 kind, seed, repeats = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 scenario = default_scenario()
 args = (scenario.model, scenario.workload)
 run_scenario(*args, "NOM", seed, scenario.sampler)
 best = float("inf")
 for _ in range(repeats):
+    run = None
     began = perf_counter()
     run = run_scenario(*args, kind, seed, scenario.sampler)
     best = min(best, perf_counter() - began)
+best_load = float("inf")
+with tempfile.TemporaryDirectory() as run_dir:
+    save_run(run, run_dir)
     del run
-print(json.dumps({"package": reprtrace.__file__, "seconds": best}))
+    for _ in range(repeats):
+        began = perf_counter()
+        load_run(run_dir)
+        best_load = min(best_load, perf_counter() - began)
+print(json.dumps({"package": reprtrace.__file__, "seconds": best, "load_seconds": best_load}))
 """
 
 
@@ -67,7 +83,8 @@ def package_dir(path: Path) -> Path:
     raise SystemExit(f"no reprtrace package in {path} or {path / 'src'}")
 
 
-def time_kind(side: Path, kind: str, seed: int) -> float:
+def time_kind(side: Path, kind: str, seed: int) -> tuple[float, float]:
+    """The fastest run and the fastest ``load_run`` of ``kind`` on ``side``."""
     env = dict(os.environ, PYTHONPATH=str(side))
     out = subprocess.run([sys.executable, "-c", CHILD, kind, str(seed), str(REPEATS)],
                          env=env, check=True, capture_output=True, text=True).stdout
@@ -75,7 +92,7 @@ def time_kind(side: Path, kind: str, seed: int) -> float:
     # An installed reprtrace must not stand in for the side under test.
     if not Path(result["package"]).resolve().is_relative_to(side):
         raise SystemExit(f"imported {result['package']}, not the package in {side}")
-    return result["seconds"]
+    return result["seconds"], result["load_seconds"]
 
 
 def git(*args: str, cwd: Path) -> str | None:
@@ -110,26 +127,31 @@ def main(argv: list[str] | None = None) -> None:
     if not isinstance(entries, list):
         raise SystemExit(f"{args.out} does not hold a JSON list")
 
-    times = {kind: {"before": [], "after": []} for kind in KINDS}
+    times = {kind: {call: {"before": [], "after": []} for call in CALLS} for kind in KINDS}
     for pair in range(args.pairs):
         sides = [("before", before), ("after", after)]
         if pair % 2:
             sides.reverse()
         for kind in KINDS:
             for name, side in sides:
-                times[kind][name].append(time_kind(side, kind, args.seed))
+                for call, seconds in zip(CALLS, time_kind(side, kind, args.seed)):
+                    times[kind][call][name].append(seconds)
         print(f"pair {pair + 1}/{args.pairs}: " + ", ".join(
-            f"{kind} {times[kind]['before'][-1]:.3f} -> {times[kind]['after'][-1]:.3f} s"
-            for kind in KINDS), file=sys.stderr)
+            f"{kind} {t['']['before'][-1]:.3f} -> {t['']['after'][-1]:.3f} s"
+            f" (load {t['load_']['before'][-1]:.3f} -> {t['load_']['after'][-1]:.3f} s)"
+            for kind, t in times.items()), file=sys.stderr)
 
     kinds = {}
-    for kind, sides in times.items():
-        kinds[kind] = {
-            "before_s": spread(sides["before"]),
-            "after_s": spread(sides["after"]),
-            "ratio": statistics.median(sides["after"]) / statistics.median(sides["before"]),
-            "after_faster_pairs": sum(a < b for b, a in zip(sides["before"], sides["after"])),
-        }
+    for kind, calls in times.items():
+        kinds[kind] = {}
+        for call, sides in calls.items():
+            before_s, after_s = sides["before"], sides["after"]
+            kinds[kind].update({
+                f"{call}before_s": spread(before_s),
+                f"{call}after_s": spread(after_s),
+                f"{call}ratio": statistics.median(after_s) / statistics.median(before_s),
+                f"{call}after_faster_pairs": sum(a < b for b, a in zip(before_s, after_s)),
+            })
     before_commit = args.before_commit or git("rev-parse", "HEAD", cwd=args.before)
     entry = {
         "date": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
