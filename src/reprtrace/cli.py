@@ -3,9 +3,11 @@
 Subcommands: ``validate`` checks a scenario without running it, ``run``
 executes one simulation, ``compare`` runs a strategies-by-seeds matrix and
 writes the comparison report, ``report`` regenerates the report from
-stored run artifacts.  Flags override scenario-file values; the effective
-configuration is echoed into the output directory.  ``REPRTRACE_THREADS``
-caps parallel jobs in ``compare``.  A job runs a group of strategies on one
+stored run artifacts.  A scenario file holds the experiment (model,
+workload, sampler); the flags alone choose what runs and where it goes,
+with their defaults set on the parser, and the effective configuration is
+echoed into the output directory.  ``REPRTRACE_THREADS`` caps parallel
+jobs in ``compare``.  A job runs a group of strategies on one
 seed through ``run_matrix``, so the seed's offered stream is generated at
 most once per job, and not again by a process's next job on the same seed;
 serial or parallel, each run is saved and reduced by the job that
@@ -25,12 +27,21 @@ from typing import Iterable, Optional
 from .errors import ScenarioError
 from .report import (ComparisonReport, RunSummary, load_run, save_run, summarize_run,
                      write_report)
-from .scenario import (Scenario, _unique, default_scenario, load_scenario, parse_scenario,
-                       scenario_to_dict)
+from .scenario import Scenario, default_scenario, load_scenario, parse_scenario, scenario_to_dict
 from .simulator import run_matrix, run_scenario
 from .strategies import StrategyKind
 
 _ALL_STRATEGIES = [k.value for k in StrategyKind]
+
+
+def _unique(values: list, what: str, where: str) -> list:
+    """``values`` unchanged; ScenarioError names the first repeated one."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ScenarioError(f"{where}: duplicate {what} {value}")
+        seen.add(value)
+    return values
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -124,12 +135,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = _load(args.scenario)
-    strategy = args.strategy or (scenario.strategy.value if scenario.strategy else None)
-    if strategy is None:
-        raise ScenarioError("no strategy given (use --strategy or the scenario file)")
-    strategy = StrategyKind(strategy).value
-    seed = args.seed if args.seed is not None else (scenario.seed or 0)
-    out_dir = Path(args.out if args.out is not None else (scenario.out or "reprtrace-out"))
+    strategy, seed, out_dir = args.strategy, args.seed, Path(args.out)
     _echo_config(out_dir, scenario,
                  {"command": "run", "strategy": strategy, "seed": seed})
     run_dir = _run_dir(out_dir, strategy, seed)
@@ -152,13 +158,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             raise ScenarioError(f"--strategies: {strategy!r} is not one of"
                                 f" {', '.join(_ALL_STRATEGIES)}")
     _unique(strategies, "strategy", "--strategies")
-    if args.seeds is not None:
-        seeds = _parse_seeds(args.seeds)
-    elif scenario.seeds:
-        seeds = scenario.seeds
-    else:
-        seeds = list(range(1, 11))
-    strict = bool(args.strict or scenario.strict)
+    seeds = _parse_seeds(args.seeds)
     threads_text = os.environ.get("REPRTRACE_THREADS", "1") or "1"
     try:
         threads = int(threads_text)
@@ -166,10 +166,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         raise ScenarioError(f"REPRTRACE_THREADS: {threads_text!r} is not an integer") from None
     if threads < 1:
         raise ScenarioError(f"REPRTRACE_THREADS: must be >= 1, got {threads}")
-    out_dir = Path(args.out if args.out is not None else (scenario.out or "reprtrace-out"))
+    out_dir = Path(args.out)
     _echo_config(out_dir, scenario,
                  {"command": "compare", "strategies": strategies, "seeds": seeds,
-                  "strict": strict})
+                  "strict": args.strict})
     raw = scenario_to_dict(scenario)
     payloads = [(raw, seed, group, str(out_dir))
                 for seed, group in _compare_groups(strategies, seeds, threads)]
@@ -182,7 +182,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         summaries = (s for payload in payloads for s in _compare_job(payload))
 
     report = write_report(summaries, out_dir / "report")
-    return _finish(report, len(strategies) * len(seeds), strict)
+    return _finish(report, len(strategies) * len(seeds), args.strict)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -208,18 +208,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute one simulation")
     p_run.add_argument("--scenario", help="scenario JSON (default: built-in scenario)")
-    p_run.add_argument("--strategy", choices=_ALL_STRATEGIES)
-    p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--out", help="output directory (default: reprtrace-out)")
+    p_run.add_argument("--strategy", choices=_ALL_STRATEGIES, required=True)
+    p_run.add_argument("--seed", type=int, default=0, help="simulation seed (default: 0)")
+    p_run.add_argument("--out", default="reprtrace-out",
+                       help="output directory (default: reprtrace-out)")
     p_run.set_defaults(func=_cmd_run)
 
     p_compare = sub.add_parser("compare", help="run a strategies x seeds matrix")
     p_compare.add_argument("--scenario", help="scenario JSON (default: built-in scenario)")
     p_compare.add_argument("--strategies", default=",".join(_ALL_STRATEGIES))
-    p_compare.add_argument("--seeds",
+    p_compare.add_argument("--seeds", default="1-10",
                            help="comma list and/or ranges, e.g. 1-10 or 1,2,5 "
                                 "(default: 1-10)")
-    p_compare.add_argument("--out", help="output directory (default: reprtrace-out)")
+    p_compare.add_argument("--out", default="reprtrace-out",
+                           help="output directory (default: reprtrace-out)")
     p_compare.add_argument("--strict", action="store_true",
                            help="nonzero exit on missing types or missing ground truth")
     p_compare.set_defaults(func=_cmd_compare)

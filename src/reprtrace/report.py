@@ -251,7 +251,9 @@ def load_run(run_dir: str | Path) -> RunSummary:
     """Reduce a run saved by ``save_run`` to what ``write_report`` needs.
 
     A file that holds no such run raises ``ValueError`` starting with its
-    path, and with the line number in ``series.csv`` or ``traces.txt``.
+    path, and with the line number in ``series.csv`` or ``traces.txt``; a
+    ``series.csv`` row must hold a second and a throughput >= 0, users >= 1,
+    a sampling rate in [0, 1] and a monitoring flag of 0 or 1.
     """
     run_dir = Path(run_dir)
     meta_path = run_dir / "run.json"
@@ -279,18 +281,21 @@ def load_run(run_dir: str | Path) -> RunSummary:
                              f" got {','.join(header)!r}")
         for row in reader:
             try:
-                seconds.append(
-                    SecondStats(
-                        second=int(row["second"]),
-                        users=int(row["users"]),
-                        throughput=int(row["throughput"]),
-                        sampling_rate=float(row["sampling_rate"]),
-                        monitoring_enabled=bool(int(row["monitoring_enabled"])),
-                    )
-                )
+                second, users, throughput = (int(row[key]) for key in _SERIES_FIELDS[:3])
+                rate, monitoring = float(row["sampling_rate"]), int(row["monitoring_enabled"])
+                for key, value, low in (("second", second, 0), ("users", users, 1),
+                                        ("throughput", throughput, 0)):
+                    if value < low:
+                        raise ValueError(f"{key} must be >= {low}, got {value}")
+                # Written so that NaN fails it too.
+                if not 0.0 <= rate <= 1.0:
+                    raise ValueError(f"sampling_rate must lie in [0, 1], got {rate!r}")
+                if monitoring not in (0, 1):
+                    raise ValueError(f"monitoring_enabled must be 0 or 1, got {monitoring}")
             # A short row leaves its missing fields None: int(None) is a TypeError.
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{series_path}:{reader.line_num}: {exc}") from exc
+            seconds.append(SecondStats(second, users, throughput, rate, bool(monitoring)))
     traces = read_trace_file(run_dir / "traces.txt")
     return RunSummary(StrategyKind(strategy), seed, seconds, *_trace_tallies(traces), releases)
 

@@ -1,8 +1,9 @@
-"""Scenario files: JSON configuration for model, workload, sampler and run.
+"""Scenario files: JSON configuration for model, workload and sampler.
 
-A scenario bundles an application model, a workload schedule, sampler
-settings and optionally a strategy and seed.  ``load_scenario`` reports
-JSON syntax errors with line numbers and semantic errors with key paths.
+A scenario is the experiment: an application model, a workload schedule
+and sampler settings.  What to run on it (strategies and seeds) and where
+to write it come from the command line.  ``load_scenario`` reports JSON
+syntax errors with line numbers and semantic errors with key paths.
 
 Each section (``model``, a request type, a workload segment, ``sampler``)
 is read by ``_section`` from the fields of its dataclass: a key the class
@@ -12,8 +13,6 @@ string, an ``int`` field a JSON number with no fractional part, any other
 field a finite JSON number (not a string or a bool).  Only
 ``model.trace_io_capacity`` may be ``Infinity``, its default, meaning no
 trace I/O contention; an integer too large for a float is not finite.
-At the top level ``seed`` and each of ``seeds`` take an integer, ``seeds``
-a list, ``out`` a string and ``strict`` a bool.
 """
 
 from __future__ import annotations
@@ -22,12 +21,11 @@ import json
 import math
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any
 
 from .errors import ScenarioError
 from .model import SamplerConfig
 from .simulator import AppModel, Burst, RequestTypeSpec, Seasonal, Stationary, WorkloadSpec
-from .strategies import StrategyKind
 
 __all__ = ["Scenario", "load_scenario", "parse_scenario", "scenario_to_dict", "default_scenario"]
 
@@ -37,26 +35,11 @@ class Scenario:
     model: AppModel
     workload: WorkloadSpec
     sampler: SamplerConfig
-    strategy: Optional[StrategyKind] = None
-    seed: Optional[int] = None
-    seeds: Optional[list[int]] = None
-    out: Optional[str] = None
-    strict: Optional[bool] = None
 
 
 _SCENARIO_KEYS = tuple(f.name for f in fields(Scenario))
 _SEGMENT_CLASSES = {"stationary": Stationary, "seasonal": Seasonal, "burst": Burst}
 _SEGMENT_KINDS = {cls: kind for kind, cls in _SEGMENT_CLASSES.items()}
-
-
-def _unique(values: list, what: str, where: str) -> list:
-    """``values`` unchanged; ScenarioError names the first repeated one."""
-    seen = set()
-    for value in values:
-        if value in seen:
-            raise ScenarioError(f"{where}: duplicate {what} {value}")
-        seen.add(value)
-    return values
 
 
 _KIND_NAMES = {dict: "an object", list: "a list", str: "a string"}
@@ -147,31 +130,7 @@ def parse_scenario(raw: dict, source: str = "scenario") -> Scenario:
     except ValueError as exc:
         raise ScenarioError(f"{source}.workload: {exc}") from exc
     sampler = _section(SamplerConfig, raw.get("sampler", {}), f"{source}.sampler")
-
-    strategy = None
-    if raw.get("strategy") is not None:
-        try:
-            strategy = StrategyKind(raw["strategy"])
-        except ValueError as exc:
-            raise ScenarioError(f"{source}.strategy: {exc}") from exc
-    seed = raw.get("seed")
-    if seed is not None:
-        seed = _number(seed, f"{source}.seed", integer=True)
-    seeds = raw.get("seeds")
-    if seeds is not None:
-        seeds = [_number(s, f"{source}.seeds", integer=True)
-                 for s in _typed(seeds, list, f"{source}.seeds")]
-        if not seeds:
-            raise ScenarioError(f"{source}.seeds: must be non-empty when given")
-        _unique(seeds, "seed", f"{source}.seeds")
-    out = raw.get("out")
-    if out is not None:
-        _typed(out, str, f"{source}.out")
-    strict = raw.get("strict")
-    if strict is not None and not isinstance(strict, bool):
-        raise ScenarioError(f"{source}.strict: must be true or false, got {strict!r}")
-    return Scenario(model=model, workload=workload, sampler=sampler, strategy=strategy,
-                    seed=seed, seeds=seeds, out=out, strict=strict)
+    return Scenario(model=model, workload=workload, sampler=sampler)
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -197,11 +156,6 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "workload": [{"kind": _SEGMENT_KINDS[type(seg)], **asdict(seg)}
                      for seg in scenario.workload.segments],
         "sampler": asdict(scenario.sampler),
-        "strategy": scenario.strategy.value if scenario.strategy else None,
-        "seed": scenario.seed,
-        "seeds": scenario.seeds,
-        "out": scenario.out,
-        "strict": scenario.strict,
     }
 
 

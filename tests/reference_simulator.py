@@ -9,7 +9,8 @@ and times ticks as whole multiples of the adaptation period.  Only the
 finished run's records go into a ``TraceColumns``, through the tests'
 ``trace_columns`` helper.  No tape, memo, array or inlined draw: a
 disagreement with ``run_scenario`` points at the simulator's fast paths.
-The schedule comes from ``users_at``, which has tests of its own.
+The schedule is its own too: ``scheduled_users`` walks the segments in
+place of the simulator's ``users_at``, so a fault in either one shows.
 
 ``run_parts`` gives a run's outputs as plain tuples: what the golden
 digests hash, and what a run is compared to the reference by.
@@ -17,13 +18,42 @@ digests hash, and what a run is compared to the reference by.
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import accumulate
 
 from conftest import trace_columns
 from reprtrace.model import PerformanceRecord, RequestEvent, SamplerConfig
-from reprtrace.simulator import AppModel, RunResult, SecondStats, WorkloadSpec, users_at
+from reprtrace.simulator import (AppModel, Burst, RunResult, Seasonal, SecondStats,
+                                 Stationary, WorkloadSpec)
 from reprtrace.strategies import StrategyKind, make_strategy
+
+
+def scheduled_users(workload: WorkloadSpec) -> list[int]:
+    """The users of each whole second, segment by segment: a stationary
+    segment's count; a seasonal one's base, raised on the positive half of
+    its sine wave only; a burst's base, ramped linearly up to its peak at
+    ``at`` and back down over ``width`` seconds."""
+    users: list[int] = []
+    start = 0
+    for seg in workload.segments:
+        end = start + seg.duration
+        while len(users) < end:
+            offset = len(users) - start
+            if isinstance(seg, Stationary):
+                users.append(seg.users)
+            elif isinstance(seg, Seasonal):
+                wave = math.sin(2.0 * math.pi * offset / seg.period)
+                users.append(round(seg.base_users + seg.amplitude * wave) if wave > 0
+                             else seg.base_users)
+            else:
+                assert isinstance(seg, Burst)
+                distance, half = abs(offset - seg.at), seg.width / 2.0
+                users.append(round(seg.base_users + (seg.peak_users - seg.base_users)
+                                   * (1.0 - distance / half)) if distance < half
+                             else seg.base_users)
+        start = end
+    return users
 
 
 def offered_second(model: AppModel, users: int, rng: random.Random) -> list:
@@ -64,8 +94,9 @@ def reference_run(model: AppModel, workload: WorkloadSpec, kind: str, seed: int,
     tick_sums: dict[str, float] = {}
     tick_counts: dict[str, int] = {}
     ticks, last_tick = 0, 0.0
+    schedule = scheduled_users(workload)
     for second in range(int(workload.total_duration)):
-        users = users_at(workload, float(second))
+        users = schedule[second]
         offered = offered_second(model, users, stream_rng)
         rate, monitoring = strategy.rate, strategy.monitoring_enabled
         load = traced_ms_before / 1000.0

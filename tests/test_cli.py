@@ -6,6 +6,7 @@ import json
 import math
 import weakref
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -80,6 +81,14 @@ class TestValidate:
     def test_missing_file(self, tmp_path):
         assert main(["validate", "--scenario", str(tmp_path / "nope.json")]) == 2
 
+    def test_readme_scenario_example_validates(self, tmp_path, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n### Scenario files\n", 1)[1]
+        example = section.split("```json\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "scenario.json"
+        path.write_text(example)
+        assert main(["validate", "--scenario", str(path)]) == 0, capsys.readouterr().err
+
 
 class TestRun:
     def test_nom_run_writes_artifacts(self, tiny_scenario, tmp_path, capsys):
@@ -96,21 +105,19 @@ class TestRun:
         assert config["strategy"] == "NOM"
         assert config["seed"] == 1
         assert config["scenario"]["workload"][0]["users"] == 4
+        # The scenario is the experiment only; the flags above chose the run.
+        assert list(config["scenario"]) == ["model", "workload", "sampler"]
 
-    def test_flags_override_scenario_values(self, tmp_path):
-        raw = json.loads(json.dumps(TINY_SCENARIO))
-        raw["strategy"] = "NOM"
-        raw["seed"] = 9
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(raw))
-        out = tmp_path / "out"
-        assert main(["run", "--scenario", str(path), "--strategy", "FUM",
-                     "--out", str(out)]) == 0
-        assert (out / "runs" / "FUM_s9" / "run.json").exists()
+    def test_defaults_seed_0_into_reprtrace_out(self, tiny_scenario, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--scenario", str(tiny_scenario), "--strategy", "NOM"]) == 0
+        assert (tmp_path / "reprtrace-out" / "runs" / "NOM_s0" / "run.json").exists()
 
     def test_strategy_required(self, tiny_scenario, tmp_path):
-        assert main(["run", "--scenario", str(tiny_scenario),
-                     "--out", str(tmp_path / "o")]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--scenario", str(tiny_scenario), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_strategy_rejected_by_parser(self, tiny_scenario, tmp_path):
         with pytest.raises(SystemExit):
@@ -131,6 +138,16 @@ class TestCompare:
             rows = list(csv.DictReader(handle))
         assert [r["strategy"] for r in rows] == ["NOM", "FUM", "UNI"]
         assert rows[2]["rmse_mean"] != ""
+
+    def test_defaults_seeds_1_to_10_into_reprtrace_out(self, tiny_scenario, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["compare", "--scenario", str(tiny_scenario), "--strategies", "NOM"]) == 0
+        out = tmp_path / "reprtrace-out"
+        assert sorted(p.name for p in (out / "runs").iterdir()) == sorted(
+            f"NOM_s{seed}" for seed in range(1, 11))
+        config = json.loads((out / "effective_config.json").read_text())
+        assert (config["seeds"], config["strict"]) == (list(range(1, 11)), False)
 
     def test_seed_ranges(self, tiny_scenario, tmp_path):
         out = tmp_path / "cmp"
@@ -354,6 +371,14 @@ class TestReport:
          "cycle_index and start must fit in 64 bits"),
         ("series.csv", "2,4,90,0.5", "int() argument must be"),
         ("series.csv", "2,4,90,half,1", "could not convert string to float"),
+        ("series.csv", "2,4,90,nan,1", "sampling_rate must lie in [0, 1], got nan"),
+        ("series.csv", "2,4,90,inf,1", "sampling_rate must lie in [0, 1], got inf"),
+        ("series.csv", "2,4,90,1.5,1", "sampling_rate must lie in [0, 1], got 1.5"),
+        ("series.csv", "2,4,90,-0.1,1", "sampling_rate must lie in [0, 1], got -0.1"),
+        ("series.csv", "2,4,90,0.5,7", "monitoring_enabled must be 0 or 1, got 7"),
+        ("series.csv", "-1,4,90,0.5,1", "second must be >= 0, got -1"),
+        ("series.csv", "2,4,-90,0.5,1", "throughput must be >= 0, got -90"),
+        ("series.csv", "2,0,90,0.5,1", "users must be >= 1, got 0"),
     ])
     def test_malformed_row_names_file_and_line(self, tmp_path, capsys, name, row, message):
         runs_dir = tmp_path / "runs"
@@ -367,6 +392,7 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}:2: ")
         assert f"UNI_s1/{name}:2: " in err and message in err
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("header", [
         "sec,users,throughput,sampling_rate,monitoring_enabled",
@@ -482,22 +508,16 @@ class TestNonFiniteNumbers:
 
 class TestIntegerAndBooleanKeys:
     """Numeric keys take only JSON numbers, integer keys no fractional number;
-    ``seeds`` takes only a list and ``strict`` only a bool; ``type_id`` only a
-    string, every container its JSON kind, and no section a key it lacks."""
+    ``type_id`` only a string, every container its JSON kind, and no section
+    a key it lacks: the top level not even a run setting the flags take."""
 
     @pytest.mark.parametrize("edit, message", [
         (lambda raw: raw["sampler"].update(history_capacity=2.5),
          "sampler.history_capacity: must be an integer, got 2.5"),
-        (lambda raw: raw.update(seed=1.9), "seed: must be an integer, got 1.9"),
-        (lambda raw: raw.update(seed=True), "seed: must be an integer, got True"),
         (lambda raw: raw["workload"][0].update(users=8.9),
          "workload[0].users: must be an integer, got 8.9"),
         (lambda raw: raw["workload"][1].update(peak_users=True),
          "workload[1].peak_users: must be an integer, got True"),
-        (lambda raw: raw.update(seeds=[1.2, 1.7]), "seeds: must be an integer, got 1.2"),
-        (lambda raw: raw.update(strict="false"), "strict: must be true or false, got 'false'"),
-        (lambda raw: raw.update(seeds="12"), "seeds: must be a list, got '12'"),
-        (lambda raw: raw.update(seed="7"), "seed: must be an integer, got '7'"),
         (lambda raw: raw["workload"][0].update(users="8"),
          "workload[0].users: must be an integer, got '8'"),
         (lambda raw: raw["workload"][0].update(duration=True),
@@ -525,7 +545,11 @@ class TestIntegerAndBooleanKeys:
          "workload[1].users: unknown key"),
         (lambda raw: raw.update(seeed=3), "seeed: unknown key"),
         (lambda raw: raw["sampler"].update(max_rat=0.4), "sampler.max_rat: unknown key"),
-        (lambda raw: raw.update(out={"a": 1}), "out: must be a string, got {'a': 1}"),
+        (lambda raw: raw.update(strategy="ADP"), "strategy: unknown key"),
+        (lambda raw: raw.update(seed=1), "seed: unknown key"),
+        (lambda raw: raw.update(seeds=[1, 2]), "seeds: unknown key"),
+        (lambda raw: raw.update(out="out"), "out: unknown key"),
+        (lambda raw: raw.update(strict=True), "strict: unknown key"),
         (lambda raw: raw["workload"][0].update(kind=["x"]),
          "workload[0]: unknown segment kind ['x']"),
         (lambda raw: raw["workload"][0].update(kind={}), "workload[0]: unknown segment kind {}"),
@@ -535,12 +559,12 @@ class TestIntegerAndBooleanKeys:
         (lambda raw: raw["workload"][0].pop("users"), "workload[0]: missing key 'users'"),
         (lambda raw: raw["workload"][0].update(duration=10 ** 400),
          f"workload[0].duration: must be finite, got {10 ** 400}"),
-    ], ids=["history_capacity", "seed", "bool_seed", "users", "bool_users", "seeds",
-            "strict", "string_seeds", "string_seed", "string_users", "bool_duration",
+    ], ids=["history_capacity", "users", "bool_users", "string_users", "bool_duration",
             "bool_weight", "string_capacity", "bool_baseline_duration", "bool_max_rate",
             "int_type_id", "number_segment", "number_types", "object_workload",
             "list_model", "unknown_model_key", "unknown_type_key", "unknown_segment_key",
-            "unknown_top_level_key", "unknown_sampler_key", "object_out", "list_kind",
+            "unknown_top_level_key", "unknown_sampler_key", "strategy_key", "seed_key",
+            "seeds_key", "out_key", "strict_key", "list_kind",
             "object_kind", "missing_type_weight", "missing_model_capacity",
             "missing_segment_users", "huge_integer_duration"])
     def test_rejected_with_key_path(self, tmp_path, capsys, edit, message):
@@ -558,12 +582,9 @@ class TestIntegerAndBooleanKeys:
 
     def test_integral_numbers_accepted(self, tmp_path):
         raw = json.loads(json.dumps(TINY_SCENARIO))
-        raw.update(seed=3.0, seeds=[2.0, 5], strict=True)
         raw["workload"][0]["users"] = 4.0
         raw["sampler"]["history_capacity"] = 60.0
         scenario = parse_scenario(raw)
-        assert (scenario.seed, scenario.seeds, scenario.strict) == (3, [2, 5], True)
-        assert type(scenario.seed) is int
         assert scenario.workload.segments[0].users == 4
         assert scenario.sampler.history_capacity == 60
         assert type(scenario.sampler.history_capacity) is int
@@ -576,33 +597,3 @@ class TestScenarioRoundTrip:
         path = tmp_path / "default.json"
         path.write_text(json.dumps(raw))
         assert main(["validate", "--scenario", str(path)]) == 0
-
-    def test_flags_have_file_equivalents(self, tmp_path):
-        raw = json.loads(json.dumps(TINY_SCENARIO))
-        raw["seeds"] = [2, 5]
-        raw["out"] = str(tmp_path / "from-file")
-        raw["strict"] = False
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(raw))
-        assert main(["compare", "--scenario", str(path),
-                     "--strategies", "NOM,FUM"]) == 0
-        names = sorted(p.name for p in (tmp_path / "from-file" / "runs").iterdir())
-        assert names == ["FUM_s2", "FUM_s5", "NOM_s2", "NOM_s5"]
-
-    def test_duplicate_file_seed_names_key_path(self, tmp_path, capsys):
-        raw = json.loads(json.dumps(TINY_SCENARIO))
-        raw["seeds"] = [2, 5, 2]
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(raw))
-        assert main(["validate", "--scenario", str(path)]) == 2
-        assert f"{path}.seeds: duplicate seed 2" in capsys.readouterr().err
-
-    def test_flag_seeds_override_file_seeds(self, tmp_path):
-        raw = json.loads(json.dumps(TINY_SCENARIO))
-        raw["seeds"] = [2, 5]
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(raw))
-        out = tmp_path / "out"
-        assert main(["compare", "--scenario", str(path), "--strategies", "NOM",
-                     "--seeds", "7", "--out", str(out)]) == 0
-        assert sorted(p.name for p in (out / "runs").iterdir()) == ["NOM_s7"]
