@@ -64,7 +64,7 @@ def _parse_seeds(text: str) -> list[int]:
             raise ScenarioError(f"--seeds: range {part!r} runs backwards")
         seeds.extend(range(lo, hi + 1))
     if not seeds:
-        raise ScenarioError(f"no seeds in {text!r}")
+        raise ScenarioError(f"--seeds: no seeds in {text!r}")
     return _unique(seeds, "seed", "--seeds")
 
 
@@ -152,7 +152,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     scenario = _load(args.scenario)
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     if not strategies:
-        raise ScenarioError("no strategies given")
+        raise ScenarioError("--strategies: no strategies given")
     for strategy in strategies:
         if strategy not in _ALL_STRATEGIES:
             raise ScenarioError(f"--strategies: {strategy!r} is not one of"

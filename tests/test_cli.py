@@ -171,6 +171,8 @@ class TestCompare:
         ("1", "UNI,UNI,FUM", "1", "--strategies: duplicate strategy UNI"),
         ("1", "UNI,XYZ", "1", "--strategies: 'XYZ' is not one of ADP, INV, UNI, FUM, NOM"),
         ("1,x", "NOM", "1", "--seeds: 'x' is not an integer or a range"),
+        (",", "NOM", "1", "--seeds: no seeds in ','"),
+        ("1", ",", "1", "--strategies: no strategies given"),
         ("1", "NOM", "two", "REPRTRACE_THREADS: 'two' is not an integer"),
         ("1", "NOM", "0", "REPRTRACE_THREADS: must be >= 1, got 0"),
         ("1", "NOM", "-2", "REPRTRACE_THREADS: must be >= 1, got -2"),

@@ -15,8 +15,11 @@ scenario's tape for ``--seed`` with an untimed NOM run, and then times three
 It then saves the last run it timed, untimed, to a temporary directory, and
 reports the fastest of three ``load_run`` calls of that directory: the
 persistence layer's read side.  A pair times every kind once on each side,
-and which side goes first alternates from pair to pair, so both sides see
-the same drift of the host.
+and also each side's engine import once: a fresh interpreter that times,
+from before its ``import reprtrace``, the import and one
+``AdaptiveMonitor(SamplerConfig())``, as an application that embeds the
+engine pays it.  Which side goes first alternates from pair to pair, so
+both sides see the same drift of the host.
 
 One entry is appended to ``--out`` (a JSON list, created when missing;
 earlier entries are kept as they are): the checkout's commit and whether
@@ -25,7 +28,8 @@ Python version, the processor count, and per kind the median [Q1, Q3] of
 each side's times in seconds, the after/before ratio of the medians and the
 number of pairs the after side was faster, for the run (``before_s``,
 ``after_s``, ``ratio``, ``after_faster_pairs``) and for its ``load_run``
-(the same four keys with a ``load_`` prefix).  Standard library only.
+(the same four keys with a ``load_`` prefix), and the same four keys for
+the engine import under ``engine_import``.  Standard library only.
 """
 
 from __future__ import annotations
@@ -74,6 +78,17 @@ with tempfile.TemporaryDirectory() as run_dir:
 print(json.dumps({"package": reprtrace.__file__, "seconds": best, "load_seconds": best_load}))
 """
 
+# Run in the child as CHILD is; the clock starts before the package is imported.
+ENGINE_CHILD = """
+from time import perf_counter
+began = perf_counter()
+import reprtrace
+reprtrace.AdaptiveMonitor(reprtrace.SamplerConfig())
+seconds = perf_counter() - began
+import json
+print(json.dumps({"package": reprtrace.__file__, "seconds": seconds}))
+"""
+
 
 def package_dir(path: Path) -> Path:
     """The directory to import ``reprtrace`` from: ``path`` or its ``src/``."""
@@ -83,16 +98,27 @@ def package_dir(path: Path) -> Path:
     raise SystemExit(f"no reprtrace package in {path} or {path / 'src'}")
 
 
-def time_kind(side: Path, kind: str, seed: int) -> tuple[float, float]:
-    """The fastest run and the fastest ``load_run`` of ``kind`` on ``side``."""
+def run_child(side: Path, code: str, *args: str) -> dict:
+    """The JSON line ``code`` prints in a fresh interpreter that imports ``side``."""
     env = dict(os.environ, PYTHONPATH=str(side))
-    out = subprocess.run([sys.executable, "-c", CHILD, kind, str(seed), str(REPEATS)],
+    out = subprocess.run([sys.executable, "-c", code, *args],
                          env=env, check=True, capture_output=True, text=True).stdout
     result = json.loads(out.splitlines()[-1])
     # An installed reprtrace must not stand in for the side under test.
     if not Path(result["package"]).resolve().is_relative_to(side):
         raise SystemExit(f"imported {result['package']}, not the package in {side}")
+    return result
+
+
+def time_kind(side: Path, kind: str, seed: int) -> tuple[float, float]:
+    """The fastest run and the fastest ``load_run`` of ``kind`` on ``side``."""
+    result = run_child(side, CHILD, kind, str(seed), str(REPEATS))
     return result["seconds"], result["load_seconds"]
+
+
+def time_engine_import(side: Path) -> float:
+    """One engine import of ``side``: the package and one ``AdaptiveMonitor``."""
+    return run_child(side, ENGINE_CHILD)["seconds"]
 
 
 def git(*args: str, cwd: Path) -> str | None:
@@ -112,6 +138,17 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def compare(before_s: list[float], after_s: list[float], prefix: str = "") -> dict:
+    """Each side's spread, the after/before ratio of the medians and the
+    number of pairs the after side was faster, under ``prefix``ed keys."""
+    return {
+        f"{prefix}before_s": spread(before_s),
+        f"{prefix}after_s": spread(after_s),
+        f"{prefix}ratio": statistics.median(after_s) / statistics.median(before_s),
+        f"{prefix}after_faster_pairs": sum(a < b for b, a in zip(before_s, after_s)),
+    }
+
+
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--before", type=Path, required=True)
@@ -128,30 +165,28 @@ def main(argv: list[str] | None = None) -> None:
         raise SystemExit(f"{args.out} does not hold a JSON list")
 
     times = {kind: {call: {"before": [], "after": []} for call in CALLS} for kind in KINDS}
+    engine = {"before": [], "after": []}
     for pair in range(args.pairs):
         sides = [("before", before), ("after", after)]
         if pair % 2:
             sides.reverse()
+        for name, side in sides:
+            engine[name].append(time_engine_import(side))
         for kind in KINDS:
             for name, side in sides:
                 for call, seconds in zip(CALLS, time_kind(side, kind, args.seed)):
                     times[kind][call][name].append(seconds)
-        print(f"pair {pair + 1}/{args.pairs}: " + ", ".join(
-            f"{kind} {t['']['before'][-1]:.3f} -> {t['']['after'][-1]:.3f} s"
-            f" (load {t['load_']['before'][-1]:.3f} -> {t['load_']['after'][-1]:.3f} s)"
-            for kind, t in times.items()), file=sys.stderr)
+        print(f"pair {pair + 1}/{args.pairs}: engine import "
+              f"{engine['before'][-1]:.4f} -> {engine['after'][-1]:.4f} s, " + ", ".join(
+                  f"{kind} {t['']['before'][-1]:.3f} -> {t['']['after'][-1]:.3f} s"
+                  f" (load {t['load_']['before'][-1]:.3f} -> {t['load_']['after'][-1]:.3f} s)"
+                  for kind, t in times.items()), file=sys.stderr)
 
     kinds = {}
     for kind, calls in times.items():
         kinds[kind] = {}
         for call, sides in calls.items():
-            before_s, after_s = sides["before"], sides["after"]
-            kinds[kind].update({
-                f"{call}before_s": spread(before_s),
-                f"{call}after_s": spread(after_s),
-                f"{call}ratio": statistics.median(after_s) / statistics.median(before_s),
-                f"{call}after_faster_pairs": sum(a < b for b, a in zip(before_s, after_s)),
-            })
+            kinds[kind].update(compare(sides["before"], sides["after"], call))
     before_commit = args.before_commit or git("rev-parse", "HEAD", cwd=args.before)
     entry = {
         "date": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
@@ -165,6 +200,7 @@ def main(argv: list[str] | None = None) -> None:
         "pairs": args.pairs,
         "best_of": REPEATS,
         "kinds": kinds,
+        "engine_import": compare(engine["before"], engine["after"]),
     }
     entries.append(entry)
     args.out.write_text(json.dumps(entries, indent=2) + "\n")
