@@ -22,8 +22,6 @@ from .model import (
     RequestEvent,
     SamplerConfig,
     TraceRecord,
-    read_trace_file,
-    write_trace_file,
 )
 from .sampler import ADAPT_ALPHA, AdaptiveMonitor, SamplerEvent, perf_diff, select_normal_behavior
 from .stats import (
@@ -45,8 +43,9 @@ _LAZY = {
          "run_scenario", "users_at"),
         "simulator"),
     **dict.fromkeys(
-        ("ComparisonReport", "StrategySummary", "load_run", "rmse", "sampling_rate_stats",
-         "save_run", "throughput_stats", "type_memory_means", "write_report"),
+        ("ComparisonReport", "StrategySummary", "load_run", "read_trace_file", "rmse",
+         "sampling_rate_stats", "save_run", "throughput_stats", "type_memory_means",
+         "write_report", "write_trace_file"),
         "report"),
     **dict.fromkeys(("RateStrategy", "Strategy", "StrategyKind", "make_strategy"), "strategies"),
 }
@@ -56,7 +55,7 @@ __all__ = [
     "errors", "model", "sampler", "stats", *dict.fromkeys(_LAZY.values()),
     "InsufficientDataError", "MissingTypeError", "ParameterError", "ScenarioError",
     "FrequencyTable", "PerformanceRecord", "ReleasedSample", "RequestEvent", "SamplerConfig",
-    "TraceRecord", "read_trace_file", "write_trace_file",
+    "TraceRecord",
     "ADAPT_ALPHA", "AdaptiveMonitor", "SamplerEvent", "perf_diff", "select_normal_behavior",
     "bernoulli", "cochran_sample_size", "decayed_confidence", "normal_quantile",
     "paired_t_test",

@@ -1,17 +1,12 @@
-"""Domain types shared by the sampler, strategies, simulator and reporting,
-and the ``traces.txt`` format: ``write_trace_file`` writes a run's
-``TraceColumns``, and ``read_trace_file`` reads them back."""
+"""Domain types shared by the sampler, strategies, simulator and reporting."""
 
 from __future__ import annotations
 
-import csv
-import io
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from math import inf
 from operator import eq
-from pathlib import Path
 from typing import Iterator
 
 __all__ = [
@@ -22,8 +17,6 @@ __all__ = [
     "PerformanceRecord",
     "SamplerConfig",
     "ReleasedSample",
-    "write_trace_file",
-    "read_trace_file",
 ]
 
 
@@ -318,71 +311,3 @@ class ReleasedSample:
                 raise ValueError(
                     f"sample count for {type_id!r} exceeds population count"
                 )
-
-
-# --- Trace file format ----------------------------------------------------
-
-
-def _csv_field(text: str) -> str:
-    """``text`` as ``csv.writer`` writes it in a row (quoted when it must be)."""
-    buffer = io.StringIO()
-    csv.writer(buffer).writerow((text,))
-    return buffer.getvalue()[:-2]
-
-
-def write_trace_file(path: str | Path, traces: TraceColumns) -> None:
-    """Write traces as line-delimited text, one trace per line.
-
-    Field order: cycle_index, type_id, start, response_time, memory_delta.
-    The bytes are those of ``csv.writer`` with the floats as ``repr``: only
-    the type id can need quoting, so each one is quoted once by the csv
-    module and the lines are formatted directly from the columns.
-    """
-    quoted: dict[str, str] = {}
-    with open(path, "w", newline="") as handle:
-        write = handle.write
-        for cycle_index, type_id, start, response_time, memory_delta in traces.rows():
-            type_q = quoted.get(type_id)
-            if type_q is None:
-                type_q = quoted[type_id] = _csv_field(type_id)
-            write(f"{cycle_index},{type_q},{start},{response_time!r},{memory_delta!r}\r\n")
-
-
-def read_trace_file(path: str | Path) -> TraceColumns:
-    """Read the traces ``write_trace_file`` wrote into columns, in file order,
-    with type indices numbered in order of first appearance.
-
-    Every row is checked by the rules of ``RequestEvent`` and
-    ``TraceRecord``, and a cycle index or start must fit in 64 bits.  A
-    malformed row raises ``ValueError`` starting with ``<path>:<line>:``.
-    """
-    traces = TraceColumns([])
-    index: dict[str, int] = {}
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        for row in reader:
-            if not row:
-                continue
-            try:
-                cycle_index, type_id, start, response_time, memory_delta = row
-                start = int(start)
-                response_time = float(response_time)
-                memory_delta = float(memory_delta)
-                # RequestEvent's rule; building one raises its error.
-                if not (type_id and 0.0 <= response_time < inf and -inf < memory_delta < inf):
-                    RequestEvent(type_id, start, response_time, memory_delta)
-                cycle_index = int(cycle_index)
-                if cycle_index < 0:
-                    raise ValueError(f"cycle_index must be >= 0, got {cycle_index}")
-                traces.starts.append(start)
-                traces.cycles.append(cycle_index)
-                traces.types.append(index.setdefault(type_id, len(index)))
-                traces.response_times.append(response_time)
-                traces.memories.append(memory_delta)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
-            except OverflowError as exc:
-                raise ValueError(f"{path}:{reader.line_num}: cycle_index and start must"
-                                 f" fit in 64 bits, got {cycle_index} and {start}") from exc
-    traces.type_ids.extend(index)
-    return traces

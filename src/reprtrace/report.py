@@ -1,6 +1,6 @@
-"""Metrics and report generation: TR, SR, RMSE and the comparison CSVs.
+"""Run files, metrics and report generation: TR, SR, RMSE and the comparison CSVs.
 
-Output files (format version 1, stable field order):
+Report files (format version 1, stable field order):
 
 * ``summary.csv`` - one row per strategy: run count, mean/sd throughput,
   throughput delta vs NOM, mean/sd sampling rate, mean/sd RMSE, RMSE
@@ -16,9 +16,10 @@ per-type memory means and trace counts, and the release rows.
 ``summarize_run`` reduces a run in memory, straight from a simulated run's
 trace columns; ``reprtrace compare`` calls it in the process that simulated
 each run, so only these small records reach the report.  ``load_run``
-makes the same reduction from a saved run directory: it parses
-``series.csv``, reads ``traces.txt`` into columns and tallies them as
-``summarize_run`` does, and takes the checked release rows from
+makes the same reduction from the run directory ``save_run`` wrote, whose
+three files only this module reads and writes: it parses ``series.csv``,
+reads ``traces.txt`` (one CSV line per trace) into columns and tallies them
+as ``summarize_run`` does, and takes the checked release rows from
 ``run.json``.
 
 ``write_report`` reads every run before it writes: a duplicate run, an
@@ -38,14 +39,14 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from math import inf
 from pathlib import Path
 from statistics import mean, stdev
 from sys import float_info
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .errors import InsufficientDataError, MissingTypeError, ParameterError
-from .model import (RELEASE_CRITERIA, RELEASE_TIMEOUT, RequestEvent, TraceColumns,
-                    read_trace_file, write_trace_file)
+from .model import RELEASE_CRITERIA, RELEASE_TIMEOUT, RequestEvent, TraceColumns
 from .simulator import RunResult, SecondStats
 from .strategies import StrategyKind
 
@@ -57,6 +58,8 @@ __all__ = [
     "sampling_rate_stats",
     "save_run",
     "load_run",
+    "write_trace_file",
+    "read_trace_file",
     "RunSummary",
     "summarize_run",
     "StrategySummary",
@@ -182,6 +185,64 @@ def _series_csv(seconds: Iterable[SecondStats]) -> str:
         ([row.second, row.users, row.throughput, repr(row.sampling_rate),
           int(row.monitoring_enabled)] for row in seconds),
     )
+
+
+def write_trace_file(path: str | Path, traces: TraceColumns) -> None:
+    """Write traces as line-delimited text, one trace per line: ``traces.txt``.
+
+    Field order: cycle_index, type_id, start, response_time, memory_delta.
+    The bytes are those of ``csv.writer`` with the floats as ``repr``: only
+    the type id can need quoting, so each one is quoted once by the csv
+    module and the lines are formatted directly from the columns.
+    """
+    quoted: dict[str, str] = {}
+    with open(path, "w", newline="") as handle:
+        write = handle.write
+        for cycle_index, type_id, start, response_time, memory_delta in traces.rows():
+            type_q = quoted.get(type_id)
+            if type_q is None:
+                type_q = quoted[type_id] = _csv_text((type_id,), ())[:-2]
+            write(f"{cycle_index},{type_q},{start},{response_time!r},{memory_delta!r}\r\n")
+
+
+def read_trace_file(path: str | Path) -> TraceColumns:
+    """Read the traces ``write_trace_file`` wrote into columns, in file order,
+    with type indices numbered in order of first appearance.
+
+    Every row is checked by the rules of ``RequestEvent`` and
+    ``TraceRecord``, and a cycle index or start must fit in 64 bits.  A
+    malformed row raises ``ValueError`` starting with ``<path>:<line>:``.
+    """
+    traces = TraceColumns([])
+    index: dict[str, int] = {}
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        for row in reader:
+            if not row:
+                continue
+            try:
+                cycle_index, type_id, start, response_time, memory_delta = row
+                start = int(start)
+                response_time = float(response_time)
+                memory_delta = float(memory_delta)
+                # RequestEvent's rule; building one raises its error.
+                if not (type_id and 0.0 <= response_time < inf and -inf < memory_delta < inf):
+                    RequestEvent(type_id, start, response_time, memory_delta)
+                cycle_index = int(cycle_index)
+                if cycle_index < 0:
+                    raise ValueError(f"cycle_index must be >= 0, got {cycle_index}")
+                traces.starts.append(start)
+                traces.cycles.append(cycle_index)
+                traces.types.append(index.setdefault(type_id, len(index)))
+                traces.response_times.append(response_time)
+                traces.memories.append(memory_delta)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
+            except OverflowError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: cycle_index and start must"
+                                 f" fit in 64 bits, got {cycle_index} and {start}") from exc
+    traces.type_ids.extend(index)
+    return traces
 
 
 def save_run(run: RunResult, run_dir: str | Path) -> Path:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from math import inf
 from typing import Iterable, Optional
 
 from .errors import InsufficientDataError, ParameterError
@@ -176,8 +177,14 @@ class AdaptiveMonitor:
 
         Only ``request.type_id`` and ``request.response_time`` are read; an
         accept is kept as ``TraceRecord(request, cycle_index)`` in
-        ``sample_traces`` unless the monitor is bound (``bind_traces``).
+        ``sample_traces`` unless the monitor is bound (``bind_traces``).  A
+        response time that is not finite and >= 0 (``RequestEvent``'s rule)
+        raises ``ParameterError`` before anything is counted.
         """
+        response_time = request.response_time
+        # Chained comparisons are False for NaN, so they reject it too.
+        if not 0.0 <= response_time < inf:
+            raise ParameterError(f"response_time must be finite and >= 0, got {response_time}")
         type_id = request.type_id
         population = self.population
         counts = population.counts
@@ -185,7 +192,6 @@ class AdaptiveMonitor:
         counts[type_id] = count
         total = population.total + 1
         population.total = total
-        response_time = request.response_time
         self.population_rt_sum += response_time
         if not self.monitoring_enabled:
             return False
@@ -288,9 +294,11 @@ class AdaptiveMonitor:
           certainly fails.
 
         The n_inf at the z of each window end is computed once, from
-        ``config``, when the window opens; ``now`` must not precede the
-        cycle start.
+        ``config``, when the window opens; ``now`` must be finite and must
+        not precede the cycle start.
         """
+        if not -inf < now < inf:
+            raise ParameterError(f"now must be finite, got {now}")
         age = now - self.cycle_start
         if age < 0.0:
             raise ParameterError(
@@ -398,8 +406,10 @@ class AdaptiveMonitor:
     def on_tick(self, now: float, current: PerformanceRecord) -> Optional[ReleasedSample]:
         """Periodic step: expire baselines, adapt the rate, enforce the timeout.
 
-        ``now`` must not precede the previous tick's.
+        ``now`` must be finite and must not precede the previous tick's.
         """
+        if not -inf < now < inf:
+            raise ParameterError(f"now must be finite, got {now}")
         if now < self._last_tick:
             raise ParameterError(f"tick at {now} precedes the previous tick at {self._last_tick}")
         self._last_tick = now

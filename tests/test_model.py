@@ -14,9 +14,8 @@ from reprtrace.model import (
     RequestEvent,
     SamplerConfig,
     TraceRecord,
-    read_trace_file,
-    write_trace_file,
 )
+from reprtrace.report import read_trace_file, write_trace_file
 
 # Running-example frequency state: population 220 requests, sample 111.
 POPULATION = {"/home": 105, "/vets": 43, "/pets": 62, "/owners": 10}

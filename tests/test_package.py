@@ -21,8 +21,7 @@ EXPORTS = {
     **dict.fromkeys(("InsufficientDataError", "MissingTypeError", "ParameterError",
                      "ScenarioError"), "errors"),
     **dict.fromkeys(("FrequencyTable", "PerformanceRecord", "ReleasedSample", "RequestEvent",
-                     "SamplerConfig", "TraceRecord", "read_trace_file", "write_trace_file"),
-                    "model"),
+                     "SamplerConfig", "TraceRecord"), "model"),
     **dict.fromkeys(("ADAPT_ALPHA", "AdaptiveMonitor", "SamplerEvent", "perf_diff",
                      "select_normal_behavior"), "sampler"),
     **dict.fromkeys(("Scenario", "default_scenario", "load_scenario", "parse_scenario",
@@ -30,9 +29,11 @@ EXPORTS = {
     **dict.fromkeys(("AppModel", "Burst", "RequestTypeSpec", "RunResult", "Seasonal",
                      "SecondStats", "Simulation", "Stationary", "WorkloadSpec",
                      "offered_stream", "run_matrix", "run_scenario", "users_at"), "simulator"),
-    **dict.fromkeys(("ComparisonReport", "StrategySummary", "load_run", "rmse",
-                     "sampling_rate_stats", "save_run", "throughput_stats",
-                     "type_memory_means", "write_report"), "report"),
+    # read_trace_file and write_trace_file moved here from model: report alone
+    # reads and writes a run directory's files.
+    **dict.fromkeys(("ComparisonReport", "StrategySummary", "load_run", "read_trace_file",
+                     "rmse", "sampling_rate_stats", "save_run", "throughput_stats",
+                     "type_memory_means", "write_report", "write_trace_file"), "report"),
     **dict.fromkeys(("bernoulli", "cochran_sample_size", "decayed_confidence",
                      "normal_quantile", "paired_t_test"), "stats"),
     **dict.fromkeys(("RateStrategy", "Strategy", "StrategyKind", "make_strategy"),
@@ -46,7 +47,7 @@ FOOTPRINT_CHILD = """
 import json, sys
 import reprtrace
 reprtrace.AdaptiveMonitor(reprtrace.SamplerConfig())
-facts = {"package": reprtrace.__file__,
+facts = {"package": reprtrace.__file__, "csv": "csv" in sys.modules,
          "loaded": sorted(m for m in sys.modules if m.startswith("reprtrace."))}
 reprtrace.default_scenario
 facts["scenario_after_default_scenario"] = "reprtrace.scenario" in sys.modules
@@ -64,6 +65,8 @@ def test_engine_import_loads_no_simulator_scenario_report_or_cli():
     lazy = {f"reprtrace.{name}" for name in ("simulator", "scenario", "report", "strategies",
                                               "cli")}
     assert not lazy & set(facts["loaded"]), facts["loaded"]
+    # The run files' csv format is report's alone; the engine never parses one.
+    assert not facts["csv"]
     assert facts["scenario_after_default_scenario"]
     assert facts["simulator_is_module"]
 

@@ -9,10 +9,11 @@ import pytest
 from conftest import make_event, trace_columns
 from reprtrace.cli import main
 from reprtrace.errors import InsufficientDataError, MissingTypeError, ParameterError
-from reprtrace.model import SamplerConfig, TraceRecord, read_trace_file
+from reprtrace.model import SamplerConfig, TraceRecord
 from reprtrace.report import (
     RunSummary,
     load_run,
+    read_trace_file,
     rmse,
     sampling_rate_stats,
     save_run,
@@ -179,6 +180,7 @@ class TestTraceColumns:
 
         monkeypatch.setattr("reprtrace.model.RequestEvent", refuse)
         monkeypatch.setattr("reprtrace.model.TraceRecord", refuse)
+        monkeypatch.setattr("reprtrace.report.RequestEvent", refuse)
         assert load_run(run_dir) == summarize_run(run)
 
 

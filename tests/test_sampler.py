@@ -577,6 +577,56 @@ class TestOnTick:
         assert monitor.sample.total == 600
 
 
+class TestNonFiniteInput:
+    """The engine refuses a value it cannot order or sum where it enters,
+    and leaves its state as it was."""
+
+    @staticmethod
+    def _used_monitor(config):
+        monitor = AdaptiveMonitor(config)
+        for i in range(5):
+            monitor.decide(make_event("/a", start=i, rt=100.0 + i), AlwaysRng())
+        monitor.on_tick(5.0, record(TIGHT, rps=100))
+        return monitor
+
+    @staticmethod
+    def _state(monitor):
+        return (monitor.population.total, monitor.population_rt_sum, monitor._last_tick,
+                monitor.cycle_index, list(monitor.events))
+
+    @pytest.mark.parametrize("rt", [math.nan, math.inf, -math.inf, -1.0])
+    def test_decide_refuses_response_time(self, config, rt):
+        monitor = self._used_monitor(config)
+        before = self._state(monitor)
+        request = make_event("/a", start=6000)
+        # RequestEvent checks only at construction; a caller can assign later.
+        request.response_time = rt
+        with pytest.raises(ParameterError, match="response_time must be finite and >= 0"):
+            monitor.decide(request, AlwaysRng())
+        assert self._state(monitor) == before
+        assert monitor.sample.total == 5
+
+    @pytest.mark.parametrize("now", [math.nan, math.inf, -math.inf])
+    def test_on_tick_refuses_now(self, config, now):
+        monitor = self._used_monitor(config)
+        before = self._state(monitor)
+        with pytest.raises(ParameterError, match="now must be finite"):
+            monitor.on_tick(now, record(TIGHT, rps=100))
+        assert self._state(monitor) == before
+        assert len(monitor.perf_ref) == 1
+        with pytest.raises(ParameterError, match="precedes the previous tick"):
+            monitor.on_tick(1.0, record(TIGHT, rps=100))
+
+    @pytest.mark.parametrize("now", [math.nan, math.inf, -math.inf])
+    def test_evaluate_sample_refuses_now(self, config, now):
+        monitor = self._used_monitor(config)
+        before = self._state(monitor)
+        with pytest.raises(ParameterError, match="now must be finite"):
+            monitor.evaluate_sample(now)
+        assert self._state(monitor) == before
+        assert monitor.sample.total == 5
+
+
 _TYPES = ("/a", "/b", "/c")
 
 # One step on the monitor's single timeline: ``dt`` seconds pass, then a
