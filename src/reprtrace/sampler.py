@@ -18,6 +18,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from math import inf
+from operator import attrgetter
 from typing import Iterable, Optional
 
 from .errors import InsufficientDataError, ParameterError
@@ -89,7 +90,7 @@ def select_normal_behavior(
     matching = [rec for rec in perf_ref if rec.monitoring_enabled == me_flag]
     if not matching:
         return None
-    matching.sort(key=lambda rec: rec.rps)
+    matching.sort(key=attrgetter("rps"))
     return matching[len(matching) // 2]
 
 
@@ -102,10 +103,14 @@ def perf_diff(current: PerformanceRecord, normal: PerformanceRecord) -> float:
     common = sorted(set(current.mean_rt) & set(normal.mean_rt))
     if not common:
         raise InsufficientDataError("records share no request types")
-    current_sum = sum(current.mean_rt[t] for t in common)
     normal_sum = sum(normal.mean_rt[t] for t in common)
     if normal_sum == 0:
         raise InsufficientDataError("reference record has zero total response time")
+    return _relative_diff(sum(current.mean_rt[t] for t in common), normal_sum)
+
+
+def _relative_diff(current_sum: float, normal_sum: float) -> float:
+    # perf_diff's formula, on sums over the shared types in sorted order.
     return current_sum / normal_sum - 1.0
 
 
@@ -127,13 +132,14 @@ class AdaptiveMonitor:
         self.perf_ref: deque[PerformanceRecord] = deque(maxlen=config.history_capacity)
         self.events: list[SamplerEvent] = []
         self._last_tick: float = -math.inf
-        # Cycle ages [start, end] of the current size-check window and the
-        # n_inf at the z of each end of it; empty until the first evaluation
-        # opens one.
+        # Cycle ages [start, end] of the current size-check window, the
+        # n_inf at the z of each end of it and the t-bound's threshold at its
+        # far end; empty until the first evaluation opens one.
         self._window_start: float = math.inf
         self._window_end: float = -math.inf
         self._n_inf_high: float = 0.0
         self._n_inf_low: float = 0.0
+        self._log_p_threshold: float = -math.inf
         self._start_cycle(0, 0.0)
 
     def _start_cycle(self, index: int, start: float) -> None:
@@ -202,18 +208,21 @@ class AdaptiveMonitor:
             return False
         sample = self.sample
         sample_total = sample.total
+        sample_counts = sample.counts
+        sample_count = sample_counts.get(type_id, 0)
         if sample_total > 0:
             # The sample is drawn from the population, so before this request
             # the population held at least one; these are the integers of
             # the pre-request share, and so its float.
             pop_prop = (count - 1) / (total - 1)
-            samp_prop = sample.counts.get(type_id, 0) / sample_total
+            samp_prop = sample_count / sample_total
             if pop_prop < samp_prop - self.config.epsilon:
                 return False
-        sample.add(type_id)
+        sample_counts[type_id] = sample_count + 1
+        n = sample_total + 1
+        sample.total = n
         if self._traces is None:
             self.sample_traces.append(TraceRecord(request, self.cycle_index))
-        n = sample_total + 1
         delta = response_time - self._sample_rt_mean
         self._sample_rt_mean += delta / n
         self._sample_rt_m2 += delta * (response_time - self._sample_rt_mean)
@@ -230,8 +239,11 @@ class AdaptiveMonitor:
         performance is similar or better with monitoring on; a baseline
         window starts when monitoring coincides with significant slowdown;
         down (floored at min_rate) when the slowdown persists even without
-        monitoring, i.e. it is workload-induced.
+        monitoring, i.e. it is workload-induced.  ``now`` must be finite: a
+        call with any other leaves the monitor as it was.
         """
+        if not -inf < now < inf:
+            raise ParameterError(f"now must be finite, got {now}")
         self.perf_ref.append(current)
         normal = select_normal_behavior(self.perf_ref, current.monitoring_enabled)
         if normal is None:
@@ -241,10 +253,11 @@ class AdaptiveMonitor:
             return self.rate
         normal_rts = [normal.mean_rt[t] for t in common]
         current_rts = [current.mean_rt[t] for t in common]
-        if sum(normal_rts) == 0:
+        normal_sum = sum(normal_rts)
+        if normal_sum == 0:
             return self.rate
         equal = paired_t_test(normal_rts, current_rts, ADAPT_ALPHA)
-        diff = perf_diff(current, normal)
+        diff = _relative_diff(sum(current_rts), normal_sum)
         old_rate = self.rate
         if self.monitoring_enabled:
             if equal or diff <= 0:
@@ -291,11 +304,15 @@ class AdaptiveMonitor:
           large enough.
         * t-test: ``student_t_log_p_bound`` is a Mills-ratio upper bound on
           the p-value, so when it lies below the threshold the sample
-          certainly fails.
+          certainly fails.  It is compared with the threshold at the
+          confidence of the window's far end: the confidence falls with
+          age, so that threshold is never above the live one, and a bound
+          below it is below the live one too.  Only a call the bound leaves
+          open computes the live confidence.
 
-        The n_inf at the z of each window end is computed once, from
-        ``config``, when the window opens; ``now`` must be finite and must
-        not precede the cycle start.
+        The n_inf at the z of each window end, and the threshold at its far
+        end, are computed once, from ``config``, when the window opens;
+        ``now`` must be finite and must not precede the cycle start.
         """
         if not -inf < now < inf:
             raise ParameterError(f"now must be finite, got {now}")
@@ -316,14 +333,15 @@ class AdaptiveMonitor:
             return None
         if n < 2:
             return None
-        conf = decayed_confidence(age, cfg.max_cycle_length)
         population_mean = self.population_rt_sum / population_size
         mean, m2 = self._sample_rt_mean, self._sample_rt_m2
         if m2 > 0.0:
             # The statistic exactly as one_sample_t_p_value_from_stats forms it.
             t = (mean - population_mean) / math.sqrt(m2 / (n - 1) / n)
-            if student_t_log_p_bound(t, n - 1) < math.log(ADAPT_ALPHA * conf) - _LOG_P_MARGIN:
+            # _exceeds_min_size has put age inside the window.
+            if student_t_log_p_bound(t, n - 1) < self._log_p_threshold:
                 return None
+        conf = decayed_confidence(age, cfg.max_cycle_length)
         p_value = one_sample_t_p_value_from_stats(n, mean, m2, population_mean)
         if not p_value > ADAPT_ALPHA * conf:
             return None
@@ -360,10 +378,12 @@ class AdaptiveMonitor:
         self._window_start = age
         self._window_end = end
         p, e = cfg.variability_p, cfg.margin_e
+        conf_end = decayed_confidence(end, length)
         z_high = normal_quantile(min(decayed_confidence(age, length), _CONF_CAP))
-        z_low = normal_quantile(min(decayed_confidence(end, length), _CONF_CAP))
+        z_low = normal_quantile(min(conf_end, _CONF_CAP))
         self._n_inf_high = infinite_sample_size(z_high, p, e)
         self._n_inf_low = infinite_sample_size(z_low, p, e)
+        self._log_p_threshold = math.log(ADAPT_ALPHA * conf_end) - _LOG_P_MARGIN
 
     def _release(self, now: float, reason: str, conf: float) -> ReleasedSample:
         total = self.population.total

@@ -169,6 +169,43 @@ def test_t_stage_verdict_matches_exact_p_value(n, age, scale, sign):
     assert (released is not None) == (p_value > ADAPT_ALPHA * conf)
 
 
+@pytest.mark.parametrize("age", [0.0, 30.0, 178.5])
+def test_bound_between_the_window_end_and_live_thresholds_runs_the_exact_test(
+        monkeypatch, age):
+    # The bound is compared with the threshold at the window's far end, which
+    # is below the live one; a bound between the two is left to the exact
+    # p-value, which rejects the sample.
+    t_calls = counting(monkeypatch, "one_sample_t_p_value_from_stats")
+    length = CONFIG.max_cycle_length
+    end = min(age + CONFIG.adaptation_frequency, length)
+    live = math.log(ADAPT_ALPHA * stats.decayed_confidence(age, length)) - sampler._LOG_P_MARGIN
+    at_end = math.log(ADAPT_ALPHA * stats.decayed_confidence(end, length)) - sampler._LOG_P_MARGIN
+    n, mu0, m2 = 200, 100.0, 25.0 * 199
+    scale = math.sqrt(m2 / (n - 1) / n)
+    # The bound falls as t grows: bisect for the t whose bound is midway.
+    low, high = 0.1, 50.0
+    for _ in range(200):
+        mid = (low + high) / 2.0
+        if stats.student_t_log_p_bound(mid, n - 1) > (live + at_end) / 2.0:
+            low = mid
+        else:
+            high = mid
+    mean = mu0 + low * scale
+    monitor = AdaptiveMonitor(CONFIG)
+    monitor.population = table_from({"/a": n})
+    monitor.sample = table_from({"/a": n})
+    monitor.population_rt_sum = mu0 * n
+    monitor._sample_rt_mean = mean
+    monitor._sample_rt_m2 = m2
+    t = (mean - mu0) / math.sqrt(m2 / (n - 1) / n)
+    assert at_end < stats.student_t_log_p_bound(t, n - 1) < live
+    assert monitor.evaluate_sample(age) is None
+    assert t_calls[0] == 1
+    assert monitor._window_end == end
+    conf = stats.decayed_confidence(age, length)
+    assert not stats.one_sample_t_p_value_from_stats(n, mean, m2, mu0) > ADAPT_ALPHA * conf
+
+
 # --- whole evaluations on a realistic stream -----------------------------------------
 
 TYPES = 48

@@ -392,7 +392,7 @@ class TestEvaluateSample:
         # first; the state that outlives a cycle is left out of the check.
         outlives_a_cycle = {"rate", "monitoring_enabled", "baseline_until", "perf_ref",
                             "events", "_last_tick", "_window_start", "_window_end",
-                            "_n_inf_high", "_n_inf_low"}
+                            "_n_inf_high", "_n_inf_low", "_log_p_threshold"}
 
         def cycle_state(monitor):
             return {name: (value.counts, value.total) if isinstance(value, FrequencyTable)
@@ -616,6 +616,25 @@ class TestNonFiniteInput:
         assert len(monitor.perf_ref) == 1
         with pytest.raises(ParameterError, match="precedes the previous tick"):
             monitor.on_tick(1.0, record(TIGHT, rps=100))
+
+    @pytest.mark.parametrize("now", [math.nan, math.inf, -math.inf])
+    def test_adapt_rate_refuses_now(self, config, now):
+        # A slowdown would start a baseline that ends at `now`; with a NaN
+        # end monitoring would never turn back on.
+        monitor = AdaptiveMonitor(config)
+        monitor.perf_ref.append(record(TIGHT, rps=100))
+        slow = record({t: rt * 1.3 for t, rt in TIGHT.items()}, rps=80)
+
+        def state():
+            return (list(monitor.perf_ref), monitor.rate, monitor.monitoring_enabled,
+                    monitor.baseline_until, list(monitor.events))
+
+        before = state()
+        with pytest.raises(ParameterError, match="now must be finite"):
+            monitor.adapt_rate(slow, now)
+        assert state() == before
+        monitor.adapt_rate(slow, 7.0)
+        assert monitor.baseline_until == 7.0 + config.baseline_duration
 
     @pytest.mark.parametrize("now", [math.nan, math.inf, -math.inf])
     def test_evaluate_sample_refuses_now(self, config, now):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ScriptRng, one_sample_p
+from reprtrace import stats
 from reprtrace.errors import InsufficientDataError, ParameterError
 from reprtrace.stats import (
     bernoulli,
@@ -153,6 +154,26 @@ class TestStudentTLogPBound:
         for df in (2.0, 10.0, 1000.0):
             ratio = math.exp(student_t_log_p_bound(40.0, df)) / student_t_two_sided_p(40.0, df)
             assert 1.0 < ratio < df / (df - 1.0) * 1.01
+
+    @pytest.mark.parametrize("df", [2, 3.0, 199, 4096.0, 1e5 + 0.5])
+    @pytest.mark.parametrize("t", [0.25, -3.0, 40.0])
+    def test_cached_df_terms_keep_the_closed_forms_bits(self, t, df):
+        closed_form = (
+            math.log(2.0)
+            + math.lgamma((df + 1.0) / 2.0)
+            - math.lgamma(df / 2.0)
+            - 0.5 * math.log(df * math.pi)
+            + math.log(df / (df - 1.0))
+            - math.log(abs(t))
+            - (df - 1.0) / 2.0 * math.log1p(t * t / df)
+        )
+        stats._log_p_bound_df_terms.cache_clear()
+        assert student_t_log_p_bound(t, df) == closed_form   # computed
+        assert student_t_log_p_bound(t, df) == closed_form   # cached
+        if df == int(df):
+            # An int df and the equal float share one cache entry.
+            swapped = float(df) if isinstance(df, int) else int(df)
+            assert student_t_log_p_bound(t, swapped) == closed_form
 
     def test_no_bound_at_zero_or_one_degree_of_freedom(self):
         assert student_t_log_p_bound(0.0, 10.0) == math.inf

@@ -18,8 +18,14 @@ persistence layer's read side.  A pair times every kind once on each side,
 and also each side's engine import once: a fresh interpreter that times,
 from before its ``import reprtrace``, the import and one
 ``AdaptiveMonitor(SamplerConfig())``, as an application that embeds the
-engine pays it.  Which side goes first alternates from pair to pair, so
-both sides see the same drift of the host.
+engine pays it, and each side's engine replay once: a fresh interpreter
+that replays ``engine_stream(1)`` of ``perfbench/workloads.py`` into an
+``AdaptiveMonitor`` the way the benchmark's ``engine`` workload does, one
+untimed replay and then one timed, each into a fresh monitor, and reports
+the p50 and p99 of the time of each decision (``decide``, and for an
+accept ``evaluate_sample`` too) and the replay's wall time.  Which side
+goes first alternates from pair to pair, so both sides see the same drift
+of the host.
 
 One entry is appended to ``--out`` (a JSON list, created when missing;
 earlier entries are kept as they are): the checkout's commit and whether
@@ -28,8 +34,11 @@ Python version, the processor count, and per kind the median [Q1, Q3] of
 each side's times in seconds, the after/before ratio of the medians and the
 number of pairs the after side was faster, for the run (``before_s``,
 ``after_s``, ``ratio``, ``after_faster_pairs``) and for its ``load_run``
-(the same four keys with a ``load_`` prefix), and the same four keys for
-the engine import under ``engine_import``.  Standard library only.
+(the same four keys with a ``load_`` prefix), the same four keys for
+the engine import under ``engine_import``, and under ``engine_replay`` the
+same four keys for each of ``decide_us_p50``, ``decide_us_p99`` (in
+microseconds, though the keys end in ``_s``) and ``wall_s``.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -90,6 +99,45 @@ print(json.dumps({"package": reprtrace.__file__, "seconds": seconds}))
 """
 
 
+# Run in the child as CHILD is, with perfbench/ as its first argument.
+REPLAY_CHILD = """
+import json, random, sys
+from time import perf_counter, perf_counter_ns
+import reprtrace
+sys.path.insert(0, sys.argv[1])
+from workloads import engine_stream, percentile
+SEED = 1
+stream = [([reprtrace.RequestEvent(*r) for r in requests], mean_rt)
+          for requests, mean_rt in engine_stream(SEED)]
+
+def replay():
+    monitor = reprtrace.AdaptiveMonitor(reprtrace.SamplerConfig())
+    rng = random.Random(f"{SEED}:engine-decide")
+    decide, evaluate, on_tick = monitor.decide, monitor.evaluate_sample, monitor.on_tick
+    ns = perf_counter_ns
+    lat = []
+    start = perf_counter()
+    for sec, (events, mean_rt) in enumerate(stream):
+        monitoring = monitor.monitoring_enabled
+        for event in events:
+            t0 = ns()
+            if decide(event, rng):
+                evaluate(event.start / 1000.0)
+            lat.append(ns() - t0)
+        on_tick(float(sec + 1), reprtrace.PerformanceRecord(
+            rps=float(len(events)), mean_rt=mean_rt, monitoring_enabled=monitoring))
+    return perf_counter() - start, lat
+
+replay()
+wall, lat = replay()
+lat.sort()
+print(json.dumps({"package": reprtrace.__file__, "wall_s": wall,
+                  "decide_us_p50": percentile(lat, 0.50) / 1e3,
+                  "decide_us_p99": percentile(lat, 0.99) / 1e3}))
+"""
+REPLAY_METRICS = ("decide_us_p50", "decide_us_p99", "wall_s")
+
+
 def package_dir(path: Path) -> Path:
     """The directory to import ``reprtrace`` from: ``path`` or its ``src/``."""
     for candidate in (path, path / "src"):
@@ -119,6 +167,12 @@ def time_kind(side: Path, kind: str, seed: int) -> tuple[float, float]:
 def time_engine_import(side: Path) -> float:
     """One engine import of ``side``: the package and one ``AdaptiveMonitor``."""
     return run_child(side, ENGINE_CHILD)["seconds"]
+
+
+def time_engine_replay(side: Path) -> dict:
+    """One timed replay of ``engine_stream(1)`` on ``side``: ``REPLAY_METRICS``."""
+    result = run_child(side, REPLAY_CHILD, str(ROOT / "perfbench"))
+    return {metric: result[metric] for metric in REPLAY_METRICS}
 
 
 def git(*args: str, cwd: Path) -> str | None:
@@ -166,18 +220,24 @@ def main(argv: list[str] | None = None) -> None:
 
     times = {kind: {call: {"before": [], "after": []} for call in CALLS} for kind in KINDS}
     engine = {"before": [], "after": []}
+    replay = {metric: {"before": [], "after": []} for metric in REPLAY_METRICS}
     for pair in range(args.pairs):
         sides = [("before", before), ("after", after)]
         if pair % 2:
             sides.reverse()
         for name, side in sides:
             engine[name].append(time_engine_import(side))
+        for name, side in sides:
+            for metric, value in time_engine_replay(side).items():
+                replay[metric][name].append(value)
         for kind in KINDS:
             for name, side in sides:
                 for call, seconds in zip(CALLS, time_kind(side, kind, args.seed)):
                     times[kind][call][name].append(seconds)
         print(f"pair {pair + 1}/{args.pairs}: engine import "
-              f"{engine['before'][-1]:.4f} -> {engine['after'][-1]:.4f} s, " + ", ".join(
+              f"{engine['before'][-1]:.4f} -> {engine['after'][-1]:.4f} s, engine replay p99 "
+              f"{replay['decide_us_p99']['before'][-1]:.2f} -> "
+              f"{replay['decide_us_p99']['after'][-1]:.2f} us, " + ", ".join(
                   f"{kind} {t['']['before'][-1]:.3f} -> {t['']['after'][-1]:.3f} s"
                   f" (load {t['load_']['before'][-1]:.3f} -> {t['load_']['after'][-1]:.3f} s)"
                   for kind, t in times.items()), file=sys.stderr)
@@ -201,6 +261,8 @@ def main(argv: list[str] | None = None) -> None:
         "best_of": REPEATS,
         "kinds": kinds,
         "engine_import": compare(engine["before"], engine["after"]),
+        "engine_replay": {metric: compare(sides["before"], sides["after"])
+                          for metric, sides in replay.items()},
     }
     entries.append(entry)
     args.out.write_text(json.dumps(entries, indent=2) + "\n")
