@@ -2,12 +2,13 @@
 
 ``offered_stream`` draws, for each simulated second, an "offered" stream of
 requests (types, base service times, memory measurements) sized by the
-untraced service budget of the scheduled users.  A ``Simulation`` serves
-one strategy on such a stream: it completes the prefix of each second
-whose contention-scaled service times (plus a per-trace recording cost)
-fill the budget, so tracing overhead shows up as lost throughput and
-inflated response times while the offered stream itself stays identical
-across strategies for a fixed seed.
+untraced service budget of the scheduled users, and packs each second into
+one ``array`` per column.  A ``Simulation`` serves one strategy on such a
+stream, numbering the seconds in the order served: it completes the prefix
+of each second whose contention-scaled service times (plus a per-trace
+recording cost) fill the budget, so tracing overhead shows up as lost
+throughput and inflated response times while the offered stream itself
+stays identical across strategies for a fixed seed.
 
 The offered stream is defined by the draw inlined in ``offered_stream``:
 the Kinderman-Monahan loop of ``random.Random.normalvariate`` followed by
@@ -16,15 +17,13 @@ the Kinderman-Monahan loop of ``random.Random.normalvariate`` followed by
 the tests check the equality on the running interpreter, and CI runs them
 on all four.
 
-``run_matrix`` serves every run from the seed's tape: the offered stream
-packed into one ``array`` per column (type indices, base service times,
-memory values), which each run reads through a fresh ``zip``, bit-identical
-to the stream as drawn.  The tape is memoized per process, one entry keyed
-by the value of (model, workload, seed), so runs on one seed draw it once;
-the last tape (about 22 bytes a request, 2.1 MB on the default scenario)
-stays alive after its runs, and so does any tape a kept run was served.
-Runs are yielded one at a time, and only the yielded run and the packed
-stream stay alive between them.
+``run_matrix`` serves every run from the seed's tape: the offered stream's
+packed seconds, kept, which each run reads through a fresh ``zip``.  The
+tape is memoized per process, one entry keyed by the value of (model,
+workload, seed), so runs on one seed draw it once; the last tape (about 22
+bytes a request, 2.1 MB on the default scenario) stays alive after its
+runs, as does any tape a kept run was served.  Runs are yielded one at a
+time; only the yielded run and the packed stream stay alive between them.
 
 A run keeps neither its completed requests nor its traces as objects.
 ``Simulation`` serves two families of strategy, in one loop in ``step``,
@@ -317,14 +316,15 @@ class ServedEvents(_RebuiltSequence):
     """A run's completed requests in the order served, rebuilt on each read.
 
     Per second it keeps what ``Simulation.step`` read to serve it (the
-    offered rows, where the served prefix ends, the start, the budget and
-    the slowdown), and in ``traced_positions`` the position of each traced
-    request, in the order of the run's ``TraceColumns``; ``step`` appends
-    both.  An event is rebuilt as ``step`` computed it: the
-    response time is ``base_rt * slowdown``, and the start replays the
-    second's spent time, ``trace_cost`` added after each traced position.
-    ``len`` is O(1); reading a second costs that second's rows.  The view
-    holds no reference to its ``Simulation``.
+    offered rows, where the served prefix ends, the budget and the slowdown),
+    and in ``traced_positions`` the position of each traced request, in the
+    order of the run's ``TraceColumns``; ``step`` appends both.  The k-th
+    second kept is the run's second k, which starts at k * 1000 ms.  An event
+    is rebuilt as ``step`` computed it: the response time is
+    ``base_rt * slowdown``, and the start replays the second's spent time,
+    ``trace_cost`` added after each traced position.  ``len`` is O(1);
+    reading a second costs that second's rows.  The view holds no reference
+    to its ``Simulation``.
     """
 
     __slots__ = ("_type_ids", "_trace_cost", "_ends", "_seconds", "traced_positions")
@@ -333,7 +333,7 @@ class ServedEvents(_RebuiltSequence):
         self._type_ids = type_ids
         self._trace_cost = trace_cost
         self._ends = array("q")    # per second: the position after its last event
-        self._seconds: list[tuple] = []   # per second: (rows, start ms, budget, slowdown)
+        self._seconds: list[tuple] = []   # per second: (rows, budget, slowdown)
         self.traced_positions = array("q")
 
     def __len__(self) -> int:
@@ -348,14 +348,14 @@ class ServedEvents(_RebuiltSequence):
         k = bisect_left(traced, position)
         next_traced = traced[k] if k < len(traced) else -1
         while position < hi:
-            rows, second_ms, budget, slowdown = self._seconds[second]
+            rows, budget, slowdown = self._seconds[second]
             end = ends[second]
             spent = 0.0
             for position, (idx, base_rt, mem) in zip(range(position, min(end, hi)), rows):
                 response_time = base_rt * slowdown
                 if position >= lo:
                     offset_ms = int(1000.0 * spent / budget)
-                    start = second_ms + (offset_ms if offset_ms < 999 else 999)
+                    start = second * 1000 + (offset_ms if offset_ms < 999 else 999)
                     yield RequestEvent(type_ids[idx], start, response_time, mem)
                 spent += response_time
                 if position == next_traced:
@@ -366,22 +366,36 @@ class ServedEvents(_RebuiltSequence):
             second += 1
 
 
-# One second of an offered stream: (users, [(type index, base rt, memory), ...]).
-# ``step`` reads the rows again when a run's events are read, so a one-shot
-# iterator of rows is first stored as a list.
+# One second of an offered stream: (users, rows), each row a (type index,
+# base rt, memory).  ``step`` reads the rows again when a run's events are
+# read, so a one-shot iterator of rows is first stored as a list.
 OfferedSecond = tuple[int, Iterable[tuple[int, float, float]]]
 
 
+class _Columns:
+    """One offered second's type indices, base service times and memory
+    values, one typed array each, zipped into rows anew on each iteration."""
+
+    __slots__ = ("ids", "rts", "mems")
+
+    def __init__(self) -> None:
+        self.ids, self.rts, self.mems = array("I"), array("d"), array("d")
+
+    def __iter__(self) -> Iterator[tuple[int, float, float]]:
+        return zip(self.ids, self.rts, self.mems)
+
+
 def offered_stream(model: AppModel, workload: WorkloadSpec,
-                   rng: random.Random) -> Iterator[tuple[int, list[tuple[int, float, float]]]]:
+                   rng: random.Random) -> Iterator[tuple[int, _Columns]]:
     """Each second of ``workload``'s schedule as (users, offered requests).
 
-    A request is (type index, base service time, memory).  The stream
-    depends only on ``rng`` and the schedule, so it is identical across
-    strategies.  Both lognormal draws of a request are inlined: each loop is
-    ``random.Random.normalvariate``'s Kinderman-Monahan loop with the same
-    ``random()`` calls and the same float operations, so every value equals
-    ``lognormvariate(mu, sigma)`` bit for bit.
+    The requests are packed in typed arrays, with no ``len`` or indexing;
+    each iteration yields them as (type index, base service time, memory).
+    The stream depends only on ``rng`` and the schedule, so it is identical
+    across strategies.  Both lognormal draws of a request are inlined: each
+    loop is ``random.Random.normalvariate``'s Kinderman-Monahan loop with the
+    same ``random()`` calls and the same float operations, so every value
+    equals ``lognormvariate(mu, sigma)`` bit for bit.
     """
     cum_weights = list(accumulate((spec.weight for spec in model.types), initial=0.0))[1:]
     total_weight = cum_weights[-1]
@@ -400,8 +414,8 @@ def offered_stream(model: AppModel, workload: WorkloadSpec,
         neg_prob = min(0.9, model.gc_negative_prob * (1.0 + model.gc_negative_gain * stress))
         jitter_prob = min(_JITTER_PROB_CAP, model.mem_noise_gain * stress)
 
-        offered: list[tuple[int, float, float]] = []
-        append = offered.append
+        rows = _Columns()
+        append_id, append_rt, append_mem = rows.ids.append, rows.rts.append, rows.mems.append
         base_spent = 0.0
         while base_spent < budget:
             idx = bisect_right(cum_weights, rand() * total_weight)
@@ -428,9 +442,11 @@ def offered_stream(model: AppModel, workload: WorkloadSpec,
                 rand()
             if rand() < neg_prob:
                 mem = -mem
-            append((idx, base_rt, mem))
+            append_id(idx)
+            append_rt(base_rt)
+            append_mem(mem)
             base_spent += base_rt
-        yield users, offered
+        yield users, rows
 
 
 class _Request:
@@ -468,7 +484,7 @@ class Simulation:
         self._tick_rt_count = [0] * len(model.types)
         self._last_tick = 0.0
         self._next_tick = config.adaptation_frequency
-        self._failed_second: Optional[int] = None
+        self._failed = False
         self.seconds: list[SecondStats] = []
         self.traces = TraceColumns(self._type_ids)
         self.events = ServedEvents(self._type_ids, model.trace_cost)
@@ -477,25 +493,26 @@ class Simulation:
             strategy.monitor.bind_traces(self.traces)
 
     def _refuse_after_failure(self) -> None:
-        if self._failed_second is not None:
+        if self._failed:
             raise ParameterError(
-                f"second {self._failed_second} failed, so this simulation cannot go on")
+                f"second {len(self.seconds)} failed, so this simulation cannot go on")
 
-    def step(self, second: int, offered: OfferedSecond) -> SecondStats:
-        """Serve one second of an offered stream; returns the per-second
+    def step(self, offered: OfferedSecond) -> SecondStats:
+        """Serve the next second of an offered stream; returns the per-second
         outcome.  A second that raises is undone (see the class docstring)."""
         self._refuse_after_failure()
         traces, events = self.traces, self.events
         rows, served = len(traces), len(events._ends)
         try:
-            return self._serve(second, offered)
+            return self._serve(offered)
         except BaseException:
             traces.truncate(rows)
             del events._ends[served:], events._seconds[served:], events.traced_positions[rows:]
-            self._failed_second = second
+            self._failed = True
             raise
 
-    def _serve(self, second: int, offered: OfferedSecond) -> SecondStats:
+    def _serve(self, offered: OfferedSecond) -> SecondStats:
+        second = len(self.seconds)
         users, requests = offered
         if iter(requests) is requests:
             requests = list(requests)
@@ -587,7 +604,7 @@ class Simulation:
 
         completed = sum(rt_count) - served_before
         events._ends.append(first + completed)
-        events._seconds.append((requests, second_ms, budget, slowdown))
+        events._seconds.append((requests, budget, slowdown))
         self._traced_ms_prev = traced_ms
         now = float(second + 1)
         if now + 1e-9 >= self._next_tick:
@@ -618,10 +635,11 @@ class Simulation:
         return stats
 
     def run(self, stream: Iterable[OfferedSecond]) -> RunResult:
-        """Serve every second of ``stream``, numbered from 0."""
+        """Serve every second of ``stream`` after those served before; the
+        releases and sampler events are this call's, the rest the whole run's."""
         self._refuse_after_failure()
-        for second, offered in enumerate(stream):
-            self.step(second, offered)
+        for offered in stream:
+            self.step(offered)
         return RunResult(
             strategy=self.strategy.kind,
             seed=self.seed,
@@ -670,23 +688,5 @@ def run_matrix(
 # Typed, as the seeds 1, 1.0 and True name different streams.
 @lru_cache(maxsize=1, typed=True)
 def _tape(model: AppModel, workload: WorkloadSpec, seed: int) -> tuple:
-    """``seed``'s offered stream as (users, ``_Columns``) per second; a second
-    is never empty, since users >= 1."""
-    tape = []
-    for users, requests in offered_stream(model, workload, random.Random(f"{seed}:workload")):
-        ids, rts, mems = zip(*requests)
-        tape.append((users, _Columns(array("I", ids), array("d", rts), array("d", mems))))
-    return tuple(tape)
-
-
-class _Columns:
-    """One tape second's type indices, base service times and memory values;
-    each iteration zips them into (type index, base rt, memory) rows anew."""
-
-    __slots__ = ("ids", "rts", "mems")
-
-    def __init__(self, ids: array, rts: array, mems: array) -> None:
-        self.ids, self.rts, self.mems = ids, rts, mems
-
-    def __iter__(self) -> Iterator[tuple[int, float, float]]:
-        return zip(self.ids, self.rts, self.mems)
+    """``seed``'s offered stream, every packed second kept."""
+    return tuple(offered_stream(model, workload, random.Random(f"{seed}:workload")))

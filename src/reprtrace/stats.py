@@ -10,11 +10,11 @@ through ``statistics.NormalDist.inv_cdf`` (Wichura's AS241).
 Two cheap bounds let a caller settle a verdict without those costly
 functions when the verdict is certain:
 
-* :func:`sample_size` is Cochran's size for a given z.  It is
-  non-decreasing in z for every population size N >= 1 (its derivative in
-  n_inf is N (N - 1) / (N + n_inf - 1)^2 >= 0), and z grows with the
-  confidence, so the sizes at the lowest and the highest confidence a
-  caller can see bracket every exact size in between.
+* Cochran's size for a given z, :func:`corrected_sample_size` of
+  :func:`infinite_sample_size`, is non-decreasing in z for every population
+  size N >= 1 (its derivative in n_inf is N (N - 1) / (N + n_inf - 1)^2 >= 0),
+  and z grows with the confidence, so the sizes at the lowest and the
+  highest confidence a caller can see bracket every exact size in between.
 * :func:`student_t_log_p_bound` is the log of a Mills-ratio upper bound
   on the two-sided Student-t p-value.  For x >= |t| the density satisfies
   f(x) <= (x / |t|) f(x), whose integral has a closed form; a log bound
@@ -42,7 +42,6 @@ __all__ = [
     "one_sample_t_p_value_from_stats",
     "normal_quantile",
     "cochran_sample_size",
-    "sample_size",
     "infinite_sample_size",
     "corrected_sample_size",
     "decayed_confidence",
@@ -134,8 +133,6 @@ def student_t_two_sided_p(t: float, df: float) -> float:
     """Two-sided p-value of a Student t statistic with ``df`` degrees of freedom."""
     if df <= 0:
         raise ParameterError(f"degrees of freedom must be positive, got {df}")
-    if math.isinf(t):
-        return 0.0
     return _betainc(df / 2.0, 0.5, df / (df + t * t))
 
 
@@ -265,18 +262,8 @@ def cochran_sample_size(
         raise ParameterError(f"margin of error must be in (0, 1), got {margin_e}")
     if population_size < 1:
         raise ParameterError(f"population size must be >= 1, got {population_size}")
-    return sample_size(normal_quantile(conf), variability_p, margin_e, population_size)
-
-
-def sample_size(
-    z: float, variability_p: float, margin_e: float, population_size: float
-) -> float:
-    """The formula of :func:`cochran_sample_size` for a given z, unchecked.
-
-    Non-decreasing in z > 0 for every ``population_size`` >= 1.
-    """
     return corrected_sample_size(
-        infinite_sample_size(z, variability_p, margin_e), population_size)
+        infinite_sample_size(normal_quantile(conf), variability_p, margin_e), population_size)
 
 
 def infinite_sample_size(z: float, variability_p: float, margin_e: float) -> float:

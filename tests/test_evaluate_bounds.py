@@ -108,12 +108,12 @@ def test_window_ends_hold_their_z(window_start, variability_p, margin_e):
                                       config.max_cycle_length)
     ends = ((window_start, monitor._n_inf_high), (monitor._window_end, monitor._n_inf_low))
     for age, n_inf in ends:
-        z = stats.normal_quantile(
-            min(stats.decayed_confidence(age, config.max_cycle_length), CONF_CAP))
+        conf = min(stats.decayed_confidence(age, config.max_cycle_length), CONF_CAP)
+        z = stats.normal_quantile(conf)
         assert n_inf == stats.infinite_sample_size(z, variability_p, margin_e)
         for population_size in (1.0, 7.0, 1e6, math.inf):
             assert (stats.corrected_sample_size(n_inf, population_size)
-                    == stats.sample_size(z, variability_p, margin_e, population_size))
+                    == stats.cochran_sample_size(conf, variability_p, margin_e, population_size))
 
 
 @pytest.mark.parametrize("age", [0.0, 90.0, 179.0])

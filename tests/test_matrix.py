@@ -4,7 +4,7 @@ Every run it yields must equal the run ``run_scenario`` gives for the same
 kind and seed, whatever the order of the kinds, and a run the caller drops
 must be freed before the next kind starts.  The packed tape is memoized by
 (model, workload, seed), so consecutive calls on one seed draw the stream
-once; a run served the unpacked ``offered_stream`` must give the same
+once; a run served ``offered_stream`` as drawn must give the same
 digests.
 """
 
@@ -60,13 +60,13 @@ def test_dropped_run_is_freed_before_the_next_kind_steps(monkeypatch):
     sims: list[weakref.ref] = []
     step = Simulation.step
 
-    def checked_step(self, second, offered):
-        if second == 0:
+    def checked_step(self, offered):
+        if not self.seconds:
             # Reference counting alone must free them: the collector is off.
             assert all(ref() is None for ref in runs), "a dropped run is still alive"
             assert all(ref() is None for ref in sims), "a finished simulation is still alive"
             sims.append(weakref.ref(self))
-        return step(self, second, offered)
+        return step(self, offered)
 
     monkeypatch.setattr(Simulation, "step", checked_step)
     gc.disable()
@@ -139,7 +139,7 @@ def test_no_kinds_no_runs():
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_stream_served_as_drawn_matches_golden_digest(scenario, kind, seed):
-    # The unpacked generator, not the tape: the tape must serve the same values.
+    # The generator as drawn, not the memoized tape: both must serve the same values.
     model, workload = SCENARIOS[scenario]()
     config = SamplerConfig()
     stream = offered_stream(model, workload, random.Random(f"{seed}:workload"))

@@ -8,18 +8,28 @@ was; so ADP and INV must give the same run, on seeds 1 and 11.  Two runs are
 the same when the three files ``save_run`` writes have the same bytes and
 their sampler events compare equal.
 
+A run served in pieces is the run served whole: ADP and INV served the
+stream as two ``Simulation.run`` calls, split at second 300, give the same
+series, events and trace rows as one call, and release the same cycles and
+sampler events over the two calls.
+
 Relations over the scenario's own runs, all five kinds on the same seeds:
 NOM, which never traces, completes at least as many requests as every kind
 in every second, and FUM traces every request it completes.
 """
 
+import random
 from dataclasses import replace
+from itertools import islice
 
 import pytest
 
 from reprtrace.report import save_run
 from reprtrace.scenario import default_scenario
-from reprtrace.simulator import Burst, Seasonal, Stationary, WorkloadSpec, run_matrix
+from reprtrace.simulator import (Burst, Seasonal, Simulation, Stationary, WorkloadSpec,
+                                 offered_stream, run_matrix, run_scenario)
+from reprtrace.strategies import make_strategy
+from reference_simulator import run_parts
 
 SEEDS = (1, 11)
 EXACT_KINDS = ("ADP", "INV")
@@ -82,6 +92,23 @@ def test_relation_gives_the_same_run(default_runs, tmp_path, relation, seed):
         expected = default_runs[seed][kind]
         assert changed[kind]["files"] == expected["files"], kind
         assert changed[kind]["sampler_events"] == expected["sampler_events"], kind
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("kind", EXACT_KINDS)
+def test_run_served_in_pieces_is_the_run_served_whole(kind, seed):
+    scenario = default_scenario()
+    model, workload, config = scenario.model, scenario.workload, scenario.sampler
+    whole = run_parts(run_scenario(model, workload, kind, seed, config))
+    sim = Simulation(model, make_strategy(kind, config), config, seed)
+    stream = offered_stream(model, workload, random.Random(f"{seed}:workload"))
+    first = sim.run(islice(stream, 300))
+    first_releases, first_sampler_events = run_parts(first)[3:]
+    series, events, traces, releases, sampler_events = run_parts(sim.run(stream))
+    # Series, events and traces are the whole run's after the second call.
+    assert (series, events, traces) == whole[:3]
+    assert first_releases + releases == whole[3]
+    assert first_sampler_events + sampler_events == whole[4]
 
 
 @pytest.mark.parametrize("seed", SEEDS)

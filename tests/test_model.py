@@ -1,12 +1,11 @@
-"""Domain type tests: frequency tables, bounded history, config, trace files."""
+"""Domain type tests: frequency tables, bounded history, config, releases."""
 
-import csv
 import math
 import random
 
 import pytest
 
-from conftest import make_event, table_from, trace_columns
+from conftest import make_event, table_from
 from reprtrace.model import (
     FrequencyTable,
     PerformanceRecord,
@@ -15,7 +14,6 @@ from reprtrace.model import (
     SamplerConfig,
     TraceRecord,
 )
-from reprtrace.report import read_trace_file, write_trace_file
 
 # Running-example frequency state: population 220 requests, sample 111.
 POPULATION = {"/home": 105, "/vets": 43, "/pets": 62, "/owners": 10}
@@ -185,69 +183,3 @@ class TestReleasedSample:
                 cycle_index=0,
                 released_at=1.0,
             )
-
-
-class TestTraceFile:
-    def test_round_trip(self, tmp_path):
-        records = [
-            TraceRecord(event=make_event("/home", start=10, rt=12.5, mem=64.0),
-                        cycle_index=0),
-            TraceRecord(event=make_event("/vets", start=2075, rt=200.125, mem=-31.5),
-                        cycle_index=3),
-            TraceRecord(event=make_event("odd,type", start=9000, rt=0.0, mem=0.0),
-                        cycle_index=4),
-        ]
-        path = tmp_path / "traces.txt"
-        write_trace_file(path, trace_columns(records))
-        loaded = read_trace_file(path)
-        assert len(loaded) == 3
-        for original, parsed in zip(records, loaded):
-            assert parsed.cycle_index == original.cycle_index
-            assert parsed.event.type_id == original.event.type_id
-            assert parsed.event.start == original.event.start
-            assert parsed.event.response_time == original.event.response_time
-            assert parsed.event.memory_delta == original.event.memory_delta
-
-    def test_field_order_on_disk(self, tmp_path):
-        path = tmp_path / "traces.txt"
-        write_trace_file(
-            path,
-            trace_columns([TraceRecord(event=make_event("/x", start=5, rt=7.0, mem=9.0),
-                                       cycle_index=2)]),
-        )
-        line = path.read_text().strip()
-        assert line.split(",")[:3] == ["2", "/x", "5"]
-
-    @pytest.mark.parametrize("type_id", [
-        "a,b", 'say "hi"', "cr\rhere", "lf\nhere", "crlf\r\n", "  padded  ", " lead",
-        "trail ", "naïve/ü/日本", '",\r\n ',
-    ])
-    def test_bytes_equal_csv_writer(self, tmp_path, type_id):
-        records = [
-            TraceRecord(event=make_event(tid, start=start, rt=rt, mem=mem),
-                        cycle_index=cycle)
-            for tid, start, rt, mem, cycle in [
-                (type_id, 0, 0.1 + 0.2, -1e-300, 0),
-                ("/plain", 7, 12.5, 64.0, 0),
-                (type_id, 2075, 200.125, -31.5, 3),
-                (type_id, 9000, 0.0, 1e22, 12),
-            ]
-        ]
-        expected = tmp_path / "csv_writer.txt"
-        with open(expected, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            for record in records:
-                event = record.event
-                writer.writerow([record.cycle_index, event.type_id, event.start,
-                                 repr(event.response_time), repr(event.memory_delta)])
-        path = tmp_path / "traces.txt"
-        write_trace_file(path, trace_columns(records))
-        assert path.read_bytes() == expected.read_bytes()
-        loaded = read_trace_file(path)
-        assert [(t.cycle_index, t.event) for t in loaded] == [
-            (t.cycle_index, t.event) for t in records]
-
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "traces.txt"
-        write_trace_file(path, trace_columns([]))
-        assert read_trace_file(path) == []

@@ -64,7 +64,8 @@ def assert_offer_matches_reference(model, seed, user_counts):
     reference_rng = random.Random(f"{seed}:workload")
     stream = offered_stream(model, workload, rng)
     for users in user_counts:
-        assert next(stream) == (users, reference_offer(model, reference_rng, users))
+        drawn_users, rows = next(stream)
+        assert (drawn_users, list(rows)) == (users, reference_offer(model, reference_rng, users))
         assert rng.getstate() == reference_rng.getstate()
     assert next(stream, None) is None
 

@@ -76,7 +76,7 @@ def test_live_adp_stream_replays_through_engine_and_oracle(seed):
     seconds, live_accepts, live_rates = [], [], []
     for second, offered in zip(range(120), stream):
         events_before, traces_before = len(sim.events), len(sim.traces)
-        stats = sim.step(second, offered)
+        stats = sim.step(offered)
         events = sim.events[events_before:]
         traced = set(sim.events.traced_positions[traces_before:])
         live_accepts += [position in traced

@@ -352,7 +352,7 @@ class TestServedTime:
             config = SamplerConfig()
             sim = Simulation(small_model(), make_strategy(kind, config), config, seed=1)
             with pytest.raises(ParameterError, match="second 0: a request needs a finite"):
-                sim.step(0, (4, [(0, 40.0, 100.0), (0, -40.0, 100.0)] * 50))
+                sim.step((4, [(0, 40.0, 100.0), (0, -40.0, 100.0)] * 50))
             assert sim.seconds == []
 
     def test_rate_strategy_served_by_its_rate(self):
@@ -396,7 +396,7 @@ class TestServedTime:
         strategy.rate = 1.5
         sim = Simulation(small_model(), strategy, SamplerConfig(), seed=1)
         with pytest.raises(ParameterError, match=r"probability must be in \[0, 1\], got 1.5"):
-            sim.step(0, (4, [(0, 40.0, 100.0)]))
+            sim.step((4, [(0, 40.0, 100.0)]))
 
 
 class TestServedEvents:
@@ -442,7 +442,7 @@ class TestServedEvents:
         rows = [(0, base_rt, 100.0) for base_rt in (34.3, 12.6, 63.0, 10.1, 34.15)]
         sim = Simulation(small_model(trace_cost=24.0), make_strategy("FUM", SamplerConfig()),
                          SamplerConfig(), seed=1)
-        sim.step(0, (4, rows))
+        sim.step((4, rows))
         assert list(sim.traces.starts) == [0, 14, 23, 45, 53]
         assert [event.start for event in sim.events] == [0, 14, 23, 45, 53]
 
@@ -545,13 +545,13 @@ class TestFailedSecond:
         config = SamplerConfig()
         sim = Simulation(small_model(), make_strategy(kind, config), config, seed=2)
         with pytest.raises(ParameterError, match="second 0: a request needs a finite"):
-            sim.step(0, (4, [(0, 40.0, 100.0)] * 5 + [(0, 40.0, math.nan)]))
+            sim.step((4, [(0, 40.0, 100.0)] * 5 + [(0, 40.0, math.nan)]))
         if kind == "ADP":
             monitor = sim.strategy.monitor
             assert monitor.population.total == 5 and monitor.sample.total > 0
         assert len(sim.traces) == len(sim.events) == 0 and sim.seconds == []
         assert len(sim.events.traced_positions) == 0
-        for later in (lambda: sim.step(1, (4, [(0, 40.0, 100.0)] * 200)),
+        for later in (lambda: sim.step((4, [(0, 40.0, 100.0)] * 200)),
                       lambda: sim.run([(4, [(0, 40.0, 100.0)] * 200)])):
             with pytest.raises(ParameterError, match="second 0 failed, so this simulation"):
                 later()
@@ -562,12 +562,12 @@ class TestFailedSecond:
         # at the end of second 1 truncates that second's rows away.
         config = SamplerConfig(max_cycle_length=0.5)
         sim = Simulation(small_model(), make_strategy("ADP", config), config, seed=1)
-        sim.step(0, (8, [(0, 40.0, 100.0)] * 300))
+        sim.step((8, [(0, 40.0, 100.0)] * 300))
         kept = sim.strategy.drain_releases()
         traces, events = list(sim.traces), list(sim.events)
         positions = list(sim.events.traced_positions)
         with pytest.raises(ParameterError, match="second 1: a request needs a finite"):
-            sim.step(1, (8, [(0, 40.0, 100.0)] * 150 + [(0, 40.0, math.nan)]))
+            sim.step((8, [(0, 40.0, 100.0)] * 150 + [(0, 40.0, math.nan)]))
         assert list(sim.traces) == traces and list(sim.events) == events
         assert list(sim.events.traced_positions) == positions
         assert len(sim.seconds) == 1

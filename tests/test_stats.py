@@ -15,12 +15,13 @@ from reprtrace.errors import InsufficientDataError, ParameterError
 from reprtrace.stats import (
     bernoulli,
     cochran_sample_size,
+    corrected_sample_size,
     decayed_confidence,
+    infinite_sample_size,
     normal_quantile,
     one_sample_t_p_value_from_stats,
     paired_t_p_value,
     paired_t_test,
-    sample_size,
     student_t_log_p_bound,
     student_t_two_sided_p,
 )
@@ -125,6 +126,14 @@ class TestOracleCorpus:
             assert normal_quantile(conf) == pytest.approx(expected, rel=1e-14)
 
 
+class TestStudentTTwoSidedP:
+    @pytest.mark.parametrize("df", [1, 2.5, 30, 1e6])
+    @pytest.mark.parametrize("t", [math.inf, -math.inf])
+    def test_infinite_t_gives_zero(self, t, df):
+        # df / (df + t * t) is 0.0, and the incomplete beta at 0 is 0.
+        assert student_t_two_sided_p(t, df) == 0.0
+
+
 class TestStudentTLogPBound:
     @settings(max_examples=500, deadline=None)
     @given(
@@ -223,6 +232,12 @@ class TestNormalQuantile:
                 normal_quantile(conf)
 
 
+def _size_at(z, variability_p, margin_e, population_size):
+    """Cochran's size for a given z, as the sampler's size bracket forms it."""
+    return corrected_sample_size(infinite_sample_size(z, variability_p, margin_e),
+                                 population_size)
+
+
 class TestCochran:
     def test_unbounded_population(self):
         n = cochran_sample_size(0.95, 0.5, 0.05, math.inf)
@@ -240,8 +255,8 @@ class TestCochran:
         # n_inf - 1 rounds to -1, so the corrected formula's denominator is 0;
         # the formula's limit there is 1.
         assert cochran_sample_size(1e-10, 0.5, 0.05, 1) == 1.0
-        assert sample_size(0.0, 0.5, 0.05, 1) == 1.0
-        assert cochran_sample_size(1e-10, 0.5, 0.05, 1) == sample_size(
+        assert _size_at(0.0, 0.5, 0.05, 1) == 1.0
+        assert cochran_sample_size(1e-10, 0.5, 0.05, 1) == _size_at(
             normal_quantile(1e-10), 0.5, 0.05, 1)
 
     def test_monotonic_in_confidence_and_margin(self):
@@ -277,13 +292,13 @@ class TestCochran:
     def test_sample_size_non_decreasing_in_z(self, z_lo, z_hi, population):
         z_lo, z_hi = sorted((z_lo, z_hi))
         # Up to the rounding of the formula, far inside the sampler's 1e-9 margin.
-        assert sample_size(z_lo, 0.5, 0.05, population) <= sample_size(
+        assert _size_at(z_lo, 0.5, 0.05, population) <= _size_at(
             z_hi, 0.5, 0.05, population) * (1 + 1e-12)
 
     def test_is_sample_size_at_the_quantile(self):
         for conf in (0.2, 0.95, 1 - 1e-6):
             z = normal_quantile(conf)
-            assert cochran_sample_size(conf, 0.5, 0.05, 1000) == sample_size(z, 0.5, 0.05, 1000)
+            assert cochran_sample_size(conf, 0.5, 0.05, 1000) == _size_at(z, 0.5, 0.05, 1000)
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
