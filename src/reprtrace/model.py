@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
 from math import inf
 from operator import eq
 from typing import Iterator
@@ -20,16 +19,51 @@ __all__ = [
 ]
 
 
+def _parameters(cls: type) -> tuple[str, ...]:
+    """The parameters of ``cls.__init__`` after ``self``: a record's or a dataclass's fields."""
+    code = cls.__init__.__code__
+    return code.co_varnames[1:code.co_argcount]
+
+
+def _as_dict(obj) -> dict:
+    """``obj``'s fields by name, in ``_parameters`` order."""
+    return {name: getattr(obj, name) for name in _parameters(type(obj))}
+
+
 def _check_finite(spec, but: str = "") -> None:
-    """Reject NaN and the infinities in every float field of ``spec`` but ``but``."""
-    for f in fields(spec):
-        value = getattr(spec, f.name)
-        if f.type in ("float", float) and f.name != but and not -inf < value < inf:
-            raise ValueError(f"{f.name} must be finite, got {value}")
+    """Reject NaN and the infinities in every float parameter of ``spec`` but ``but``."""
+    for name, kind in type(spec).__init__.__annotations__.items():
+        if kind == "float" and name != but and not -inf < getattr(spec, name) < inf:
+            raise ValueError(f"{name} must be finite, got {getattr(spec, name)}")
 
 
-@dataclass(slots=True)
-class RequestEvent:
+class _Record:
+    """Base of the record types, slotted classes so that ``import reprtrace``
+    loads no ``dataclasses``.  The fields, ``__match_args__``, are the
+    ``__slots__`` of a class and its bases, in the order ``__init__`` takes
+    them before it calls ``__post_init__``.  ``repr``, ``==`` and class
+    patterns are a dataclass's; none hashes."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ += tuple(cls.__dict__.get("__slots__", ()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        names = self.__match_args__
+        return [getattr(self, name) for name in names] == [getattr(other, name) for name in names]
+
+    __hash__ = None
+
+
+class RequestEvent(_Record):
     """One observed application request.
 
     ``start`` is in milliseconds from simulation start; ``response_time``
@@ -38,29 +72,32 @@ class RequestEvent:
     Both measurements must be finite: NaN or an infinity is rejected.
     """
 
-    type_id: str
-    start: int
-    response_time: float
-    memory_delta: float
+    __slots__ = ("type_id", "start", "response_time", "memory_delta")
+
+    def __init__(self, type_id: str, start: int, response_time: float,
+                 memory_delta: float) -> None:
+        self.type_id, self.start = type_id, start
+        self.response_time, self.memory_delta = response_time, memory_delta
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not self.type_id:
             raise ValueError("type_id must be non-empty")
         # Chained comparisons are False for NaN, so they reject it too.
         if not 0.0 <= self.response_time < inf:
-            raise ValueError(
-                f"response_time must be finite and >= 0, got {self.response_time}"
-            )
+            raise ValueError(f"response_time must be finite and >= 0, got {self.response_time}")
         if not -inf < self.memory_delta < inf:
             raise ValueError(f"memory_delta must be finite, got {self.memory_delta}")
 
 
-@dataclass(slots=True)
-class TraceRecord:
+class TraceRecord(_Record):
     """A recorded execution trace of one request within a monitoring cycle."""
 
-    event: RequestEvent
-    cycle_index: int
+    __slots__ = ("event", "cycle_index")
+
+    def __init__(self, event: RequestEvent, cycle_index: int) -> None:
+        self.event, self.cycle_index = event, cycle_index
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.cycle_index < 0:
@@ -205,17 +242,18 @@ class FrequencyTable:
         return f"FrequencyTable(total={self.total}, counts={self.counts!r})"
 
 
-@dataclass(slots=True)
-class PerformanceRecord:
+class PerformanceRecord(_Record):
     """Throughput plus per-type mean response times for one measurement interval.
 
     ``monitoring_enabled`` tells whether monitoring was active while the
     interval was measured.  ``rps`` and every mean must be finite and >= 0.
     """
 
-    rps: float
-    mean_rt: dict[str, float]
-    monitoring_enabled: bool
+    __slots__ = ("rps", "mean_rt", "monitoring_enabled")
+
+    def __init__(self, rps: float, mean_rt: dict[str, float], monitoring_enabled: bool) -> None:
+        self.rps, self.mean_rt, self.monitoring_enabled = rps, mean_rt, monitoring_enabled
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.rps < inf:
@@ -227,8 +265,7 @@ class PerformanceRecord:
                 )
 
 
-@dataclass(slots=True)
-class SamplerConfig:
+class SamplerConfig(_Record):
     """Tuning knobs of the adaptive sampler.
 
     Defaults: adaptation every 1 s, 3 s performance baselines, rates in
@@ -237,15 +274,19 @@ class SamplerConfig:
     float must be finite: NaN or an infinity is rejected.
     """
 
-    max_rate: float = 0.5
-    min_rate: float = 0.01
-    epsilon: float = 0.05
-    baseline_duration: float = 3.0
-    adaptation_frequency: float = 1.0
-    max_cycle_length: float = 180.0
-    history_capacity: int = 60
-    variability_p: float = 0.5
-    margin_e: float = 0.05
+    __slots__ = ("max_rate", "min_rate", "epsilon", "baseline_duration",
+                 "adaptation_frequency", "max_cycle_length", "history_capacity",
+                 "variability_p", "margin_e")
+
+    def __init__(self, max_rate: float = 0.5, min_rate: float = 0.01, epsilon: float = 0.05,
+                 baseline_duration: float = 3.0, adaptation_frequency: float = 1.0,
+                 max_cycle_length: float = 180.0, history_capacity: int = 60,
+                 variability_p: float = 0.5, margin_e: float = 0.05) -> None:
+        self.max_rate, self.min_rate, self.epsilon = max_rate, min_rate, epsilon
+        self.baseline_duration, self.adaptation_frequency = baseline_duration, adaptation_frequency
+        self.max_cycle_length, self.history_capacity = max_cycle_length, history_capacity
+        self.variability_p, self.margin_e = variability_p, margin_e
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         _check_finite(self)
@@ -277,8 +318,7 @@ RELEASE_CRITERIA = "criteria"
 RELEASE_TIMEOUT = "timeout"
 
 
-@dataclass(slots=True)
-class ReleasedSample:
+class ReleasedSample(_Record):
     """One monitoring cycle's outcome, released for analysis.
 
     ``reason`` is ``"criteria"`` when all representativeness criteria
@@ -289,15 +329,19 @@ class ReleasedSample:
     ``Simulation.step``, a view of its rows of the run's ``TraceColumns``.
     """
 
-    traces: Sequence[TraceRecord]
-    population_stats: FrequencyTable
-    sample_stats: FrequencyTable
-    cycle_length: float
-    confidence_at_release: float
-    population_mean_rt: float
-    reason: str
-    cycle_index: int
-    released_at: float
+    __slots__ = ("traces", "population_stats", "sample_stats", "cycle_length",
+                 "confidence_at_release", "population_mean_rt", "reason", "cycle_index",
+                 "released_at")
+
+    def __init__(self, traces: Sequence[TraceRecord], population_stats: FrequencyTable,
+                 sample_stats: FrequencyTable, cycle_length: float,
+                 confidence_at_release: float, population_mean_rt: float, reason: str,
+                 cycle_index: int, released_at: float) -> None:
+        self.traces, self.reason, self.cycle_index = traces, reason, cycle_index
+        self.population_stats, self.sample_stats = population_stats, sample_stats
+        self.cycle_length, self.confidence_at_release = cycle_length, confidence_at_release
+        self.population_mean_rt, self.released_at = population_mean_rt, released_at
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.reason not in (RELEASE_CRITERIA, RELEASE_TIMEOUT):

@@ -38,7 +38,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from math import inf
 from pathlib import Path
 from statistics import mean, stdev
@@ -46,7 +46,7 @@ from sys import float_info
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .errors import InsufficientDataError, MissingTypeError, ParameterError
-from .model import RELEASE_CRITERIA, RELEASE_TIMEOUT, RequestEvent, TraceColumns
+from .model import RELEASE_CRITERIA, RELEASE_TIMEOUT, RequestEvent, TraceColumns, _as_dict
 from .simulator import RunResult, SecondStats
 from .strategies import StrategyKind
 
@@ -262,7 +262,7 @@ def save_run(run: RunResult, run_dir: str | Path) -> Path:
         "trace_count": len(run.traces),
         "releases": [_release_meta(rel) for rel in run.releases],
         "sampler_events": event_counts,
-        "sampler": asdict(run.config),
+        "sampler": _as_dict(run.config),
     }
     (run_dir / "run.json").write_text(json.dumps(meta, indent=2) + "\n")
     return run_dir

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
 from math import inf
 from operator import attrgetter
 from typing import Iterable, Optional
@@ -32,6 +31,7 @@ from .model import (
     SamplerConfig,
     TraceColumns,
     TraceRecord,
+    _Record,
 )
 from .stats import (
     cochran_sample_size,
@@ -68,13 +68,13 @@ _SIZE_ABOVE = 1.0 + 1e-9
 _LOG_P_MARGIN = 1e-6
 
 
-@dataclass(slots=True)
-class SamplerEvent:
+class SamplerEvent(_Record):
     """Structured engine event: rate-changed, baseline-started/-ended, sample-released."""
 
-    kind: str
-    time: float
-    data: dict = field(default_factory=dict)
+    __slots__ = ("kind", "time", "data")
+
+    def __init__(self, kind: str, time: float, data: dict | None = None) -> None:
+        self.kind, self.time, self.data = kind, time, {} if data is None else data
 
 
 def select_normal_behavior(

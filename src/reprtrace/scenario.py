@@ -6,11 +6,12 @@ to write it come from the command line.  ``load_scenario`` reports JSON
 syntax errors with line numbers and semantic errors with key paths.
 
 Each section (``model``, a request type, a workload segment, ``sampler``)
-is read by ``_section`` from the fields of its dataclass: a key the class
-lacks is rejected, never ignored, and one with no default is required.
-A value takes the kind its field's annotation names: a ``str`` field a
-string, an ``int`` field a JSON number with no fractional part, any other
-field a finite JSON number (not a string or a bool).  Only
+is read by ``_section`` from the parameters of its class's ``__init__``,
+written out or made by ``dataclasses``: a key that is no parameter is
+rejected, never ignored, and one with no default is required.  A value
+takes the kind its annotation names: a ``str`` parameter a string, an
+``int`` one a JSON number with no fractional part, any other a finite
+JSON number (not a string or a bool).  Only
 ``model.trace_io_capacity`` may be ``Infinity``, its default, meaning no
 trace I/O contention; an integer too large for a float is not finite.
 """
@@ -19,12 +20,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 from .errors import ScenarioError
-from .model import SamplerConfig
+from .model import SamplerConfig, _as_dict, _parameters
 from .simulator import AppModel, Burst, RequestTypeSpec, Seasonal, Stationary, WorkloadSpec
 
 __all__ = ["Scenario", "load_scenario", "parse_scenario", "scenario_to_dict", "default_scenario"]
@@ -37,7 +38,7 @@ class Scenario:
     sampler: SamplerConfig
 
 
-_SCENARIO_KEYS = tuple(f.name for f in fields(Scenario))
+_SCENARIO_KEYS = _parameters(Scenario)
 _SEGMENT_CLASSES = {"stationary": Stationary, "seasonal": Seasonal, "burst": Burst}
 _SEGMENT_KINDS = {cls: kind for kind, cls in _SEGMENT_CLASSES.items()}
 
@@ -75,25 +76,25 @@ def _number(value: Any, where: str, integer: bool = False, allow_inf: bool = Fal
 
 def _section(cls: type, raw: Any, where: str, **given: Any) -> Any:
     """A ``cls`` read from object ``raw``, whose keys and values must follow
-    ``fields(cls)`` as the module docstring says; the fields in ``given``
-    the caller has read from ``raw`` itself."""
+    the parameters of ``cls.__init__`` as the module docstring says; the
+    parameters in ``given`` the caller has read from ``raw`` itself."""
     _typed(raw, dict, where)
-    known = {f.name: f for f in fields(cls)}
+    names = _parameters(cls)
+    kinds = cls.__init__.__annotations__
     values = dict(given)
     for key, value in raw.items():
-        f = known.get(key)
-        if f is None:
+        if key not in names:
             raise ScenarioError(f"{where}.{key}: unknown key")
         if key in given:
             continue
-        if f.type in ("str", str):
+        if kinds[key] == "str":
             values[key] = _typed(value, str, f"{where}.{key}")
         else:
-            values[key] = _number(value, f"{where}.{key}", integer=f.type in ("int", int),
+            values[key] = _number(value, f"{where}.{key}", integer=kinds[key] == "int",
                                   allow_inf=key == "trace_io_capacity")
-    for f in known.values():
-        if f.name not in raw and f.default is MISSING:
-            raise ScenarioError(f"{where}: missing key {f.name!r}")
+    for name in names[:len(names) - len(cls.__init__.__defaults__ or ())]:
+        if name not in raw:
+            raise ScenarioError(f"{where}: missing key {name!r}")
     try:
         return cls(**values)
     except ValueError as exc:
@@ -147,15 +148,13 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    model = scenario.model
+    model = _as_dict(scenario.model)
+    model["types"] = [_as_dict(spec) for spec in model.pop("types")]  # the files list it last
     return {
-        "model": {
-            **{f.name: getattr(model, f.name) for f in fields(model) if f.name != "types"},
-            "types": [asdict(spec) for spec in model.types],
-        },
-        "workload": [{"kind": _SEGMENT_KINDS[type(seg)], **asdict(seg)}
+        "model": model,
+        "workload": [{"kind": _SEGMENT_KINDS[type(seg)], **_as_dict(seg)}
                      for seg in scenario.workload.segments],
-        "sampler": asdict(scenario.sampler),
+        "sampler": _as_dict(scenario.sampler),
     }
 
 

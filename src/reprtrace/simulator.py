@@ -486,6 +486,9 @@ class Simulation:
         self._next_tick = config.adaptation_frequency
         self._failed = False
         self.seconds: list[SecondStats] = []
+        # What each run call drains from the strategy, kept for the whole run.
+        self.releases: list[ReleasedSample] = []
+        self.sampler_events: list[SamplerEvent] = []
         self.traces = TraceColumns(self._type_ids)
         self.events = ServedEvents(self._type_ids, model.trace_cost)
         self._request = _Request()
@@ -635,21 +638,15 @@ class Simulation:
         return stats
 
     def run(self, stream: Iterable[OfferedSecond]) -> RunResult:
-        """Serve every second of ``stream`` after those served before; the
-        releases and sampler events are this call's, the rest the whole run's."""
+        """Serve every second of ``stream`` after those served before; every
+        field of this and of each earlier call's result is the whole run's."""
         self._refuse_after_failure()
         for offered in stream:
             self.step(offered)
-        return RunResult(
-            strategy=self.strategy.kind,
-            seed=self.seed,
-            seconds=self.seconds,
-            events=self.events,
-            traces=self.traces,
-            releases=self.strategy.drain_releases(),
-            sampler_events=self.strategy.drain_events(),
-            config=self.config,
-        )
+        self.releases += self.strategy.drain_releases()
+        self.sampler_events += self.strategy.drain_events()
+        return RunResult(self.strategy.kind, self.seed, self.seconds, self.events, self.traces,
+                         self.releases, self.sampler_events, self.config)
 
 
 def run_scenario(

@@ -48,7 +48,8 @@ import json, sys
 import reprtrace
 reprtrace.AdaptiveMonitor(reprtrace.SamplerConfig())
 facts = {"package": reprtrace.__file__, "csv": "csv" in sys.modules,
-         "loaded": sorted(m for m in sys.modules if m.startswith("reprtrace."))}
+         "loaded": sorted(m for m in sys.modules if m.startswith("reprtrace.")),
+         "heavy": sorted({"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(sys.modules))}
 reprtrace.default_scenario
 facts["scenario_after_default_scenario"] = "reprtrace.scenario" in sys.modules
 facts["simulator_is_module"] = reprtrace.simulator is sys.modules["reprtrace.simulator"]
@@ -67,6 +68,9 @@ def test_engine_import_loads_no_simulator_scenario_report_or_cli():
     assert not lazy & set(facts["loaded"]), facts["loaded"]
     # The run files' csv format is report's alone; the engine never parses one.
     assert not facts["csv"]
+    # The engine's types are no dataclasses, so neither dataclasses nor the
+    # inspect, ast, dis and tokenize it imports load with them.
+    assert facts["heavy"] == [], facts["heavy"]
     assert facts["scenario_after_default_scenario"]
     assert facts["simulator_is_module"]
 
