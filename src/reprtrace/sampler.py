@@ -154,6 +154,9 @@ class AdaptiveMonitor:
         self._sample_rt_m2: float = 0.0
         self.cycle_index = index
         self.cycle_start = start
+        # A bound the sample size must reach before this cycle's current
+        # window can pass it (see _exceeds_min_size); none yet.
+        self._size_floor: float = 0.0
 
     def bind_traces(self, traces: TraceColumns) -> None:
         """Keep this monitor's accepts in ``traces`` instead of in records.
@@ -301,7 +304,10 @@ class AdaptiveMonitor:
           but ending by ``max_cycle_length``, reopened when the age leaves
           it) bracket the exact size for the live population count.  Below
           the bracket the sample is certainly too small, above it certainly
-          large enough.
+          large enough.  A sample below the bracket at population N sets a
+          floor: later in the cycle the population is at least N and, up to
+          the window's far end, the exact size at least the bracket's low
+          end at N, so a smaller sample is too small with one comparison.
         * t-test: ``student_t_log_p_bound`` is a Mills-ratio upper bound on
           the p-value, so when it lies below the threshold the sample
           certainly fails.  It is compared with the threshold at the
@@ -326,6 +332,8 @@ class AdaptiveMonitor:
             conf = decayed_confidence(age, cfg.max_cycle_length)
             return self._release(now, RELEASE_TIMEOUT, conf)
         n = self.sample.total
+        if n < self._size_floor and age <= self._window_end:
+            return None
         population_size = self.population.total
         if population_size == 0 or n == 0:
             return None
@@ -355,10 +363,18 @@ class AdaptiveMonitor:
 
     def _exceeds_min_size(self, n: int, population_size: float, age: float) -> bool:
         """``n > cochran_sample_size(...)`` at cycle ``age``, settled by the
-        window's bracket when it is certain."""
+        window's bracket when it is certain.
+
+        ``population_size`` is the cycle's population, so a "too small" from
+        the bracket's low end sets ``_size_floor`` to that end's bound.  With
+        n_inf >= 1 the corrected size rises with the population; below 1 it
+        is at most 1, which no sample of 1 or more is below.
+        """
         if not self._window_start <= age <= self._window_end:
             self._open_window(age)
-        if n < corrected_sample_size(self._n_inf_low, population_size) * _SIZE_BELOW:
+        floor = corrected_sample_size(self._n_inf_low, population_size) * _SIZE_BELOW
+        if n < floor:
+            self._size_floor = floor
             return False
         if n > corrected_sample_size(self._n_inf_high, population_size) * _SIZE_ABOVE:
             return True
@@ -377,6 +393,7 @@ class AdaptiveMonitor:
         end = min(age + cfg.adaptation_frequency, max(age, length))
         self._window_start = age
         self._window_end = end
+        self._size_floor = 0.0
         p, e = cfg.variability_p, cfg.margin_e
         conf_end = decayed_confidence(end, length)
         z_high = normal_quantile(min(decayed_confidence(age, length), _CONF_CAP))

@@ -26,9 +26,9 @@ runs, as does any tape a kept run was served.  Runs are yielded one at a
 time; only the yielded run and the packed stream stay alive between them.
 
 A run keeps neither its completed requests nor its traces as objects.
-``Simulation`` serves two families of strategy, in one loop in ``step``,
-and refuses any other at construction.  A ``RateStrategy`` (INV, UNI, FUM,
-NOM, or a subclass) gets one draw at its ``rate`` per request.  An
+``Simulation`` serves two families of strategy, with one loop each in
+``step``, and refuses any other at construction.  A ``RateStrategy`` (INV,
+UNI, FUM, NOM, or a subclass) gets one draw at its ``rate`` per request.  An
 ``AdaptiveStrategy`` (ADP, or a subclass) is served by its monitor, bound
 to the run's columns and asked ``AdaptiveMonitor.decide`` with one reused
 holder of the request's type id and response time; each released cycle's
@@ -40,9 +40,13 @@ position to ``ServedEvents.traced_positions``, and no strategy's
 from the columns when it is read, and ``RunResult.events`` is a
 ``ServedEvents`` view that rebuilds each event from the offered rows the
 run was served, the per-second slowdown and the traced positions; both
-are bit for bit what ``step`` served.  Every request is first checked by
-``RequestEvent``'s rule, so a bad row raises a ``ParameterError`` naming
-its second under every strategy.
+are bit for bit what ``step`` served.  Every served request passes
+``RequestEvent``'s rule, checked once per second rather than per row: a
+second ``offered_stream`` packed passes as a whole when its largest base
+time stays finite once slowed, and any other second is scanned for its
+first bad row.  Only the rows before that row are served, and if they
+leave budget for it, it raises a ``ParameterError`` naming its second,
+under every strategy.
 """
 
 from __future__ import annotations
@@ -54,8 +58,8 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
-from math import exp, inf, log
+from itertools import accumulate, islice
+from math import exp, inf, log, nan
 from random import NV_MAGICCONST
 from typing import Iterable, Iterator, Optional
 
@@ -187,7 +191,12 @@ _JITTER_PROB_CAP = 0.85
 
 @dataclass(frozen=True)
 class WorkloadSpec:
-    """Ordered schedule of user-count segments."""
+    """Ordered schedule of user-count segments.
+
+    The simulator serves whole seconds only, ``int(total_duration)`` of
+    them, so a fractional last second is not served, and a schedule shorter
+    than one second, which would serve none, is refused.
+    """
 
     segments: tuple[Segment, ...]
 
@@ -196,6 +205,8 @@ class WorkloadSpec:
         object.__setattr__(self, "segments", tuple(self.segments))
         if not self.segments:
             raise ValueError("workload needs at least one segment")
+        if self.total_duration < 1:
+            raise ValueError(f"workload must last at least 1 s, got {self.total_duration} s")
 
     @property
     def total_duration(self) -> float:
@@ -374,15 +385,31 @@ OfferedSecond = tuple[int, Iterable[tuple[int, float, float]]]
 
 class _Columns:
     """One offered second's type indices, base service times and memory
-    values, one typed array each, zipped into rows anew on each iteration."""
+    values, one typed array each, zipped into rows anew on each iteration.
 
-    __slots__ = ("ids", "rts", "mems")
+    ``max_rt`` is the largest base time when every base time is finite and
+    >= 0 and every memory is finite, and NaN otherwise or until ``seal``
+    sets it, so that ``max_rt * slowdown < inf`` holds only if every row
+    passes ``RequestEvent``'s rule at that slowdown (>= 1).
+    ``offered_stream`` seals each second it packs, and ``Simulation.step``
+    then checks no row of it, so a sealed second's arrays must not change.
+    """
+
+    __slots__ = ("ids", "rts", "mems", "max_rt")
 
     def __init__(self) -> None:
         self.ids, self.rts, self.mems = array("I"), array("d"), array("d")
+        self.max_rt = nan
 
     def __iter__(self) -> Iterator[tuple[int, float, float]]:
         return zip(self.ids, self.rts, self.mems)
+
+    def seal(self) -> None:
+        """Set ``max_rt`` from the packed rows."""
+        rts = self.rts
+        # A sum is finite only if every term is, NaN included.
+        if -inf < sum(rts) < inf and -inf < sum(self.mems) < inf and min(rts, default=0.0) >= 0.0:
+            self.max_rt = max(rts, default=0.0)
 
 
 def offered_stream(model: AppModel, workload: WorkloadSpec,
@@ -391,6 +418,8 @@ def offered_stream(model: AppModel, workload: WorkloadSpec,
 
     The requests are packed in typed arrays, with no ``len`` or indexing;
     each iteration yields them as (type index, base service time, memory).
+    Each second is sealed once packed (``_Columns.seal``), so that serving
+    it needs no check per row; its arrays must not change after that.
     The stream depends only on ``rng`` and the schedule, so it is identical
     across strategies.  Both lognormal draws of a request are inlined: each
     loop is ``random.Random.normalvariate``'s Kinderman-Monahan loop with the
@@ -446,7 +475,19 @@ def offered_stream(model: AppModel, workload: WorkloadSpec,
             append_rt(base_rt)
             append_mem(mem)
             base_spent += base_rt
+        rows.seal()
         yield users, rows
+
+
+def _first_bad_row(rows: Iterable[tuple[int, float, float]],
+                   slowdown: float) -> Optional[tuple[int, float, float]]:
+    """The position, response time and memory of the first row that fails
+    ``RequestEvent``'s rule at ``slowdown``, or ``None``."""
+    for position, (_, base_rt, mem) in enumerate(rows):
+        response_time = base_rt * slowdown
+        if not (0.0 <= response_time < inf and -inf < mem < inf):
+            return position, response_time, mem
+    return None
 
 
 class _Request:
@@ -458,6 +499,14 @@ class _Request:
 
 class Simulation:
     """One strategy served an offered stream; its decisions are seeded.
+
+    ``step`` checks a second's rows by ``RequestEvent``'s rule before it
+    serves any: a sealed packed second with one product, any other second
+    (a list, or a one-shot iterator, listed first) by a scan for its first
+    bad row.  It serves the rows before that row, in one loop for a
+    ``RateStrategy`` and one for an ``AdaptiveStrategy``, and raises only
+    if they leave budget for the bad row, so a bad row past the budget
+    never raises.
 
     A second that raises (a bad row, or a strategy that raises) leaves none
     of its traces or events behind, and every later ``step`` or ``run``
@@ -517,8 +566,6 @@ class Simulation:
     def _serve(self, offered: OfferedSecond) -> SecondStats:
         second = len(self.seconds)
         users, requests = offered
-        if iter(requests) is requests:
-            requests = list(requests)
         model = self.model
         strategy = self.strategy
         rate_in_effect = strategy.rate
@@ -535,8 +582,22 @@ class Simulation:
         )
         budget = users * 1000.0
 
+        # RequestEvent's rule, checked once per second.  The slowdown is >= 1,
+        # so a packed second whose largest base time stays finite once slowed
+        # passes it row by row; any other second is scanned for its first bad
+        # row, and only the rows before it are served.
+        rows = requests
+        bad = None
+        if not (type(requests) is _Columns and requests.max_rt * slowdown < inf):
+            if iter(requests) is requests:
+                rows = requests = list(requests)
+            bad = _first_bad_row(requests, slowdown)
+            if bad is not None:
+                rows = islice(requests, bad[0])
+
         # The strategy completes a prefix of the offered stream.  A start is
-        # computed here and in ServedEvents._between only, the same way.
+        # computed here and in ServedEvents._between only, the same way, and
+        # spent adds one term at a time, in the order _between replays.
         spent = 0.0
         traced_ms = 0.0
         second_ms = second * 1000
@@ -555,55 +616,69 @@ class Simulation:
         append_type = traces.types.append
         append_rt = traces.response_times.append
         append_memory = traces.memories.append
-        # One of two ways to decide: a rate kind draws at its rate, and an
+        # One loop per family: a rate kind draws at its rate, and an
         # AdaptiveStrategy's monitor is asked with the reused holder.
-        monitor = None
         if isinstance(strategy, RateStrategy):
             rate = rate_in_effect
             if not 0.0 <= rate <= 1.0:
                 raise ParameterError(f"probability must be in [0, 1], got {rate}")
             draw = decision_rng.random
+            for position, (idx, base_rt, mem) in enumerate(rows, first):
+                if spent >= budget:
+                    break
+                response_time = base_rt * slowdown
+                if draw() < rate:
+                    offset_ms = int(1000.0 * spent / budget)
+                    start = second_ms + (offset_ms if offset_ms < 999 else 999)
+                    spent += response_time
+                    spent += trace_cost
+                    traced_ms += trace_cost
+                    append_position(position)
+                    append_start(start)
+                    append_cycle(0)
+                    append_type(idx)
+                    append_rt(response_time)
+                    append_memory(mem)
+                else:
+                    spent += response_time
+                rt_sum[idx] += response_time
+                rt_count[idx] += 1
         else:
             monitor = strategy.monitor
             monitor_decide, evaluate = monitor.decide, monitor.evaluate_sample
             request = self._request
-        for position, (idx, base_rt, mem) in enumerate(requests, first):
-            if spent >= budget:
-                break
-            response_time = base_rt * slowdown
-            # RequestEvent's rule, for every request, traced or not.
-            if not (0.0 <= response_time < inf and -inf < mem < inf):
-                raise ParameterError(
-                    f"second {second}: a request needs a finite response time >= 0"
-                    f" and finite memory, got {response_time} and {mem}")
-            if monitor is None:
-                traced = draw() < rate
-            else:
+            for position, (idx, base_rt, mem) in enumerate(rows, first):
+                if spent >= budget:
+                    break
+                response_time = base_rt * slowdown
                 request.type_id = type_ids[idx]
                 request.response_time = response_time
-                traced = monitor_decide(request, decision_rng)
-            if traced:
-                offset_ms = int(1000.0 * spent / budget)
-                start = second_ms + (offset_ms if offset_ms < 999 else 999)
-                # One term at a time, in the order ServedEvents._between replays.
-                spent += response_time
-                spent += trace_cost
-                traced_ms += trace_cost
-                append_position(position)
-                append_start(start)
-                append_cycle(0 if monitor is None else monitor.cycle_index)
-                append_type(idx)
-                append_rt(response_time)
-                append_memory(mem)
-                # The monitor releases the cycle's rows, this one included.
-                if monitor is not None:
+                if monitor_decide(request, decision_rng):
+                    offset_ms = int(1000.0 * spent / budget)
+                    start = second_ms + (offset_ms if offset_ms < 999 else 999)
+                    spent += response_time
+                    spent += trace_cost
+                    traced_ms += trace_cost
+                    append_position(position)
+                    append_start(start)
+                    append_cycle(monitor.cycle_index)
+                    append_type(idx)
+                    append_rt(response_time)
+                    append_memory(mem)
+                    # The monitor releases the cycle's rows, this one included.
                     released = evaluate(start / 1000.0)
                     if released is not None:
                         strategy.add_release(released)
-            else:
-                spent += response_time
-            rt_sum[idx] += response_time
-            rt_count[idx] += 1
+                else:
+                    spent += response_time
+                rt_sum[idx] += response_time
+                rt_count[idx] += 1
+        # The served prefix reached the bad row only if budget was left for it.
+        if bad is not None and spent < budget:
+            _, response_time, mem = bad
+            raise ParameterError(
+                f"second {second}: a request needs a finite response time >= 0"
+                f" and finite memory, got {response_time} and {mem}")
 
         completed = sum(rt_count) - served_before
         events._ends.append(first + completed)

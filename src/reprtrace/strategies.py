@@ -78,7 +78,8 @@ class RateStrategy(Strategy):
     outside [0, 1]), draws ``rng.random() < rate`` for each request and, on
     a passing draw, appends the request to the run's trace columns with
     cycle 0, building no object.  As for an ``AdaptiveStrategy``, ``step``
-    first checks each request by ``RequestEvent``'s rule, traced or not.  A subclass's ``decide``
+    serves only requests that pass ``RequestEvent``'s rule, traced or not,
+    checked once per second (see ``Simulation``).  A subclass's ``decide``
     override is not served; ``decide`` gives the same verdicts to a caller
     that drives the strategy one request at a time.
     """

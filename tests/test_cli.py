@@ -81,6 +81,20 @@ class TestValidate:
     def test_missing_file(self, tmp_path):
         assert main(["validate", "--scenario", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("command", [["validate"], ["run", "--strategy", "NOM"],
+                                         ["compare", "--seeds", "1"]])
+    def test_schedule_shorter_than_a_second_refused(self, tmp_path, capsys, command):
+        # Only whole seconds are served, so a 0.5 s schedule would serve none.
+        raw = json.loads(json.dumps(TINY_SCENARIO))
+        raw["workload"] = [{"kind": "stationary", "users": 4, "duration": 0.5}]
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        extra = [] if command == ["validate"] else ["--out", str(out)]
+        assert main(command + ["--scenario", str(path)] + extra) == 2
+        assert "workload must last at least 1 s, got 0.5 s" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_readme_scenario_example_validates(self, tmp_path, capsys):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         section = readme.split("\n### Scenario files\n", 1)[1]

@@ -1,7 +1,8 @@
 """The bounds that settle sample evaluations early give the exact verdicts.
 
 ``AdaptiveMonitor.evaluate_sample`` settles most calls from a bracket on
-Cochran's size and a Mills-ratio bound on the t-test p-value, and runs the
+Cochran's size (and the floor it keeps from the bracket's low end) and a
+Mills-ratio bound on the t-test p-value, and runs the
 exact statistics only for the rest.  These tests hold it to the verdicts of
 the exact computation: on random inputs at and around the thresholds, and
 on every evaluation of a realistic stream.
@@ -17,7 +18,7 @@ import scipy.stats as scipy_stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import AlwaysRng, make_event, table_from
+from conftest import AlwaysRng, NeverRng, make_event, table_from
 
 import reprtrace.sampler as sampler
 from reprtrace import stats
@@ -281,6 +282,84 @@ def counting(monkeypatch, name):
     return calls
 
 
+def evaluate_exactly(monitor, now):
+    """Evaluate ``monitor`` at ``now``, check the outcome against the exact
+    verdict and return that verdict."""
+    expected = exact_verdict(monitor, now)
+    released = monitor.evaluate_sample(now)
+    if expected in ("timeout", "criteria"):
+        assert released is not None and released.reason == expected
+    else:
+        assert released is None, expected
+    return expected
+
+
+def feed(monitor, offered, accepted, slower=0.0):
+    """Count ``offered`` requests of one type, the first ``accepted`` of them
+    drawn to be traced; response times alternate 99 and 101 ms, plus
+    ``slower`` for the traced ones."""
+    for i in range(offered):
+        traced = i < accepted
+        monitor.decide(make_event("/a", rt=99.0 + 2.0 * (i % 2) + (slower if traced else 0.0)),
+                       AlwaysRng() if traced else NeverRng())
+
+
+# --- size floor -----------------------------------------------------------------------
+
+
+def test_size_floor_settles_a_too_small_sample_with_one_comparison(monkeypatch):
+    size_calls = counting(monkeypatch, "corrected_sample_size")
+    monitor = AdaptiveMonitor(CONFIG)
+    feed(monitor, 1000, 10)
+    assert evaluate_exactly(monitor, 0.5) == "size"
+    floor = monitor._size_floor
+    assert 10 < floor < exact_needed(0.5, 1000)
+    # The population grows, and now moves back inside the window and before
+    # its start: each call is settled by the floor, with the exact verdict.
+    calls = size_calls[0]
+    for now in (0.9, 0.7, 0.2, 0.0, 1.5):
+        feed(monitor, 500, 1)
+        assert evaluate_exactly(monitor, now) == "size"
+    assert size_calls[0] == calls and monitor._size_floor == floor
+    # Past the window's end the window reopens, and its floor is its own.
+    feed(monitor, 500, 1)
+    assert evaluate_exactly(monitor, 1.6) == "size"
+    assert monitor._window_start == 1.6 and size_calls[0] > calls
+    assert monitor._size_floor == (sampler._SIZE_BELOW * stats.corrected_sample_size(
+        monitor._n_inf_low, monitor.population.total)) != floor
+    # Enough accepts pass the size and release the cycle: the next starts
+    # with no floor.
+    feed(monitor, 2000, 2000)
+    assert evaluate_exactly(monitor, 2.0) == "criteria"
+    assert monitor._size_floor == 0.0
+    feed(monitor, 1000, 10)
+    assert evaluate_exactly(monitor, 2.5) == "size"
+    assert 10 < monitor._size_floor < exact_needed(0.5, 1000)
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps=st.lists(
+    st.tuples(st.integers(0, 120), st.integers(0, 40), st.sampled_from([0.0, 0.2, 3.0]),
+              st.one_of(st.floats(-0.6, 1.4), st.sampled_from([25.0, 200.0]))),
+    min_size=1, max_size=25))
+def test_size_floor_keeps_every_verdict_exact(steps):
+    # The population grows by a step's requests, of which some are traced,
+    # maybe slower, so that the t-test can hold a large sample back; now
+    # moves by up to a window forwards or back (not before the cycle start),
+    # or far enough to release a cycle or time one out.  A floor is sound
+    # while it is at most the exact size at the window's far end for the
+    # live population, which only grows until the cycle ends.
+    monitor = AdaptiveMonitor(CONFIG)
+    now = 0.0
+    for offered, accepted, slower, move in steps:
+        feed(monitor, offered, accepted, slower)
+        now = max(monitor.cycle_start, now + move)
+        evaluate_exactly(monitor, now)
+        if monitor._size_floor:
+            assert monitor._size_floor <= exact_needed(monitor._window_end,
+                                                       monitor.population.total)
+
+
 def test_every_evaluation_matches_the_exact_verdict(monkeypatch):
     size_calls = counting(monkeypatch, "cochran_sample_size")
     t_calls = counting(monkeypatch, "one_sample_t_p_value_from_stats")
@@ -292,14 +371,8 @@ def test_every_evaluation_matches_the_exact_verdict(monkeypatch):
         for event in requests:
             if not monitor.decide(event, rng):
                 continue
-            now = event.start / 1000.0
-            expected = exact_verdict(monitor, now)
+            expected = evaluate_exactly(monitor, event.start / 1000.0)
             verdicts[expected] = verdicts.get(expected, 0) + 1
-            released = monitor.evaluate_sample(now)
-            if expected in ("timeout", "criteria"):
-                assert released is not None and released.reason == expected
-            else:
-                assert released is None, expected
         record = PerformanceRecord(rps=float(len(requests)), mean_rt=mean_rt,
                                    monitoring_enabled=monitoring)
         monitor.on_tick(float(sec + 1), record)

@@ -399,6 +399,91 @@ class TestServedTime:
             sim.step((4, [(0, 40.0, 100.0)]))
 
 
+def packed(rows):
+    """``rows`` packed and sealed as ``offered_stream`` packs a second."""
+    columns = simulator._Columns()
+    for idx, base_rt, mem in rows:
+        columns.ids.append(idx)
+        columns.rts.append(base_rt)
+        columns.mems.append(mem)
+    columns.seal()
+    return columns
+
+
+class TestOneCheckPerSecond:
+    """A packed second is checked once; any other is scanned for its first
+    bad row, and a packed second that fails its check is scanned too."""
+
+    @staticmethod
+    def _serve_both_forms(kind, users, rows):
+        """Serve ``rows`` as a list and packed, each to a fresh simulation;
+        per form: the error raised or None, the decision generator's state,
+        the monitor's population total (ADP) and the simulation."""
+        outcomes = []
+        for form in (list, packed):
+            config = SamplerConfig()
+            sim = Simulation(small_model(), make_strategy(kind, config), config, seed=1)
+            try:
+                sim.step((users, form(rows)))
+                error = None
+            except ParameterError as exc:
+                error = str(exc)
+            total = sim.strategy.monitor.population.total if kind == "ADP" else None
+            outcomes.append((error, sim.decision_rng.getstate(), total, sim))
+        return outcomes
+
+    @pytest.mark.parametrize("kind", [k.value for k in StrategyKind])
+    @pytest.mark.parametrize("bad", [(1, math.nan, 300.0), (1, math.inf, 300.0),
+                                     (1, -40.0, 300.0), (1, 60.0, math.nan),
+                                     (1, 60.0, -math.inf)])
+    def test_bad_row_in_the_served_prefix_raises_as_in_a_list(self, kind, bad):
+        # Thirty rows are served, and drawn for, before the bad one raises.
+        rows = [(0, 40.0, 100.0)] * 30 + [bad] + [(0, 40.0, 100.0)] * 200
+        (error, state, total, _), packed_outcome = self._serve_both_forms(kind, 4, rows)
+        assert error.startswith("second 0: a request needs a finite response time")
+        assert packed_outcome[:3] == (error, state, total)
+        assert total in (None, 30)
+
+    @pytest.mark.parametrize("kind", [k.value for k in StrategyKind])
+    def test_bad_row_past_the_served_prefix_raises_in_neither_form(self, kind):
+        rows = [(0, 40.0, 100.0)] * 200 + [(1, math.nan, math.nan)]
+        outcomes = self._serve_both_forms(kind, 4, rows)
+        assert [error for error, *_ in outcomes] == [None, None]
+        runs = [sim.run([]) for *_, sim in outcomes]
+        assert 0 < runs[0].seconds[0].throughput < 200
+        assert run_parts(runs[0]) == run_parts(runs[1])
+
+    @pytest.mark.parametrize("kind", [k.value for k in StrategyKind])
+    def test_finite_base_time_that_overflows_once_slowed_raises_as_in_a_list(self, kind):
+        # 1.5e308 ms is finite, so the packed second seals, but 20 users on
+        # a 10-user knee slow it by 1.5, past the largest float.
+        rows = [(0, 40.0, 100.0)] * 5 + [(1, 1.5e308, 300.0)] + [(0, 40.0, 100.0)] * 500
+        assert packed(rows).max_rt == 1.5e308
+        (error, state, total, _), packed_outcome = self._serve_both_forms(kind, 20, rows)
+        assert error == ("second 0: a request needs a finite response time >= 0 and"
+                         " finite memory, got inf and 300.0")
+        assert packed_outcome[:3] == (error, state, total)
+        # Without the slowdown the same row is served.
+        assert [error for error, *_ in self._serve_both_forms(kind, 4, rows)] == [None, None]
+
+    @pytest.mark.parametrize("kind", [k.value for k in StrategyKind])
+    def test_offered_seconds_are_served_without_a_scan(self, monkeypatch, kind):
+        def scan(rows, slowdown):
+            raise AssertionError("a sealed second was scanned row by row")
+
+        monkeypatch.setattr(simulator, "_first_bad_row", scan)
+        run = run_scenario(small_model(), small_workload(), kind, seed=1)
+        assert len(run.seconds) == 30
+
+    def test_unsealed_or_bad_columns_are_not_certified(self):
+        assert math.isnan(simulator._Columns().max_rt)
+        assert packed([]).max_rt == 0.0
+        for bad in ((0, math.nan, 1.0), (0, math.inf, 1.0), (0, -1.0, 1.0), (0, 1.0, math.nan),
+                    (0, 1.0, -math.inf)):
+            # After a good row, where min and max would not see a NaN.
+            assert math.isnan(packed([(0, 5.0, 1.0), bad]).max_rt), bad
+
+
 class TestServedEvents:
     @pytest.mark.parametrize("kind", [k.value for k in StrategyKind])
     def test_events_built_per_run(self, monkeypatch, kind):
