@@ -126,10 +126,8 @@ def _finish(report: ComparisonReport, n_runs: int, strict: bool) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     scenario = _load(args.scenario)
-    n_types = len(scenario.model.types)
-    duration = scenario.workload.total_duration
-    print(f"OK: {n_types} request types, {duration:.0f} s schedule, "
-          f"{len(scenario.workload.segments)} segments")
+    print(f"OK: {len(scenario.model.types)} request types, {scenario.workload.served_seconds}"
+          f" s schedule, {len(scenario.workload.segments)} segments")
     return 0
 
 

@@ -106,15 +106,15 @@ def rmse(ground: Mapping[str, float], sampled: Mapping[str, float]) -> float:
     return math.sqrt(total / len(ground_types))
 
 
-def _trace_tallies(traces: TraceColumns) -> tuple[dict[str, float], dict[str, int]]:
+def _trace_tallies(type_ids: list[str], types: Iterable[int], memories: Iterable[float]
+                   ) -> tuple[dict[str, float], dict[str, int]]:
     """Per-type mean memory (negative measurements discarded) and per-type
-    trace count, in one pass over the type and memory columns: a
-    ``RunSummary``'s ``memory_means`` and ``type_counts``."""
-    type_ids = traces.type_ids
+    count of traces, in one pass over their type indices into ``type_ids``
+    and their memories: a ``RunSummary``'s ``memory_means`` and ``type_counts``."""
     sums = [0.0] * len(type_ids)
     valid = [0] * len(type_ids)
     counts = [0] * len(type_ids)
-    for idx, memory in zip(traces.types, traces.memories):
+    for idx, memory in zip(types, memories):
         counts[idx] += 1
         if memory < 0:
             continue
@@ -125,16 +125,11 @@ def _trace_tallies(traces: TraceColumns) -> tuple[dict[str, float], dict[str, in
 
 
 def type_memory_means(events: Iterable[RequestEvent]) -> dict[str, float]:
-    """Per-type mean memory delta, negative (invalid) measurements discarded."""
-    sums: dict[str, float] = {}
-    valid: dict[str, int] = {}
-    for event in events:
-        if event.memory_delta < 0:
-            continue
-        tid = event.type_id
-        sums[tid] = sums.get(tid, 0.0) + event.memory_delta
-        valid[tid] = valid.get(tid, 0) + 1
-    return {t: sums[t] / valid[t] for t in sums}
+    """Per-type mean memory delta, negative (invalid) measurements discarded:
+    the ``memory_means`` of a run whose traces hold ``events``."""
+    events, index = list(events), {}
+    types = [index.setdefault(event.type_id, len(index)) for event in events]
+    return _trace_tallies(list(index), types, [event.memory_delta for event in events])[0]
 
 
 def throughput_stats(run: "RunResult | RunSummary") -> float:
@@ -313,8 +308,9 @@ def load_run(run_dir: str | Path) -> RunSummary:
 
     A file that holds no such run raises ``ValueError`` starting with its
     path, and with the line number in ``series.csv`` or ``traces.txt``; a
-    ``series.csv`` row must hold a second and a throughput >= 0, users >= 1,
-    a sampling rate in [0, 1] and a monitoring flag of 0 or 1.
+    ``series.csv`` row must hold the header's five fields: a second and a
+    throughput >= 0, users >= 1, a sampling rate in [0, 1] and a monitoring
+    flag of 0 or 1.
     """
     run_dir = Path(run_dir)
     meta_path = run_dir / "run.json"
@@ -342,6 +338,9 @@ def load_run(run_dir: str | Path) -> RunSummary:
                              f" got {','.join(header)!r}")
         for row in reader:
             try:
+                if None in row:
+                    raise ValueError(f"expected {len(_SERIES_FIELDS)} fields, got"
+                                     f" {len(_SERIES_FIELDS) + len(row[None])}")
                 second, users, throughput = (int(row[key]) for key in _SERIES_FIELDS[:3])
                 rate, monitoring = float(row["sampling_rate"]), int(row["monitoring_enabled"])
                 for key, value, low in (("second", second, 0), ("users", users, 1),
@@ -358,7 +357,8 @@ def load_run(run_dir: str | Path) -> RunSummary:
                 raise ValueError(f"{series_path}:{reader.line_num}: {exc}") from exc
             seconds.append(SecondStats(second, users, throughput, rate, bool(monitoring)))
     traces = read_trace_file(run_dir / "traces.txt")
-    return RunSummary(StrategyKind(strategy), seed, seconds, *_trace_tallies(traces), releases)
+    return RunSummary(StrategyKind(strategy), seed, seconds,
+                      *_trace_tallies(traces.type_ids, traces.types, traces.memories), releases)
 
 
 def summarize_run(run: Union[RunResult, RunSummary]) -> RunSummary:
@@ -366,7 +366,9 @@ def summarize_run(run: Union[RunResult, RunSummary]) -> RunSummary:
     columns."""
     if isinstance(run, RunSummary):
         return run
-    return RunSummary(run.strategy, run.seed, run.seconds, *_trace_tallies(run.traces),
+    traces = run.traces
+    return RunSummary(run.strategy, run.seed, run.seconds,
+                      *_trace_tallies(traces.type_ids, traces.types, traces.memories),
                       [_release_meta(rel) for rel in run.releases])
 
 

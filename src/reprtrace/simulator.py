@@ -193,9 +193,8 @@ _JITTER_PROB_CAP = 0.85
 class WorkloadSpec:
     """Ordered schedule of user-count segments.
 
-    The simulator serves whole seconds only, ``int(total_duration)`` of
-    them, so a fractional last second is not served, and a schedule shorter
-    than one second, which would serve none, is refused.
+    The simulator serves ``served_seconds`` whole seconds, dropping a
+    fractional last second; a schedule shorter than one second is refused.
     """
 
     segments: tuple[Segment, ...]
@@ -205,12 +204,17 @@ class WorkloadSpec:
         object.__setattr__(self, "segments", tuple(self.segments))
         if not self.segments:
             raise ValueError("workload needs at least one segment")
-        if self.total_duration < 1:
+        if self.served_seconds < 1:
             raise ValueError(f"workload must last at least 1 s, got {self.total_duration} s")
 
     @property
     def total_duration(self) -> float:
         return sum(seg.duration for seg in self.segments)
+
+    @property
+    def served_seconds(self) -> int:
+        """The whole seconds the simulator serves: ``int(total_duration)``."""
+        return int(self.total_duration)
 
 
 def users_at(spec: WorkloadSpec, t: float) -> int:
@@ -435,7 +439,7 @@ def offered_stream(model: AppModel, workload: WorkloadSpec,
                    for spec in model.types]
     capacity = model.capacity_users
     rand = rng.random
-    for second in range(int(workload.total_duration)):
+    for second in range(workload.served_seconds):
         users = users_at(workload, float(second))
         stress = max(0.0, users / capacity - 1.0)
         mem_level = 1.0 + model.mem_load_gain * min(1.0, users / capacity)

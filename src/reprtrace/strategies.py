@@ -17,6 +17,7 @@ from enum import Enum
 from statistics import median
 from typing import Optional
 
+from .errors import ParameterError
 from .model import PerformanceRecord, ReleasedSample, RequestEvent, SamplerConfig, TraceRecord
 from .sampler import AdaptiveMonitor, SamplerEvent
 from .stats import bernoulli
@@ -95,8 +96,8 @@ class AdaptiveStrategy(Strategy):
     the run's trace columns, asks ``monitor.decide`` with one reused holder
     of the request's type id and response time, appends an accept to the
     columns, evaluates the cycle and hands a release to ``add_release``.  Both give the same verdicts, draws and releases; a
-    subclass's ``decide`` override is not served, and a monitor bound to a
-    run serves no ``decide``.
+    subclass's ``decide`` override is not served, and once the monitor is
+    bound ``decide`` raises ``ParameterError`` before counting the request.
     """
 
     kind = StrategyKind.ADP
@@ -107,6 +108,8 @@ class AdaptiveStrategy(Strategy):
 
     def decide(self, request: RequestEvent, now: float, rng) -> Optional[TraceRecord]:
         monitor = self.monitor
+        if monitor._traces is not None:
+            raise ParameterError("a monitor bound to a run's traces serves no decide")
         if not monitor.decide(request, rng):
             return None
         # The monitor's own record, read before a release swaps its list.

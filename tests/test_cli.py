@@ -95,6 +95,19 @@ class TestValidate:
         assert "workload must last at least 1 s, got 0.5 s" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_prints_the_whole_seconds_run_serves(self, tmp_path, capsys):
+        # A fractional last second is not served: 1.5 s is a 1 s schedule.
+        raw = json.loads(json.dumps(TINY_SCENARIO))
+        raw["workload"] = [{"kind": "stationary", "users": 4, "duration": 1.5}]
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate", "--scenario", str(path)]) == 0
+        assert capsys.readouterr().out == "OK: 2 request types, 1 s schedule, 1 segments\n"
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(path), "--strategy", "NOM", "--out", str(out)]) == 0
+        series = (out / "runs" / "NOM_s0" / "series.csv").read_text().splitlines()
+        assert len(series) == 1 + 1
+
     def test_readme_scenario_example_validates(self, tmp_path, capsys):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         section = readme.split("\n### Scenario files\n", 1)[1]
@@ -395,6 +408,7 @@ class TestReport:
         ("series.csv", "-1,4,90,0.5,1", "second must be >= 0, got -1"),
         ("series.csv", "2,4,-90,0.5,1", "throughput must be >= 0, got -90"),
         ("series.csv", "2,0,90,0.5,1", "users must be >= 1, got 0"),
+        ("series.csv", "2,4,90,0.5,1,9", "expected 5 fields, got 6"),
     ])
     def test_malformed_row_names_file_and_line(self, tmp_path, capsys, name, row, message):
         runs_dir = tmp_path / "runs"

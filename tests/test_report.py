@@ -171,6 +171,7 @@ class TestTraceColumns:
         assert read == run.traces and read == list(run.traces)
         assert read.type_ids == list(dict.fromkeys(t.event.type_id for t in run.traces))
         assert load_run(run_dir) == summarize_run(run)
+        assert type_memory_means(t.event for t in run.traces) == summarize_run(run).memory_means
 
     def test_load_run_builds_no_record(self, tmp_path, monkeypatch):
         run = run_scenario(*SCENARIOS["loaded"](), "FUM", 1)

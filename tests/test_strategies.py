@@ -5,7 +5,10 @@ import random
 import pytest
 
 from conftest import AlwaysRng, make_event
+from reprtrace.errors import ParameterError
 from reprtrace.model import PerformanceRecord, SamplerConfig
+from reprtrace.scenario import default_scenario
+from reprtrace.simulator import Simulation
 from reprtrace.strategies import (
     AdaptiveStrategy,
     FullMonitoringStrategy,
@@ -149,6 +152,16 @@ class TestAdaptiveStrategy:
         assert released.traces == [first] and released.traces[0] is first
         second = strategy.decide(make_event("/a"), config.max_cycle_length + 1.5, AlwaysRng())
         assert second.cycle_index == strategy.monitor.cycle_index == 1
+
+    def test_decide_refused_once_a_simulation_bound_the_monitor(self, config):
+        # The Simulation keeps the monitor's accepts in its run's columns, so
+        # decide has no record to return; it must refuse before counting.
+        strategy = AdaptiveStrategy(config)
+        Simulation(default_scenario().model, strategy, config, 1)
+        with pytest.raises(ParameterError, match="bound"):
+            strategy.decide(make_event("/a"), 0.01, AlwaysRng())
+        assert strategy.monitor.population.total == 0
+        assert strategy.monitor.sample.total == 0
 
     def test_events_are_drained(self, config):
         strategy = AdaptiveStrategy(config)

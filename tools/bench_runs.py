@@ -1,5 +1,5 @@
-"""Time one ``run_scenario`` and one ``load_run`` per strategy kind, before
-and after a change.
+"""Time one ``run_scenario``, one ``save_run`` and one ``load_run`` per
+strategy kind, before and after a change.
 
     python3 tools/bench_runs.py --before DIR [--pairs 10] [--seed 1]
         [--before-commit REV] [--out BENCH_runs.json]
@@ -9,23 +9,27 @@ and after a change.
 example a ``git archive`` of the parent commit, unpacked).  The "after"
 side is ``src/`` of the checkout this script lives in.
 
-Each timing is a fresh interpreter that imports one side, draws the default
-scenario's tape for ``--seed`` with an untimed NOM run, and then times three
-``run_scenario`` calls of one kind on that warm tape and reports the fastest.
-It then saves the last run it timed, untimed, to a temporary directory, and
-reports the fastest of three ``load_run`` calls of that directory: the
-persistence layer's read side.  A pair times every kind once on each side,
-and also each side's engine import once: a fresh interpreter that times,
-from before its ``import reprtrace``, the import and one
-``AdaptiveMonitor(SamplerConfig())``, as an application that embeds the
-engine pays it, and each side's engine replay once: a fresh interpreter
-that replays ``engine_stream(1)`` of ``perfbench/workloads.py`` into an
-``AdaptiveMonitor`` the way the benchmark's ``engine`` workload does, one
-untimed replay and then one timed, each into a fresh monitor, and reports
-the p50 and p99 of the time of each decision (``decide``, and for an
-accept ``evaluate_sample`` too) and the replay's wall time.  Which side
-goes first alternates from pair to pair, so both sides see the same drift
-of the host.
+Each timing is a fresh interpreter that imports one side.  A pair times
+each of these once on each side; which side goes first alternates from
+pair to pair, so both sides see the same drift of the host.
+
+* Per kind: the default scenario's tape for ``--seed`` is drawn with an
+  untimed NOM run, then the fastest of three ``run_scenario`` calls of the
+  kind on that warm tape; the fastest of three ``save_run`` calls of the
+  last run, each into a fresh directory (the persistence layer's write
+  side); and the fastest of three ``load_run`` calls of the last of those
+  directories (its read side).
+* The cold tape: the fastest of three ``simulator._tape`` calls for
+  ``--seed``, each after ``_tape.cache_clear()`` (the offered-stream
+  layer).  A side without ``_tape`` is not timed.
+* The engine import: from before its ``import reprtrace``, the import and
+  one ``AdaptiveMonitor(SamplerConfig())``, as an application that embeds
+  the engine pays it.
+* The engine replay: ``engine_stream(1)`` of ``perfbench/workloads.py``
+  replayed into an ``AdaptiveMonitor`` the way the benchmark's ``engine``
+  workload does, one untimed replay and then one timed, each into a fresh
+  monitor: the p50 and p99 of the time of each decision (``decide``, and
+  for an accept ``evaluate_sample`` too) and the replay's wall time.
 
 One entry is appended to ``--out`` (a JSON list, created when missing;
 earlier entries are kept as they are): the checkout's commit and whether
@@ -33,12 +37,14 @@ its tree had uncommitted changes, the before side's commit when known, the
 Python version, the processor count, and per kind the median [Q1, Q3] of
 each side's times in seconds, the after/before ratio of the medians and the
 number of pairs the after side was faster, for the run (``before_s``,
-``after_s``, ``ratio``, ``after_faster_pairs``) and for its ``load_run``
-(the same four keys with a ``load_`` prefix), the same four keys for
-the engine import under ``engine_import``, and under ``engine_replay`` the
-same four keys for each of ``decide_us_p50``, ``decide_us_p99`` (in
-microseconds, though the keys end in ``_s``) and ``wall_s``.  Standard
-library only.
+``after_s``, ``ratio``, ``after_faster_pairs``), for its ``save_run`` and
+for its ``load_run`` (the same four keys with a ``save_`` and a ``load_``
+prefix), the same four keys for the cold tape under ``tape_cold`` (only
+the timed side's ``before_s`` or ``after_s`` when a side has no ``_tape``)
+and for the engine import under ``engine_import``, and under
+``engine_replay`` the same four keys for each of ``decide_us_p50``,
+``decide_us_p99`` (in microseconds, though the keys end in ``_s``) and
+``wall_s``.  Standard library only.
 """
 
 from __future__ import annotations
@@ -57,8 +63,9 @@ ROOT = Path(__file__).resolve().parent.parent
 AFTER = ROOT / "src"
 KINDS = ("ADP", "INV", "UNI", "FUM", "NOM")
 REPEATS = 3
-# The timed calls, as the prefixes of their keys: the run, and its load_run.
-CALLS = ("", "load_")
+# The timed calls, as the prefixes of their keys: the run, its save_run and
+# its load_run.
+CALLS = ("", "save_", "load_")
 
 # Run in the child with the side's package first on sys.path.
 CHILD = """
@@ -76,15 +83,40 @@ for _ in range(repeats):
     began = perf_counter()
     run = run_scenario(*args, kind, seed, scenario.sampler)
     best = min(best, perf_counter() - began)
-best_load = float("inf")
-with tempfile.TemporaryDirectory() as run_dir:
-    save_run(run, run_dir)
+best_save = best_load = float("inf")
+with tempfile.TemporaryDirectory() as tmp:
+    for i in range(repeats):
+        run_dir = f"{tmp}/{i}"
+        began = perf_counter()
+        save_run(run, run_dir)
+        best_save = min(best_save, perf_counter() - began)
     del run
     for _ in range(repeats):
         began = perf_counter()
         load_run(run_dir)
         best_load = min(best_load, perf_counter() - began)
-print(json.dumps({"package": reprtrace.__file__, "seconds": best, "load_seconds": best_load}))
+print(json.dumps({"package": reprtrace.__file__, "seconds": best, "save_seconds": best_save,
+                  "load_seconds": best_load}))
+"""
+
+# Run in the child as CHILD is; prints null seconds for a side without _tape.
+TAPE_CHILD = """
+import json, sys
+from time import perf_counter
+import reprtrace
+from reprtrace import default_scenario, simulator
+seed, repeats = int(sys.argv[1]), int(sys.argv[2])
+scenario = default_scenario()
+tape = getattr(simulator, "_tape", None)
+best = None
+if tape is not None:
+    best = float("inf")
+    for _ in range(repeats):
+        tape.cache_clear()
+        began = perf_counter()
+        tape(scenario.model, scenario.workload, seed)
+        best = min(best, perf_counter() - began)
+print(json.dumps({"package": reprtrace.__file__, "seconds": best}))
 """
 
 # Run in the child as CHILD is; the clock starts before the package is imported.
@@ -158,10 +190,15 @@ def run_child(side: Path, code: str, *args: str) -> dict:
     return result
 
 
-def time_kind(side: Path, kind: str, seed: int) -> tuple[float, float]:
-    """The fastest run and the fastest ``load_run`` of ``kind`` on ``side``."""
+def time_kind(side: Path, kind: str, seed: int) -> tuple[float, float, float]:
+    """The fastest run, ``save_run`` and ``load_run`` of ``kind`` on ``side``."""
     result = run_child(side, CHILD, kind, str(seed), str(REPEATS))
-    return result["seconds"], result["load_seconds"]
+    return result["seconds"], result["save_seconds"], result["load_seconds"]
+
+
+def time_tape_cold(side: Path, seed: int) -> float | None:
+    """The fastest cold ``simulator._tape`` of ``side``, or ``None`` without one."""
+    return run_child(side, TAPE_CHILD, str(seed), str(REPEATS))["seconds"]
 
 
 def time_engine_import(side: Path) -> float:
@@ -220,6 +257,7 @@ def main(argv: list[str] | None = None) -> None:
 
     times = {kind: {call: {"before": [], "after": []} for call in CALLS} for kind in KINDS}
     engine = {"before": [], "after": []}
+    tape = {"before": [], "after": []}
     replay = {metric: {"before": [], "after": []} for metric in REPLAY_METRICS}
     for pair in range(args.pairs):
         sides = [("before", before), ("after", after)]
@@ -227,6 +265,10 @@ def main(argv: list[str] | None = None) -> None:
             sides.reverse()
         for name, side in sides:
             engine[name].append(time_engine_import(side))
+        for name, side in sides:
+            seconds = time_tape_cold(side, args.seed)
+            if seconds is not None:
+                tape[name].append(seconds)
         for name, side in sides:
             for metric, value in time_engine_replay(side).items():
                 replay[metric][name].append(value)
@@ -239,7 +281,8 @@ def main(argv: list[str] | None = None) -> None:
               f"{replay['decide_us_p99']['before'][-1]:.2f} -> "
               f"{replay['decide_us_p99']['after'][-1]:.2f} us, " + ", ".join(
                   f"{kind} {t['']['before'][-1]:.3f} -> {t['']['after'][-1]:.3f} s"
-                  f" (load {t['load_']['before'][-1]:.3f} -> {t['load_']['after'][-1]:.3f} s)"
+                  f" (save {t['save_']['before'][-1]:.3f} -> {t['save_']['after'][-1]:.3f} s,"
+                  f" load {t['load_']['before'][-1]:.3f} -> {t['load_']['after'][-1]:.3f} s)"
                   for kind, t in times.items()), file=sys.stderr)
 
     kinds = {}
@@ -247,6 +290,10 @@ def main(argv: list[str] | None = None) -> None:
         kinds[kind] = {}
         for call, sides in calls.items():
             kinds[kind].update(compare(sides["before"], sides["after"], call))
+    if tape["before"] and tape["after"]:
+        tape_cold = compare(tape["before"], tape["after"])
+    else:
+        tape_cold = {f"{name}_s": spread(values) for name, values in tape.items() if values}
     before_commit = args.before_commit or git("rev-parse", "HEAD", cwd=args.before)
     entry = {
         "date": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
@@ -260,6 +307,7 @@ def main(argv: list[str] | None = None) -> None:
         "pairs": args.pairs,
         "best_of": REPEATS,
         "kinds": kinds,
+        "tape_cold": tape_cold,
         "engine_import": compare(engine["before"], engine["after"]),
         "engine_replay": {metric: compare(sides["before"], sides["after"])
                           for metric, sides in replay.items()},
