@@ -106,15 +106,15 @@ def rmse(ground: Mapping[str, float], sampled: Mapping[str, float]) -> float:
     return math.sqrt(total / len(ground_types))
 
 
-def _trace_tallies(type_ids: list[str], types: Iterable[int], memories: Iterable[float]
-                   ) -> tuple[dict[str, float], dict[str, int]]:
+def _trace_tallies(traces: TraceColumns) -> tuple[dict[str, float], dict[str, int]]:
     """Per-type mean memory (negative measurements discarded) and per-type
-    count of traces, in one pass over their type indices into ``type_ids``
-    and their memories: a ``RunSummary``'s ``memory_means`` and ``type_counts``."""
+    trace count, in one pass over the type and memory columns, the only
+    ones read: a ``RunSummary``'s ``memory_means`` and ``type_counts``."""
+    type_ids = traces.type_ids
     sums = [0.0] * len(type_ids)
     valid = [0] * len(type_ids)
     counts = [0] * len(type_ids)
-    for idx, memory in zip(types, memories):
+    for idx, memory in zip(traces.types, traces.memories):
         counts[idx] += 1
         if memory < 0:
             continue
@@ -126,10 +126,13 @@ def _trace_tallies(type_ids: list[str], types: Iterable[int], memories: Iterable
 
 def type_memory_means(events: Iterable[RequestEvent]) -> dict[str, float]:
     """Per-type mean memory delta, negative (invalid) measurements discarded:
-    the ``memory_means`` of a run whose traces hold ``events``."""
-    events, index = list(events), {}
-    types = [index.setdefault(event.type_id, len(index)) for event in events]
-    return _trace_tallies(list(index), types, [event.memory_delta for event in events])[0]
+    the ``memory_means`` of traces whose type and memory columns hold ``events``."""
+    traces, index = TraceColumns([]), {}
+    for event in events:
+        traces.types.append(index.setdefault(event.type_id, len(index)))
+        traces.memories.append(event.memory_delta)
+    traces.type_ids.extend(index)
+    return _trace_tallies(traces)[0]
 
 
 def throughput_stats(run: "RunResult | RunSummary") -> float:
@@ -357,8 +360,7 @@ def load_run(run_dir: str | Path) -> RunSummary:
                 raise ValueError(f"{series_path}:{reader.line_num}: {exc}") from exc
             seconds.append(SecondStats(second, users, throughput, rate, bool(monitoring)))
     traces = read_trace_file(run_dir / "traces.txt")
-    return RunSummary(StrategyKind(strategy), seed, seconds,
-                      *_trace_tallies(traces.type_ids, traces.types, traces.memories), releases)
+    return RunSummary(StrategyKind(strategy), seed, seconds, *_trace_tallies(traces), releases)
 
 
 def summarize_run(run: Union[RunResult, RunSummary]) -> RunSummary:
@@ -366,9 +368,7 @@ def summarize_run(run: Union[RunResult, RunSummary]) -> RunSummary:
     columns."""
     if isinstance(run, RunSummary):
         return run
-    traces = run.traces
-    return RunSummary(run.strategy, run.seed, run.seconds,
-                      *_trace_tallies(traces.type_ids, traces.types, traces.memories),
+    return RunSummary(run.strategy, run.seed, run.seconds, *_trace_tallies(run.traces),
                       [_release_meta(rel) for rel in run.releases])
 
 

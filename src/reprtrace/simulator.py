@@ -204,6 +204,9 @@ class WorkloadSpec:
         object.__setattr__(self, "segments", tuple(self.segments))
         if not self.segments:
             raise ValueError("workload needs at least one segment")
+        # Finite segments can still sum to inf, which has no whole seconds.
+        if not self.total_duration < inf:
+            raise ValueError(f"workload must last a finite time, got {self.total_duration} s")
         if self.served_seconds < 1:
             raise ValueError(f"workload must last at least 1 s, got {self.total_duration} s")
 

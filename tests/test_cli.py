@@ -95,6 +95,15 @@ class TestValidate:
         assert "workload must last at least 1 s, got 0.5 s" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_schedule_summing_to_infinity_refused(self, tmp_path, capsys):
+        # Each duration is finite, but their sum is inf: no whole seconds.
+        raw = json.loads(json.dumps(TINY_SCENARIO))
+        raw["workload"] = [{"kind": "stationary", "users": 4, "duration": 1e308}] * 2
+        path = tmp_path / "endless.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate", "--scenario", str(path)]) == 2
+        assert "workload must last a finite time, got inf s" in capsys.readouterr().err
+
     def test_prints_the_whole_seconds_run_serves(self, tmp_path, capsys):
         # A fractional last second is not served: 1.5 s is a 1 s schedule.
         raw = json.loads(json.dumps(TINY_SCENARIO))
