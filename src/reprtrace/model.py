@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from array import array
 from collections.abc import Sequence
 from math import inf
@@ -18,6 +19,10 @@ __all__ = [
     "ReleasedSample",
 ]
 
+# Finite means within +-_FLOAT_MAX: NaN, the infinities and ints too large for a float fail.
+_FLOAT_MAX = sys.float_info.max
+_INF_ALLOWED = "trace_io_capacity"  # may also be +inf, AppModel's default: no I/O limit
+
 
 def _parameters(cls: type) -> tuple[str, ...]:
     """The parameters of ``cls.__init__`` after ``self``: a record's or a dataclass's fields."""
@@ -30,10 +35,11 @@ def _as_dict(obj) -> dict:
     return {name: getattr(obj, name) for name in _parameters(type(obj))}
 
 
-def _check_finite(spec, but: str = "") -> None:
-    """Reject NaN and the infinities in every float parameter of ``spec`` but ``but``."""
+def _check_finite(spec) -> None:
+    """Reject a float parameter of ``spec`` that is not finite, but +inf in ``_INF_ALLOWED``."""
     for name, kind in type(spec).__init__.__annotations__.items():
-        if kind == "float" and name != but and not -inf < getattr(spec, name) < inf:
+        if kind == "float" and not (-_FLOAT_MAX <= getattr(spec, name) <= _FLOAT_MAX
+                                    or name == _INF_ALLOWED and getattr(spec, name) == inf):
             raise ValueError(f"{name} must be finite, got {getattr(spec, name)}")
 
 
@@ -69,7 +75,7 @@ class RequestEvent(_Record):
     ``start`` is in milliseconds from simulation start; ``response_time``
     in milliseconds; ``memory_delta`` in kilobytes and may be negative
     when the measurement was invalidated by garbage-collection artifacts.
-    Both measurements must be finite: NaN or an infinity is rejected.
+    Both measurements must be finite: NaN, an infinity or an int beyond any float is rejected.
     """
 
     __slots__ = ("type_id", "start", "response_time", "memory_delta")
@@ -83,10 +89,9 @@ class RequestEvent(_Record):
     def __post_init__(self) -> None:
         if not self.type_id:
             raise ValueError("type_id must be non-empty")
-        # Chained comparisons are False for NaN, so they reject it too.
-        if not 0.0 <= self.response_time < inf:
+        if not 0.0 <= self.response_time <= _FLOAT_MAX:
             raise ValueError(f"response_time must be finite and >= 0, got {self.response_time}")
-        if not -inf < self.memory_delta < inf:
+        if not -_FLOAT_MAX <= self.memory_delta <= _FLOAT_MAX:
             raise ValueError(f"memory_delta must be finite, got {self.memory_delta}")
 
 
@@ -256,10 +261,10 @@ class PerformanceRecord(_Record):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.rps < inf:
+        if not 0.0 <= self.rps <= _FLOAT_MAX:
             raise ValueError(f"rps must be finite and >= 0, got {self.rps}")
         for type_id, rt in self.mean_rt.items():
-            if not 0.0 <= rt < inf:
+            if not 0.0 <= rt <= _FLOAT_MAX:
                 raise ValueError(
                     f"mean response time of {type_id!r} must be finite and >= 0, got {rt}"
                 )
@@ -271,7 +276,7 @@ class SamplerConfig(_Record):
     Defaults: adaptation every 1 s, 3 s performance baselines, rates in
     [1%, 50%], 180 s cycle timeout, 60-record performance history,
     conservative variability p = 0.5 and margin of error e = 0.05.  Every
-    float must be finite: NaN or an infinity is rejected.
+    float must be finite: NaN, an infinity or an int beyond any float is rejected.
     """
 
     __slots__ = ("max_rate", "min_rate", "epsilon", "baseline_duration",

@@ -39,14 +39,13 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from math import inf
 from pathlib import Path
 from statistics import mean, stdev
-from sys import float_info
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .errors import InsufficientDataError, MissingTypeError, ParameterError
-from .model import RELEASE_CRITERIA, RELEASE_TIMEOUT, RequestEvent, TraceColumns, _as_dict
+from .model import (_FLOAT_MAX, RELEASE_CRITERIA, RELEASE_TIMEOUT, RequestEvent, TraceColumns,
+                    _as_dict)
 from .simulator import RunResult, SecondStats
 from .strategies import StrategyKind
 
@@ -224,7 +223,8 @@ def read_trace_file(path: str | Path) -> TraceColumns:
                 response_time = float(response_time)
                 memory_delta = float(memory_delta)
                 # RequestEvent's rule; building one raises its error.
-                if not (type_id and 0.0 <= response_time < inf and -inf < memory_delta < inf):
+                if not (type_id and 0.0 <= response_time <= _FLOAT_MAX
+                        and -_FLOAT_MAX <= memory_delta <= _FLOAT_MAX):
                     RequestEvent(type_id, start, response_time, memory_delta)
                 cycle_index = int(cycle_index)
                 if cycle_index < 0:
@@ -296,9 +296,7 @@ def _check_releases(meta_path: Path, releases) -> list[dict]:
             if not (type(row.get(key)) is int and row[key] >= 0):
                 raise ValueError(f"{where}.{key} must be an integer >= 0, got {row.get(key)!r}")
         for key in ("released_at", "length", "confidence"):
-            # Bounding by the largest float rejects NaN, the infinities and an
-            # integer too large to become a float.
-            if not (type(row.get(key)) in (int, float) and abs(row[key]) <= float_info.max):
+            if not (type(row.get(key)) in (int, float) and -_FLOAT_MAX <= row[key] <= _FLOAT_MAX):
                 raise ValueError(f"{where}.{key} must be a finite number, got {row.get(key)!r}")
         if row.get("reason") not in (RELEASE_CRITERIA, RELEASE_TIMEOUT):
             raise ValueError(f"{where}.reason must be {RELEASE_CRITERIA} or {RELEASE_TIMEOUT},"
@@ -313,7 +311,10 @@ def load_run(run_dir: str | Path) -> RunSummary:
     path, and with the line number in ``series.csv`` or ``traces.txt``; a
     ``series.csv`` row must hold the header's five fields: a second and a
     throughput >= 0, users >= 1, a sampling rate in [0, 1] and a monitoring
-    flag of 0 or 1.
+    flag of 0 or 1.  ``run.json`` must be of ``REPORT_FORMAT_VERSION``, and
+    its ``event_count`` and ``trace_count`` must equal the summed throughput
+    of ``series.csv`` and the rows of ``traces.txt``: a file cut short is
+    refused, not reported on.
     """
     run_dir = Path(run_dir)
     meta_path = run_dir / "run.json"
@@ -323,6 +324,10 @@ def load_run(run_dir: str | Path) -> RunSummary:
         raise ValueError(f"{meta_path}: {exc}") from exc
     if not isinstance(meta, dict):
         raise ValueError(f"{meta_path}: expected a JSON object")
+    version = meta.get("format_version")
+    if type(version) is not int or version != REPORT_FORMAT_VERSION:
+        raise ValueError(f"{meta_path}: format_version must be {REPORT_FORMAT_VERSION},"
+                         f" got {version!r}")
     kinds = [kind.value for kind in StrategyKind]
     strategy, seed = meta.get("strategy"), meta.get("seed")
     if strategy not in kinds:
@@ -360,6 +365,12 @@ def load_run(run_dir: str | Path) -> RunSummary:
                 raise ValueError(f"{series_path}:{reader.line_num}: {exc}") from exc
             seconds.append(SecondStats(second, users, throughput, rate, bool(monitoring)))
     traces = read_trace_file(run_dir / "traces.txt")
+    for key, count, what in (
+            ("event_count", sum(row.throughput for row in seconds), "series.csv's throughput"),
+            ("trace_count", len(traces), "the rows of traces.txt")):
+        if type(meta.get(key)) is not int or meta[key] != count:
+            raise ValueError(f"{meta_path}: {key} must equal {what}, {count},"
+                             f" got {meta.get(key)!r}")
     return RunSummary(StrategyKind(strategy), seed, seconds, *_trace_tallies(traces), releases)
 
 

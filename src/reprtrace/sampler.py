@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from math import inf
 from operator import attrgetter
 from typing import Iterable, Optional
 
@@ -31,6 +30,7 @@ from .model import (
     SamplerConfig,
     TraceColumns,
     TraceRecord,
+    _FLOAT_MAX,
     _Record,
 )
 from .stats import (
@@ -100,18 +100,21 @@ def perf_diff(current: PerformanceRecord, normal: PerformanceRecord) -> float:
     Sums per-type mean response times over the request types both records
     share: positive means slower than normal, negative faster.
     """
+    return _shared_means(current, normal)[2]
+
+
+def _shared_means(current: PerformanceRecord, normal: PerformanceRecord) -> tuple:
+    """``normal``'s and ``current``'s mean response times over their shared types,
+    in sorted type order, and ``perf_diff`` of them: the one place that sums them."""
     common = sorted(set(current.mean_rt) & set(normal.mean_rt))
     if not common:
         raise InsufficientDataError("records share no request types")
-    normal_sum = sum(normal.mean_rt[t] for t in common)
+    normal_rts = [normal.mean_rt[t] for t in common]
+    current_rts = [current.mean_rt[t] for t in common]
+    normal_sum = sum(normal_rts)
     if normal_sum == 0:
         raise InsufficientDataError("reference record has zero total response time")
-    return _relative_diff(sum(current.mean_rt[t] for t in common), normal_sum)
-
-
-def _relative_diff(current_sum: float, normal_sum: float) -> float:
-    # perf_diff's formula, on sums over the shared types in sorted order.
-    return current_sum / normal_sum - 1.0
+    return normal_rts, current_rts, sum(current_rts) / normal_sum - 1.0
 
 
 class AdaptiveMonitor:
@@ -191,8 +194,7 @@ class AdaptiveMonitor:
         raises ``ParameterError`` before anything is counted.
         """
         response_time = request.response_time
-        # Chained comparisons are False for NaN, so they reject it too.
-        if not 0.0 <= response_time < inf:
+        if not 0.0 <= response_time <= _FLOAT_MAX:
             raise ParameterError(f"response_time must be finite and >= 0, got {response_time}")
         type_id = request.type_id
         population = self.population
@@ -245,22 +247,18 @@ class AdaptiveMonitor:
         monitoring, i.e. it is workload-induced.  ``now`` must be finite: a
         call with any other leaves the monitor as it was.
         """
-        if not -inf < now < inf:
+        if not -_FLOAT_MAX <= now <= _FLOAT_MAX:
             raise ParameterError(f"now must be finite, got {now}")
         self.perf_ref.append(current)
+        # ``current`` itself matches its own monitoring state.
         normal = select_normal_behavior(self.perf_ref, current.monitoring_enabled)
-        if normal is None:
+        try:
+            normal_rts, current_rts, diff = _shared_means(current, normal)
+        except InsufficientDataError:  # no shared type, or their times sum to 0
             return self.rate
-        common = sorted(set(current.mean_rt) & set(normal.mean_rt))
-        if len(common) < 2:
-            return self.rate
-        normal_rts = [normal.mean_rt[t] for t in common]
-        current_rts = [current.mean_rt[t] for t in common]
-        normal_sum = sum(normal_rts)
-        if normal_sum == 0:
+        if len(normal_rts) < 2:
             return self.rate
         equal = paired_t_test(normal_rts, current_rts, ADAPT_ALPHA)
-        diff = _relative_diff(sum(current_rts), normal_sum)
         old_rate = self.rate
         if self.monitoring_enabled:
             if equal or diff <= 0:
@@ -320,7 +318,7 @@ class AdaptiveMonitor:
         end, are computed once, from ``config``, when the window opens;
         ``now`` must be finite and must not precede the cycle start.
         """
-        if not -inf < now < inf:
+        if not -_FLOAT_MAX <= now <= _FLOAT_MAX:
             raise ParameterError(f"now must be finite, got {now}")
         age = now - self.cycle_start
         if age < 0.0:
@@ -445,7 +443,7 @@ class AdaptiveMonitor:
 
         ``now`` must be finite and must not precede the previous tick's.
         """
-        if not -inf < now < inf:
+        if not -_FLOAT_MAX <= now <= _FLOAT_MAX:
             raise ParameterError(f"now must be finite, got {now}")
         if now < self._last_tick:
             raise ParameterError(f"tick at {now} precedes the previous tick at {self._last_tick}")

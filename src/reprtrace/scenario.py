@@ -10,22 +10,22 @@ is read by ``_section`` from the parameters of its class's ``__init__``,
 written out or made by ``dataclasses``: a key that is no parameter is
 rejected, never ignored, and one with no default is required.  A value
 takes the kind its annotation names: a ``str`` parameter a string, an
-``int`` one a JSON number with no fractional part, any other a finite
-JSON number (not a string or a bool).  Only
-``model.trace_io_capacity`` may be ``Infinity``, its default, meaning no
-trace I/O contention; an integer too large for a float is not finite.
+``int`` one a JSON number with no fractional part, any other a JSON
+number (not a string or a bool).  Every number must be finite, as
+``model._FLOAT_MAX`` defines it, but ``model.trace_io_capacity`` may be
+``Infinity``, its default, meaning no trace I/O contention.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
+from math import inf
 from pathlib import Path
 from typing import Any
 
 from .errors import ScenarioError
-from .model import SamplerConfig, _as_dict, _parameters
+from .model import _FLOAT_MAX, _INF_ALLOWED, SamplerConfig, _as_dict, _parameters
 from .simulator import AppModel, Burst, RequestTypeSpec, Seasonal, Stationary, WorkloadSpec
 
 __all__ = ["Scenario", "load_scenario", "parse_scenario", "scenario_to_dict", "default_scenario"]
@@ -61,11 +61,7 @@ def _number(value: Any, where: str, integer: bool = False, allow_inf: bool = Fal
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{where}: must be {'an integer' if integer else 'a number'}, "
                             f"got {value!r}")
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        finite = False
-    if not finite and not (allow_inf and value == math.inf):
+    if not (-_FLOAT_MAX <= value <= _FLOAT_MAX or allow_inf and value == inf):
         raise ScenarioError(f"{where}: must be finite, got {value!r}")
     if integer and isinstance(value, float):
         if not value.is_integer():
@@ -91,7 +87,7 @@ def _section(cls: type, raw: Any, where: str, **given: Any) -> Any:
             values[key] = _typed(value, str, f"{where}.{key}")
         else:
             values[key] = _number(value, f"{where}.{key}", integer=kinds[key] == "int",
-                                  allow_inf=key == "trace_io_capacity")
+                                  allow_inf=key == _INF_ALLOWED)
     for name in names[:len(names) - len(cls.__init__.__defaults__ or ())]:
         if name not in raw:
             raise ScenarioError(f"{where}: missing key {name!r}")

@@ -59,7 +59,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, islice
-from math import exp, inf, log, nan
+from math import exp, log, nan
 from random import NV_MAGICCONST
 from typing import Iterable, Iterator, Optional
 
@@ -70,6 +70,7 @@ from .model import (
     ReleasedSample,
     SamplerConfig,
     TraceColumns,
+    _FLOAT_MAX,
     _check_finite,
     _RebuiltSequence,
 )
@@ -204,8 +205,8 @@ class WorkloadSpec:
         object.__setattr__(self, "segments", tuple(self.segments))
         if not self.segments:
             raise ValueError("workload needs at least one segment")
-        # Finite segments can still sum to inf, which has no whole seconds.
-        if not self.total_duration < inf:
+        # Finite segments can still sum to a number that is not finite.
+        if not -_FLOAT_MAX <= self.total_duration <= _FLOAT_MAX:
             raise ValueError(f"workload must last a finite time, got {self.total_duration} s")
         if self.served_seconds < 1:
             raise ValueError(f"workload must last at least 1 s, got {self.total_duration} s")
@@ -280,8 +281,7 @@ class AppModel:
         object.__setattr__(self, "types", tuple(self.types))
         if not self.types:
             raise ValueError("model needs at least one request type")
-        # +inf, the default, leaves the trace I/O path without a limit.
-        _check_finite(self, but="trace_io_capacity")
+        _check_finite(self)
         if self.capacity_users < 1:
             raise ValueError("capacity_users must be >= 1")
         if self.contention_gamma < 0:
@@ -396,7 +396,7 @@ class _Columns:
 
     ``max_rt`` is the largest base time when every base time is finite and
     >= 0 and every memory is finite, and NaN otherwise or until ``seal``
-    sets it, so that ``max_rt * slowdown < inf`` holds only if every row
+    sets it, so that ``max_rt * slowdown <= _FLOAT_MAX`` holds only if every row
     passes ``RequestEvent``'s rule at that slowdown (>= 1).
     ``offered_stream`` seals each second it packs, and ``Simulation.step``
     then checks no row of it, so a sealed second's arrays must not change.
@@ -415,7 +415,8 @@ class _Columns:
         """Set ``max_rt`` from the packed rows."""
         rts = self.rts
         # A sum is finite only if every term is, NaN included.
-        if -inf < sum(rts) < inf and -inf < sum(self.mems) < inf and min(rts, default=0.0) >= 0.0:
+        if (-_FLOAT_MAX <= sum(rts) <= _FLOAT_MAX and -_FLOAT_MAX <= sum(self.mems) <= _FLOAT_MAX
+                and min(rts, default=0.0) >= 0.0):
             self.max_rt = max(rts, default=0.0)
 
 
@@ -492,7 +493,7 @@ def _first_bad_row(rows: Iterable[tuple[int, float, float]],
     ``RequestEvent``'s rule at ``slowdown``, or ``None``."""
     for position, (_, base_rt, mem) in enumerate(rows):
         response_time = base_rt * slowdown
-        if not (0.0 <= response_time < inf and -inf < mem < inf):
+        if not (0.0 <= response_time <= _FLOAT_MAX and -_FLOAT_MAX <= mem <= _FLOAT_MAX):
             return position, response_time, mem
     return None
 
@@ -595,7 +596,7 @@ class Simulation:
         # row, and only the rows before it are served.
         rows = requests
         bad = None
-        if not (type(requests) is _Columns and requests.max_rt * slowdown < inf):
+        if not (type(requests) is _Columns and requests.max_rt * slowdown <= _FLOAT_MAX):
             if iter(requests) is requests:
                 rows = requests = list(requests)
             bad = _first_bad_row(requests, slowdown)
@@ -693,9 +694,9 @@ class Simulation:
         self._traced_ms_prev = traced_ms
         now = float(second + 1)
         if now + 1e-9 >= self._next_tick:
-            elapsed = now - self._last_tick
+            # A tick comes at least one served second after the last (or 0.0).
             record = PerformanceRecord(
-                rps=sum(rt_count) / elapsed if elapsed > 0 else 0.0,
+                rps=sum(rt_count) / (now - self._last_tick),
                 mean_rt={
                     type_ids[i]: rt_sum[i] / count
                     for i, count in enumerate(rt_count)

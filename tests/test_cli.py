@@ -349,10 +349,12 @@ class TestCompare:
 # A release row as save_run writes it, and run.json texts that hold rows.
 _RELEASE = ('{"cycle_index": 0, "released_at": 1.5, "size": 3, "length": 1.5,'
             ' "reason": "criteria", "confidence": 0.9}')
+# The format version and the counts of the synthetic UNI_s1 run.
+_HEAD = '"format_version": 1, "event_count": 182, "trace_count": 3'
 
 
 def _releases(*rows):
-    return f'{{"strategy": "UNI", "seed": 1, "releases": [{", ".join(rows)}]}}'
+    return f'{{{_HEAD}, "strategy": "UNI", "seed": 1, "releases": [{", ".join(rows)}]}}'
 
 
 def _row(field):
@@ -453,13 +455,19 @@ class TestReport:
     @pytest.mark.parametrize("text, message", [
         ("{", "Expecting property name enclosed in double quotes"),
         ("[]", "expected a JSON object"),
-        ("{}", "strategy must be one of ADP, INV, UNI, FUM, NOM, got None"),
-        ('{"strategy": "XYZ", "seed": 1}', "strategy must be one of ADP, INV, UNI, FUM, NOM,"
-                                           " got 'XYZ'"),
-        ('{"strategy": "UNI"}', "seed must be an integer, got None"),
-        ('{"strategy": "UNI", "seed": "1"}', "seed must be an integer, got '1'"),
-        ('{"strategy": "UNI", "seed": 1}', "releases must be a list, got None"),
-        ('{"strategy": "UNI", "seed": 1, "releases": {}}', "releases must be a list, got {}"),
+        ("{}", "format_version must be 1, got None"),
+        (_releases().replace('"format_version": 1', '"format_version": 2'),
+         "format_version must be 1, got 2"),
+        (_releases().replace('"format_version": 1', '"format_version": true'),
+         "format_version must be 1, got True"),
+        (f"{{{_HEAD}}}", "strategy must be one of ADP, INV, UNI, FUM, NOM, got None"),
+        (f'{{{_HEAD}, "strategy": "XYZ", "seed": 1}}',
+         "strategy must be one of ADP, INV, UNI, FUM, NOM, got 'XYZ'"),
+        (f'{{{_HEAD}, "strategy": "UNI"}}', "seed must be an integer, got None"),
+        (f'{{{_HEAD}, "strategy": "UNI", "seed": "1"}}', "seed must be an integer, got '1'"),
+        (f'{{{_HEAD}, "strategy": "UNI", "seed": 1}}', "releases must be a list, got None"),
+        (f'{{{_HEAD}, "strategy": "UNI", "seed": 1, "releases": {{}}}}',
+         "releases must be a list, got {}"),
         (_releases("7"), "releases[0] must be an object, got 7"),
         (_releases("{}"), "releases[0].cycle_index must be an integer >= 0, got None"),
         (_releases(_RELEASE, _row('"size": 2.0')),
@@ -486,6 +494,21 @@ class TestReport:
         path.write_text(text)
         assert main(["report", "--in", str(runs_dir), "--out", str(tmp_path / "r")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("name, keep, message", [
+        ("traces.txt", 1, "trace_count must equal the rows of traces.txt, 1, got 3"),
+        ("series.csv", 2, "event_count must equal series.csv's throughput, 90, got 182"),
+    ])
+    def test_file_cut_short_is_refused(self, tmp_path, capsys, name, keep, message):
+        # Cut at a line boundary, the file still parses; run.json's counts tell.
+        runs_dir = tmp_path / "runs"
+        for run in _comparison_runs():
+            save_run(run, runs_dir / f"{run.strategy.value}_s{run.seed}")
+        path = runs_dir / "UNI_s1" / name
+        path.write_bytes(b"".join(path.read_bytes().splitlines(keepends=True)[:keep]))
+        assert main(["report", "--in", str(runs_dir), "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == f"error: {path.parent / 'run.json'}: {message}\n"
         assert not (tmp_path / "r").exists()
 
     def test_empty_input_dir(self, tmp_path):

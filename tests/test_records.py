@@ -225,15 +225,26 @@ def test_fields_can_be_reassigned_but_not_added():
      "response_time must be finite and >= 0, got nan"),
     (RequestEvent, dict(type_id="/a", start=0, response_time=1.0, memory_delta=-math.inf),
      "memory_delta must be finite, got -inf"),
+    # An int too large for a float is not finite either.
+    (RequestEvent, dict(type_id="/a", start=0, response_time=10**400, memory_delta=0.0),
+     f"response_time must be finite and >= 0, got {10**400}"),
+    (RequestEvent, dict(type_id="/a", start=0, response_time=1.0, memory_delta=-10**400),
+     f"memory_delta must be finite, got {-10**400}"),
     (TraceRecord, dict(event=RequestEvent("/a", 0, 1.0, 0.0), cycle_index=-1),
      "cycle_index must be >= 0, got -1"),
     (PerformanceRecord, dict(rps=math.inf, mean_rt={}, monitoring_enabled=True),
      "rps must be finite and >= 0, got inf"),
+    (PerformanceRecord, dict(rps=10**400, mean_rt={}, monitoring_enabled=True),
+     f"rps must be finite and >= 0, got {10**400}"),
+    (PerformanceRecord, dict(rps=1.0, mean_rt={"/a": 10**400}, monitoring_enabled=True),
+     f"mean response time of '/a' must be finite and >= 0, got {10**400}"),
     (PerformanceRecord, dict(rps=1.0, mean_rt={"/a": -2.0}, monitoring_enabled=True),
      "mean response time of '/a' must be finite and >= 0, got -2.0"),
     (SamplerConfig, dict(max_rate=math.nan), "max_rate must be finite, got nan"),
     (SamplerConfig, dict(min_rate=math.inf), "min_rate must be finite, got inf"),
     (SamplerConfig, dict(margin_e=-math.inf), "margin_e must be finite, got -inf"),
+    (SamplerConfig, dict(baseline_duration=10**400),
+     f"baseline_duration must be finite, got {10**400}"),
     # The first non-finite field in field order is named.
     (SamplerConfig, dict(epsilon=math.nan, max_rate=math.nan),
      "max_rate must be finite, got nan"),

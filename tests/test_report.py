@@ -81,6 +81,8 @@ class TestTypeMemoryMeans:
 
 
 def _run(strategy, seed, throughputs, rates, traces=(), releases=()):
+    """A run that served ``sum(throughputs)`` requests, ``traces`` first, so
+    that the files ``save_run`` writes of it agree."""
     seconds = [
         SecondStats(second=i, users=4, throughput=tp, sampling_rate=rate,
                     monitoring_enabled=strategy is not StrategyKind.NOM)
@@ -90,7 +92,7 @@ def _run(strategy, seed, throughputs, rates, traces=(), releases=()):
         strategy=strategy,
         seed=seed,
         seconds=seconds,
-        events=[t.event for t in traces],
+        events=[t.event for t in traces] + [make_event("/a")] * (sum(throughputs) - len(traces)),
         traces=trace_columns(traces),
         releases=list(releases),
         sampler_events=[],
@@ -139,7 +141,7 @@ class TestSaveLoad:
         assert loaded.type_counts == {"/a": 2, "/b": 1}
         assert loaded.memory_means == {"/a": 110.0}
         meta = json.loads((tmp_path / "UNI_s3" / "run.json").read_text())
-        assert meta["event_count"] == 3
+        assert meta["event_count"] == 180
         assert SamplerConfig(**meta["sampler"]) == run.config
 
 

@@ -592,9 +592,10 @@ class TestNonFiniteInput:
     @staticmethod
     def _state(monitor):
         return (monitor.population.total, monitor.population_rt_sum, monitor._last_tick,
-                monitor.cycle_index, list(monitor.events))
+                list(monitor.perf_ref), monitor.rate, monitor.cycle_index, list(monitor.events))
 
-    @pytest.mark.parametrize("rt", [math.nan, math.inf, -math.inf, -1.0])
+    # 10**400 is an int too large for a float, so not finite either.
+    @pytest.mark.parametrize("rt", [math.nan, math.inf, -math.inf, -1.0, 10**400])
     def test_decide_refuses_response_time(self, config, rt):
         monitor = self._used_monitor(config)
         before = self._state(monitor)
@@ -606,7 +607,7 @@ class TestNonFiniteInput:
         assert self._state(monitor) == before
         assert monitor.sample.total == 5
 
-    @pytest.mark.parametrize("now", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("now", [math.nan, math.inf, -math.inf, 10**400])
     def test_on_tick_refuses_now(self, config, now):
         monitor = self._used_monitor(config)
         before = self._state(monitor)
@@ -617,7 +618,7 @@ class TestNonFiniteInput:
         with pytest.raises(ParameterError, match="precedes the previous tick"):
             monitor.on_tick(1.0, record(TIGHT, rps=100))
 
-    @pytest.mark.parametrize("now", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("now", [math.nan, math.inf, -math.inf, 10**400])
     def test_adapt_rate_refuses_now(self, config, now):
         # A slowdown would start a baseline that ends at `now`; with a NaN
         # end monitoring would never turn back on.
@@ -636,7 +637,7 @@ class TestNonFiniteInput:
         monitor.adapt_rate(slow, 7.0)
         assert monitor.baseline_until == 7.0 + config.baseline_duration
 
-    @pytest.mark.parametrize("now", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("now", [math.nan, math.inf, -math.inf, 10**400])
     def test_evaluate_sample_refuses_now(self, config, now):
         monitor = self._used_monitor(config)
         before = self._state(monitor)

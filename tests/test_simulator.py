@@ -301,7 +301,8 @@ class TestModelValidation:
     def test_io_capacity_default_is_inert(self):
         assert math.isinf(small_model().trace_io_capacity)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    # 10**400 is an int too large for a float, so not finite either.
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400])
     def test_nonfinite_fields_rejected(self, bad):
         spec = small_model().types[0]
         for name in ("weight", "base_rt", "rt_dispersion", "base_mem", "mem_dispersion"):
@@ -312,8 +313,10 @@ class TestModelValidation:
                      "trace_contention", "mem_load_gain", "mem_noise_gain", "gc_negative_gain"):
             with pytest.raises(ValueError, match=f"{name} must be"):
                 replace(base, **{name: bad})
-        if bad != math.inf:
-            with pytest.raises(ValueError, match="trace_io_capacity must be"):
+        if bad == math.inf:  # the one parameter that may be +inf
+            assert replace(base, trace_io_capacity=bad).trace_io_capacity == math.inf
+        else:
+            with pytest.raises(ValueError, match="trace_io_capacity must be finite"):
                 replace(base, trace_io_capacity=bad)
         segments = (Stationary(users=4, duration=10),
                     Seasonal(base_users=4, amplitude=2, period=5, duration=10),

@@ -1,5 +1,5 @@
 """Time one ``run_scenario``, one ``save_run`` and one ``load_run`` per
-strategy kind, before and after a change.
+strategy kind, and the other layers of a run, before and after a change.
 
     python3 tools/bench_runs.py --before DIR [--pairs 10] [--seed 1]
         [--before-commit REV] [--out BENCH_runs.json]
@@ -29,7 +29,17 @@ pair to pair, so both sides see the same drift of the host.
   replayed into an ``AdaptiveMonitor`` the way the benchmark's ``engine``
   workload does, one untimed replay and then one timed, each into a fresh
   monitor: the p50 and p99 of the time of each decision (``decide``, and
-  for an accept ``evaluate_sample`` too) and the replay's wall time.
+  for an accept ``evaluate_sample`` too) and the replay's wall time.  A
+  third replay, into a subclass of ``AdaptiveMonitor`` that wraps
+  ``evaluate_sample`` and ``on_tick`` in ``perf_counter_ns``, sums the self
+  time of each: an ``on_tick``'s less the ``evaluate_sample`` it calls.
+  The wrapper's own overhead is the self time it gives an empty wrapped
+  call, times the number of wrapped calls in that replay.
+* The report and peak memory: one ``run_matrix`` pass of the five kinds
+  for ``--seed`` on a cold tape, each run reduced by ``summarize_run``,
+  under ``tracemalloc``: the pass's peak in bytes.  Then the fastest of
+  three ``write_report`` calls over the five results, each into a fresh
+  directory.
 
 One entry is appended to ``--out`` (a JSON list, created when missing;
 earlier entries are kept as they are): the checkout's commit and whether
@@ -41,10 +51,14 @@ number of pairs the after side was faster, for the run (``before_s``,
 for its ``load_run`` (the same four keys with a ``save_`` and a ``load_``
 prefix), the same four keys for the cold tape under ``tape_cold`` (only
 the timed side's ``before_s`` or ``after_s`` when a side has no ``_tape``)
-and for the engine import under ``engine_import``, and under
+and for the engine import under ``engine_import``, under
 ``engine_replay`` the same four keys for each of ``decide_us_p50``,
-``decide_us_p99`` (in microseconds, though the keys end in ``_s``) and
-``wall_s``.  Standard library only.
+``decide_us_p99`` (in microseconds, though the keys end in ``_s``),
+``wall_s``, ``evaluate_self_s``, ``on_tick_self_s`` and
+``wrap_overhead_s``, and the same four keys for the ``write_report`` time
+under ``report`` and for the ``run_matrix`` pass's peak under
+``matrix_peak_bytes`` (in bytes, though the keys end in ``_s``).
+Standard library only.
 """
 
 from __future__ import annotations
@@ -142,8 +156,37 @@ SEED = 1
 stream = [([reprtrace.RequestEvent(*r) for r in requests], mean_rt)
           for requests, mean_rt in engine_stream(SEED)]
 
-def replay():
-    monitor = reprtrace.AdaptiveMonitor(reprtrace.SamplerConfig())
+class TimedEvaluate:
+    evaluate_ns = calls = 0
+
+    def evaluate_sample(self, now):
+        t0 = perf_counter_ns()
+        result = super().evaluate_sample(now)
+        self.evaluate_ns += perf_counter_ns() - t0
+        self.calls += 1
+        return result
+
+class Timed(TimedEvaluate, reprtrace.AdaptiveMonitor):
+    on_tick_ns = 0
+
+    def on_tick(self, now, current):
+        nested = self.evaluate_ns
+        t0 = perf_counter_ns()
+        result = super().on_tick(now, current)
+        self.on_tick_ns += perf_counter_ns() - t0 - (self.evaluate_ns - nested)
+        self.calls += 1
+        return result
+
+class Empty:
+    def evaluate_sample(self, now):
+        return None
+
+# The same wrapper around a call that does nothing.
+class TimedEmpty(TimedEvaluate, Empty):
+    pass
+
+def replay(monitor_cls=reprtrace.AdaptiveMonitor):
+    monitor = monitor_cls(reprtrace.SamplerConfig())
     rng = random.Random(f"{SEED}:engine-decide")
     decide, evaluate, on_tick = monitor.decide, monitor.evaluate_sample, monitor.on_tick
     ns = perf_counter_ns
@@ -158,16 +201,48 @@ def replay():
             lat.append(ns() - t0)
         on_tick(float(sec + 1), reprtrace.PerformanceRecord(
             rps=float(len(events)), mean_rt=mean_rt, monitoring_enabled=monitoring))
-    return perf_counter() - start, lat
+    return perf_counter() - start, lat, monitor
 
 replay()
-wall, lat = replay()
+wall, lat, _ = replay()
 lat.sort()
+_, _, timed = replay(Timed)
+empty, EMPTY_CALLS = TimedEmpty(), 100_000
+for _ in range(EMPTY_CALLS):
+    empty.evaluate_sample(0.0)
 print(json.dumps({"package": reprtrace.__file__, "wall_s": wall,
                   "decide_us_p50": percentile(lat, 0.50) / 1e3,
-                  "decide_us_p99": percentile(lat, 0.99) / 1e3}))
+                  "decide_us_p99": percentile(lat, 0.99) / 1e3,
+                  "evaluate_self_s": timed.evaluate_ns / 1e9,
+                  "on_tick_self_s": timed.on_tick_ns / 1e9,
+                  "wrap_overhead_s": empty.evaluate_ns / EMPTY_CALLS * timed.calls / 1e9}))
 """
-REPLAY_METRICS = ("decide_us_p50", "decide_us_p99", "wall_s")
+REPLAY_METRICS = ("decide_us_p50", "decide_us_p99", "wall_s", "evaluate_self_s",
+                  "on_tick_self_s", "wrap_overhead_s")
+
+# Run in the child as CHILD is.
+REPORT_CHILD = """
+import json, sys, tempfile, tracemalloc
+from time import perf_counter
+import reprtrace
+from reprtrace import default_scenario, run_matrix, write_report
+from reprtrace.report import summarize_run
+seed, repeats = int(sys.argv[1]), int(sys.argv[2])
+scenario = default_scenario()
+tracemalloc.start()
+summaries = [summarize_run(run) for run in run_matrix(
+    scenario.model, scenario.workload, ("ADP", "INV", "UNI", "FUM", "NOM"), seed,
+    scenario.sampler)]
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+best = float("inf")
+with tempfile.TemporaryDirectory() as tmp:
+    for i in range(repeats):
+        began = perf_counter()
+        write_report(summaries, f"{tmp}/{i}")
+        best = min(best, perf_counter() - began)
+print(json.dumps({"package": reprtrace.__file__, "seconds": best, "peak_bytes": peak}))
+"""
 
 
 def package_dir(path: Path) -> Path:
@@ -210,6 +285,12 @@ def time_engine_replay(side: Path) -> dict:
     """One timed replay of ``engine_stream(1)`` on ``side``: ``REPLAY_METRICS``."""
     result = run_child(side, REPLAY_CHILD, str(ROOT / "perfbench"))
     return {metric: result[metric] for metric in REPLAY_METRICS}
+
+
+def time_report(side: Path, seed: int) -> tuple[float, int]:
+    """The fastest ``write_report`` of ``side`` and its ``run_matrix`` pass's peak bytes."""
+    result = run_child(side, REPORT_CHILD, str(seed), str(REPEATS))
+    return result["seconds"], result["peak_bytes"]
 
 
 def git(*args: str, cwd: Path) -> str | None:
@@ -259,6 +340,8 @@ def main(argv: list[str] | None = None) -> None:
     engine = {"before": [], "after": []}
     tape = {"before": [], "after": []}
     replay = {metric: {"before": [], "after": []} for metric in REPLAY_METRICS}
+    report = {"before": [], "after": []}
+    peak = {"before": [], "after": []}
     for pair in range(args.pairs):
         sides = [("before", before), ("after", after)]
         if pair % 2:
@@ -272,6 +355,10 @@ def main(argv: list[str] | None = None) -> None:
         for name, side in sides:
             for metric, value in time_engine_replay(side).items():
                 replay[metric][name].append(value)
+        for name, side in sides:
+            seconds, peak_bytes = time_report(side, args.seed)
+            report[name].append(seconds)
+            peak[name].append(peak_bytes)
         for kind in KINDS:
             for name, side in sides:
                 for call, seconds in zip(CALLS, time_kind(side, kind, args.seed)):
@@ -279,7 +366,8 @@ def main(argv: list[str] | None = None) -> None:
         print(f"pair {pair + 1}/{args.pairs}: engine import "
               f"{engine['before'][-1]:.4f} -> {engine['after'][-1]:.4f} s, engine replay p99 "
               f"{replay['decide_us_p99']['before'][-1]:.2f} -> "
-              f"{replay['decide_us_p99']['after'][-1]:.2f} us, " + ", ".join(
+              f"{replay['decide_us_p99']['after'][-1]:.2f} us, report "
+              f"{report['before'][-1]:.3f} -> {report['after'][-1]:.3f} s, " + ", ".join(
                   f"{kind} {t['']['before'][-1]:.3f} -> {t['']['after'][-1]:.3f} s"
                   f" (save {t['save_']['before'][-1]:.3f} -> {t['save_']['after'][-1]:.3f} s,"
                   f" load {t['load_']['before'][-1]:.3f} -> {t['load_']['after'][-1]:.3f} s)"
@@ -311,6 +399,8 @@ def main(argv: list[str] | None = None) -> None:
         "engine_import": compare(engine["before"], engine["after"]),
         "engine_replay": {metric: compare(sides["before"], sides["after"])
                           for metric, sides in replay.items()},
+        "report": compare(report["before"], report["after"]),
+        "matrix_peak_bytes": compare(peak["before"], peak["after"]),
     }
     entries.append(entry)
     args.out.write_text(json.dumps(entries, indent=2) + "\n")
