@@ -35,11 +35,26 @@ def _as_dict(obj) -> dict:
     return {name: getattr(obj, name) for name in _parameters(type(obj))}
 
 
-def _check_finite(spec) -> None:
-    """Reject a float parameter of ``spec`` that is not finite, but +inf in ``_INF_ALLOWED``."""
+def _check_count(name: str, value: int) -> None:
+    """Reject ``value`` unless it is an int from 1 to ``sys.maxsize``.  Not a
+    bool, nor a float: the tape memo compares segments by ==, so a 5.0 would
+    be served 5's tape and leak its type into a later run."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+    if value > sys.maxsize:
+        raise ValueError(f"{name} must be at most {sys.maxsize}, got {value}")
+
+
+def _check_numbers(spec) -> None:
+    """Reject an ``int`` parameter of ``spec`` that is not a count, or a
+    ``float`` one that is not finite, but +inf in ``_INF_ALLOWED``."""
     for name, kind in type(spec).__init__.__annotations__.items():
-        if kind == "float" and not (-_FLOAT_MAX <= getattr(spec, name) <= _FLOAT_MAX
-                                    or name == _INF_ALLOWED and getattr(spec, name) == inf):
+        if kind == "int":
+            _check_count(name, getattr(spec, name))
+        elif kind == "float" and not (-_FLOAT_MAX <= getattr(spec, name) <= _FLOAT_MAX
+                                      or name == _INF_ALLOWED and getattr(spec, name) == inf):
             raise ValueError(f"{name} must be finite, got {getattr(spec, name)}")
 
 
@@ -276,7 +291,7 @@ class SamplerConfig(_Record):
     Defaults: adaptation every 1 s, 3 s performance baselines, rates in
     [1%, 50%], 180 s cycle timeout, 60-record performance history,
     conservative variability p = 0.5 and margin of error e = 0.05.  Every
-    float must be finite: NaN, an infinity or an int beyond any float is rejected.
+    float must be finite and ``history_capacity`` a count (``_check_numbers``).
     """
 
     __slots__ = ("max_rate", "min_rate", "epsilon", "baseline_duration",
@@ -294,7 +309,7 @@ class SamplerConfig(_Record):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        _check_finite(self)
+        _check_numbers(self)
         if not 0.0 < self.min_rate <= self.max_rate <= 1.0:
             raise ValueError(
                 f"rates must satisfy 0 < min_rate <= max_rate <= 1, "
@@ -308,11 +323,6 @@ class SamplerConfig(_Record):
             raise ValueError("adaptation_frequency must be positive")
         if self.max_cycle_length <= 0:
             raise ValueError("max_cycle_length must be positive")
-        capacity = self.history_capacity
-        if isinstance(capacity, bool) or not isinstance(capacity, int):
-            raise ValueError(f"history_capacity must be an integer, got {capacity!r}")
-        if capacity < 1:
-            raise ValueError("history_capacity must be >= 1")
         if not 0.0 < self.variability_p < 1.0:
             raise ValueError("variability_p must be in (0, 1)")
         if not 0.0 < self.margin_e < 1.0:

@@ -45,7 +45,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .errors import InsufficientDataError, MissingTypeError, ParameterError
 from .model import (_FLOAT_MAX, RELEASE_CRITERIA, RELEASE_TIMEOUT, RequestEvent, TraceColumns,
-                    _as_dict)
+                    TraceRecord, _as_dict)
 from .simulator import RunResult, SecondStats
 from .strategies import StrategyKind
 
@@ -222,13 +222,12 @@ def read_trace_file(path: str | Path) -> TraceColumns:
                 start = int(start)
                 response_time = float(response_time)
                 memory_delta = float(memory_delta)
-                # RequestEvent's rule; building one raises its error.
-                if not (type_id and 0.0 <= response_time <= _FLOAT_MAX
-                        and -_FLOAT_MAX <= memory_delta <= _FLOAT_MAX):
-                    RequestEvent(type_id, start, response_time, memory_delta)
                 cycle_index = int(cycle_index)
-                if cycle_index < 0:
-                    raise ValueError(f"cycle_index must be >= 0, got {cycle_index}")
+                # The rules of RequestEvent and TraceRecord; building one raises its error.
+                if not (type_id and 0.0 <= response_time <= _FLOAT_MAX
+                        and -_FLOAT_MAX <= memory_delta <= _FLOAT_MAX and cycle_index >= 0):
+                    TraceRecord(RequestEvent(type_id, start, response_time, memory_delta),
+                                cycle_index)
                 traces.starts.append(start)
                 traces.cycles.append(cycle_index)
                 traces.types.append(index.setdefault(type_id, len(index)))

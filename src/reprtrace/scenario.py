@@ -8,24 +8,24 @@ syntax errors with line numbers and semantic errors with key paths.
 Each section (``model``, a request type, a workload segment, ``sampler``)
 is read by ``_section`` from the parameters of its class's ``__init__``,
 written out or made by ``dataclasses``: a key that is no parameter is
-rejected, never ignored, and one with no default is required.  A value
-takes the kind its annotation names: a ``str`` parameter a string, an
-``int`` one a JSON number with no fractional part, any other a JSON
-number (not a string or a bool).  Every number must be finite, as
-``model._FLOAT_MAX`` defines it, but ``model.trace_io_capacity`` may be
-``Infinity``, its default, meaning no trace I/O contention.
+rejected, never ignored, and one with no default is required.  The reader
+checks only a value's JSON kind: a ``str`` parameter takes a string, any
+other a JSON number (not a string or a bool), and an ``int`` one gets an
+integral float as an int.  The section's class checks the values
+(``model._check_numbers``: an int is a count, a float finite, but
+``model.trace_io_capacity`` may be ``Infinity``, its default, meaning no
+trace I/O contention), and its error is reported as ``<section>: <error>``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import inf
 from pathlib import Path
 from typing import Any
 
 from .errors import ScenarioError
-from .model import _FLOAT_MAX, _INF_ALLOWED, SamplerConfig, _as_dict, _parameters
+from .model import SamplerConfig, _as_dict, _parameters
 from .simulator import AppModel, Burst, RequestTypeSpec, Seasonal, Stationary, WorkloadSpec
 
 __all__ = ["Scenario", "load_scenario", "parse_scenario", "scenario_to_dict", "default_scenario"]
@@ -54,20 +54,14 @@ def _typed(value: Any, kind: type, where: str) -> Any:
     return value
 
 
-def _number(value: Any, where: str, integer: bool = False, allow_inf: bool = False) -> Any:
-    """``value`` when it is a finite JSON number (``allow_inf`` admits
-    +Infinity), as an int when ``integer`` and it has no fractional part;
-    ScenarioError naming ``where`` otherwise."""
+def _number(value: Any, where: str, integer: bool = False) -> Any:
+    """``value`` when it is a JSON number, as an int when ``integer`` and it
+    is an integral float; ScenarioError naming ``where`` otherwise.  Its
+    range is for the section's class to check."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{where}: must be {'an integer' if integer else 'a number'}, "
                             f"got {value!r}")
-    if not (-_FLOAT_MAX <= value <= _FLOAT_MAX or allow_inf and value == inf):
-        raise ScenarioError(f"{where}: must be finite, got {value!r}")
-    if integer and isinstance(value, float):
-        if not value.is_integer():
-            raise ScenarioError(f"{where}: must be an integer, got {value!r}")
-        return int(value)
-    return value
+    return int(value) if integer and isinstance(value, float) and value.is_integer() else value
 
 
 def _section(cls: type, raw: Any, where: str, **given: Any) -> Any:
@@ -86,8 +80,7 @@ def _section(cls: type, raw: Any, where: str, **given: Any) -> Any:
         if kinds[key] == "str":
             values[key] = _typed(value, str, f"{where}.{key}")
         else:
-            values[key] = _number(value, f"{where}.{key}", integer=kinds[key] == "int",
-                                  allow_inf=key == _INF_ALLOWED)
+            values[key] = _number(value, f"{where}.{key}", integer=kinds[key] == "int")
     for name in names[:len(names) - len(cls.__init__.__defaults__ or ())]:
         if name not in raw:
             raise ScenarioError(f"{where}: missing key {name!r}")

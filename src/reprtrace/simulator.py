@@ -71,7 +71,8 @@ from .model import (
     SamplerConfig,
     TraceColumns,
     _FLOAT_MAX,
-    _check_finite,
+    _check_count,
+    _check_numbers,
     _RebuiltSequence,
 )
 from .sampler import SamplerEvent
@@ -109,7 +110,7 @@ class RequestTypeSpec:
     def __post_init__(self) -> None:
         if not self.type_id:
             raise ValueError("type_id must be non-empty")
-        _check_finite(self)
+        _check_numbers(self)
         if self.weight <= 0:
             raise ValueError(f"weight must be positive, got {self.weight}")
         if self.base_rt <= 0:
@@ -120,23 +121,13 @@ class RequestTypeSpec:
             raise ValueError("dispersions must be >= 0")
 
 
-def _check_users(name: str, users: int) -> None:
-    # An int, not a bool or a float: the tape memo compares segments by ==,
-    # so a 5.0 would be served 5's tape and leak its type into a later run.
-    if isinstance(users, bool) or not isinstance(users, int):
-        raise ValueError(f"{name} must be an integer, got {users!r}")
-    if users < 1:
-        raise ValueError(f"{name} must be >= 1")
-
-
 @dataclass(frozen=True)
 class Stationary:
     users: int
     duration: float
 
     def __post_init__(self) -> None:
-        _check_users("users", self.users)
-        _check_finite(self)
+        _check_numbers(self)
         if self.duration <= 0:
             raise ValueError("duration must be positive")
 
@@ -149,8 +140,7 @@ class Seasonal:
     duration: float
 
     def __post_init__(self) -> None:
-        _check_users("base_users", self.base_users)
-        _check_finite(self)
+        _check_numbers(self)
         if self.amplitude < 0:
             raise ValueError("amplitude must be >= 0")
         if self.period <= 0:
@@ -168,9 +158,7 @@ class Burst:
     duration: float
 
     def __post_init__(self) -> None:
-        _check_users("base_users", self.base_users)
-        _check_users("peak_users", self.peak_users)
-        _check_finite(self)
+        _check_numbers(self)
         if self.duration <= 0:
             raise ValueError("duration must be positive")
         if self.width <= 0:
@@ -195,7 +183,8 @@ class WorkloadSpec:
     """Ordered schedule of user-count segments.
 
     The simulator serves ``served_seconds`` whole seconds, dropping a
-    fractional last second; a schedule shorter than one second is refused.
+    fractional last second; a schedule shorter than one second is refused,
+    and so is one whose last start, in ms, would not fit in 64 bits.
     """
 
     segments: tuple[Segment, ...]
@@ -208,6 +197,11 @@ class WorkloadSpec:
         # Finite segments can still sum to a number that is not finite.
         if not -_FLOAT_MAX <= self.total_duration <= _FLOAT_MAX:
             raise ValueError(f"workload must last a finite time, got {self.total_duration} s")
+        # A run stores each start, up to served_seconds * 1000 - 1 ms, in an array("q").
+        if self.served_seconds * 1000 - 1 > 2**63 - 1:
+            raise ValueError(f"workload must last less than {2**63 // 1000 + 1} s, so that each"
+                             f" start fits in 64 bits (at most {2**63 - 1} ms), got"
+                             f" {self.total_duration} s")
         if self.served_seconds < 1:
             raise ValueError(f"workload must last at least 1 s, got {self.total_duration} s")
 
@@ -281,7 +275,7 @@ class AppModel:
         object.__setattr__(self, "types", tuple(self.types))
         if not self.types:
             raise ValueError("model needs at least one request type")
-        _check_finite(self)
+        _check_numbers(self)
         if self.capacity_users < 1:
             raise ValueError("capacity_users must be >= 1")
         if self.contention_gamma < 0:
@@ -492,7 +486,8 @@ def _first_bad_row(rows: Iterable[tuple[int, float, float]],
     """The position, response time and memory of the first row that fails
     ``RequestEvent``'s rule at ``slowdown``, or ``None``."""
     for position, (_, base_rt, mem) in enumerate(rows):
-        response_time = base_rt * slowdown
+        # An int base time too large for a float cannot be multiplied by one.
+        response_time = base_rt * slowdown if -_FLOAT_MAX <= base_rt <= _FLOAT_MAX else base_rt
         if not (0.0 <= response_time <= _FLOAT_MAX and -_FLOAT_MAX <= mem <= _FLOAT_MAX):
             return position, response_time, mem
     return None
@@ -508,12 +503,14 @@ class _Request:
 class Simulation:
     """One strategy served an offered stream; its decisions are seeded.
 
-    ``step`` checks a second's rows by ``RequestEvent``'s rule before it
-    serves any: a sealed packed second with one product, any other second
-    (a list, or a one-shot iterator, listed first) by a scan for its first
-    bad row.  It serves the rows before that row, in one loop for a
-    ``RateStrategy`` and one for an ``AdaptiveStrategy``, and raises only
-    if they leave budget for the bad row, so a bad row past the budget
+    ``step`` first refuses a ``users`` that is not a count, as ``series.csv``
+    holds it, with a ``ParameterError`` that keeps nothing and does not stop
+    the simulation.  It then checks the second's rows by ``RequestEvent``'s
+    rule before it serves any: a sealed packed second with one product, any
+    other second (a list, or a one-shot iterator, listed first) by a scan
+    for its first bad row.  It serves the rows before that row, in one loop
+    for a ``RateStrategy`` and one for an ``AdaptiveStrategy``, and raises
+    only if they leave budget for the bad row, so a bad row past the budget
     never raises.
 
     A second that raises (a bad row, or a strategy that raises) leaves none
@@ -561,6 +558,10 @@ class Simulation:
         """Serve the next second of an offered stream; returns the per-second
         outcome.  A second that raises is undone (see the class docstring)."""
         self._refuse_after_failure()
+        try:
+            _check_count("users", offered[0])
+        except ValueError as exc:
+            raise ParameterError(f"second {len(self.seconds)}: {exc}") from None
         traces, events = self.traces, self.events
         rows, served = len(traces), len(events._ends)
         try:

@@ -405,6 +405,7 @@ class TestReport:
         ("traces.txt", "0,/owners,12", "not enough values to unpack"),
         ("traces.txt", "0,/owners,12,nan,1.0", "response_time must be finite"),
         ("traces.txt", "0,/owners,12.5,3.0,1.0", "invalid literal for int()"),
+        ("traces.txt", "-1,/owners,12,3.0,1.0", "cycle_index must be >= 0, got -1"),
         ("traces.txt", "9223372036854775808,/owners,12,3.0,1.0",
          "cycle_index and start must fit in 64 bits"),
         ("traces.txt", "0,/owners,-9223372036854775809,3.0,1.0",
@@ -530,7 +531,7 @@ class TestNonFiniteNumbers:
         raw = json.loads(json.dumps(TINY_SCENARIO))
         raw["model"]["types"][1][key] = value
         assert self._validate(tmp_path, raw) == 2
-        assert f"model.types[1].{key}: must be finite" in capsys.readouterr().err
+        assert f"model.types[1]: {key} must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,value", [("contention_gamma", math.nan),
                                            ("capacity_users", math.inf),
@@ -539,23 +540,24 @@ class TestNonFiniteNumbers:
         raw = json.loads(json.dumps(TINY_SCENARIO))
         raw["model"][key] = value
         assert self._validate(tmp_path, raw) == 2
-        assert f"model.{key}: must be finite" in capsys.readouterr().err
+        assert f"model: {key} must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,value", [("duration", math.inf), ("at", math.nan)])
     def test_segment_key(self, tmp_path, capsys, key, value):
         raw = json.loads(json.dumps(TINY_SCENARIO))
         raw["workload"][1][key] = value
         assert self._validate(tmp_path, raw) == 2
-        assert f"workload[1].{key}: must be finite" in capsys.readouterr().err
+        assert f"workload[1]: {key} must be finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key,value", [("epsilon", math.nan),
-                                           ("max_cycle_length", math.inf),
-                                           ("history_capacity", math.nan)])
-    def test_sampler_key(self, tmp_path, capsys, key, value):
+    @pytest.mark.parametrize("key,value,message", [
+        ("epsilon", math.nan, "must be finite, got nan"),
+        ("max_cycle_length", math.inf, "must be finite, got inf"),
+        ("history_capacity", math.nan, "must be an integer, got nan")])
+    def test_sampler_key(self, tmp_path, capsys, key, value, message):
         raw = json.loads(json.dumps(TINY_SCENARIO))
         raw["sampler"][key] = value
         assert self._validate(tmp_path, raw) == 2
-        assert f"sampler.{key}: must be finite" in capsys.readouterr().err
+        assert f"sampler: {key} {message}" in capsys.readouterr().err
 
     def test_infinite_trace_io_capacity_round_trips(self, tmp_path):
         raw = json.loads(json.dumps(TINY_SCENARIO))
@@ -575,9 +577,9 @@ class TestIntegerAndBooleanKeys:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda raw: raw["sampler"].update(history_capacity=2.5),
-         "sampler.history_capacity: must be an integer, got 2.5"),
+         "sampler: history_capacity must be an integer, got 2.5"),
         (lambda raw: raw["workload"][0].update(users=8.9),
-         "workload[0].users: must be an integer, got 8.9"),
+         "workload[0]: users must be an integer, got 8.9"),
         (lambda raw: raw["workload"][1].update(peak_users=True),
          "workload[1].peak_users: must be an integer, got True"),
         (lambda raw: raw["workload"][0].update(users="8"),
@@ -620,7 +622,10 @@ class TestIntegerAndBooleanKeys:
         (lambda raw: raw["model"].pop("capacity_users"), "model: missing key 'capacity_users'"),
         (lambda raw: raw["workload"][0].pop("users"), "workload[0]: missing key 'users'"),
         (lambda raw: raw["workload"][0].update(duration=10 ** 400),
-         f"workload[0].duration: must be finite, got {10 ** 400}"),
+         f"workload[0]: duration must be finite, got {10 ** 400}"),
+        (lambda raw: raw["workload"][0].update(duration=1e300),
+         "workload: workload must last less than 9223372036854776 s, so that each start"
+         " fits in 64 bits (at most 9223372036854775807 ms), got 1e+300 s"),
     ], ids=["history_capacity", "users", "bool_users", "string_users", "bool_duration",
             "bool_weight", "string_capacity", "bool_baseline_duration", "bool_max_rate",
             "int_type_id", "number_segment", "number_types", "object_workload",
@@ -628,7 +633,7 @@ class TestIntegerAndBooleanKeys:
             "unknown_top_level_key", "unknown_sampler_key", "strategy_key", "seed_key",
             "seeds_key", "out_key", "strict_key", "list_kind",
             "object_kind", "missing_type_weight", "missing_model_capacity",
-            "missing_segment_users", "huge_integer_duration"])
+            "missing_segment_users", "huge_integer_duration", "schedule_too_long_to_store"])
     def test_rejected_with_key_path(self, tmp_path, capsys, edit, message):
         raw = json.loads(json.dumps(TINY_SCENARIO))
         edit(raw)

@@ -5,11 +5,13 @@
 with the same defaults, print the same ``repr``, compare equal only to an
 instance of the very same class, are unhashable, survive a ``pickle`` round
 trip, run a subclass's ``__post_init__`` and raise the same errors with the
-same messages.
+same messages.  A count is checked by one rule, so the workload segments'
+user counts raise ``SamplerConfig.history_capacity``'s errors.
 """
 
 import math
 import pickle
+import sys
 
 import pytest
 
@@ -22,6 +24,7 @@ from reprtrace.model import (
     TraceRecord,
 )
 from reprtrace.sampler import SamplerEvent
+from reprtrace.simulator import Burst, Seasonal, Stationary
 
 
 def _table(counts):
@@ -264,6 +267,15 @@ def test_fields_can_be_reassigned_but_not_added():
     (SamplerConfig, dict(history_capacity=True),
      "history_capacity must be an integer, got True"),
     (SamplerConfig, dict(history_capacity=0), "history_capacity must be >= 1"),
+    # A count is at most sys.maxsize, the largest deque bound and array length.
+    *[(cls, dict(fields, **{name: big}), f"{name} must be at most {sys.maxsize}, got {big}")
+      for cls, fields, name in [
+          (SamplerConfig, {}, "history_capacity"),
+          (Stationary, dict(duration=10), "users"),
+          (Seasonal, dict(base_users=4, amplitude=2, period=5, duration=10), "base_users"),
+          (Burst, dict(base_users=4, peak_users=8, at=5, width=2, duration=10), "base_users"),
+          (Burst, dict(base_users=4, peak_users=8, at=5, width=2, duration=10), "peak_users")]
+      for big in (10**400, 2**63)],
     (SamplerConfig, dict(variability_p=1.0), "variability_p must be in (0, 1)"),
     (SamplerConfig, dict(margin_e=0.0), "margin_e must be in (0, 1)"),
     (ReleasedSample, dict(traces=[], population_stats=_table({"/a": 1}),

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -106,6 +107,14 @@ class TestUsersAt:
                      lambda: Burst(base_users=True, peak_users=20, at=5, width=2, duration=60)):
             with pytest.raises(ValueError, match="must be an integer"):
                 make()
+        # Every start, in ms, must fit in 64 bits: at most 2**63 - 1.
+        longest = 2**63 // 1000
+        assert WorkloadSpec((Stationary(users=1, duration=longest),)).served_seconds == longest
+        for duration in (longest + 1, 1e300):
+            message = (f"workload must last less than {longest + 1} s, so that each start"
+                       f" fits in 64 bits (at most {2**63 - 1} ms), got {duration} s")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                WorkloadSpec((Stationary(users=1, duration=duration),))
 
 
 class TestDeterminism:
@@ -334,7 +343,8 @@ class TestModelValidation:
 
 
 class TestServedTime:
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    # 10**400 is an int too large for a float, so not finite either.
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400])
     @pytest.mark.parametrize("column", ["base time", "memory"])
     def test_nonfinite_value_rejected_in_its_second(self, column, bad):
         # Traced or not, built into an event or not, the same row fails the
@@ -357,6 +367,25 @@ class TestServedTime:
             with pytest.raises(ParameterError, match="second 0: a request needs a finite"):
                 sim.step((4, [(0, 40.0, 100.0), (0, -40.0, 100.0)] * 50))
             assert sim.seconds == []
+
+    @pytest.mark.parametrize("users, message", [
+        (0, "users must be >= 1"), (-4, "users must be >= 1"),
+        (4.5, "users must be an integer, got 4.5"), (True, "users must be an integer, got True"),
+        (2**63, f"users must be at most {2**63 - 1}, got {2**63}")])
+    def test_users_not_a_count_refused_before_the_second(self, users, message):
+        # series.csv holds a count of users, so a run that served another
+        # value could be saved but not loaded.  Nothing of the refused second
+        # is kept, and the next second is served as second 0.
+        rows = [(0, 40.0, 100.0)] * 200
+        for kind in StrategyKind:
+            config = SamplerConfig()
+            sim = Simulation(small_model(), make_strategy(kind, config), config, seed=1)
+            with pytest.raises(ParameterError, match=f"^second 0: {re.escape(message)}$"):
+                sim.step((users, rows))
+            assert sim.seconds == [] and len(sim.traces) == len(sim.events) == 0
+            if kind is StrategyKind.ADP:
+                assert sim.strategy.monitor.population.total == 0
+            assert sim.step((4, rows)).second == 0 and len(sim.events) > 0
 
     def test_rate_strategy_served_by_its_rate(self):
         class EveryRequest(NoMonitoringStrategy):
